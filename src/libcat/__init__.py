@@ -56,8 +56,10 @@ from .indicators import (
     CompositionRow,
     CoverageRow,
     IndicatorReport,
+    METRICS,
     author_profile,
     author_profiles,
+    book_indicators,
     catalog_inclusions,
     cir,
     cnls,
@@ -65,6 +67,7 @@ from .indicators import (
     coverage_report,
     diffusion_rate,
     libcitations,
+    metric_columns,
     rank_in_class,
     rcir,
     unit_report,

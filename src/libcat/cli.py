@@ -1,8 +1,9 @@
 """Command-line surface for reproducible batch runs.
 
 Commands: ingest, fetch, indicators, correlate, report. Shared flags:
---dataset PATH (the canonical dataset file), --filter SPEC (library
-population filter, same grammar everywhere), --output {csv,md,jsonl}.
+--dataset PATH (the canonical dataset file) and --output {csv,md,jsonl}.
+The analysis commands (indicators, correlate, report) also take
+--filter SPEC, the library population filter, in one grammar.
 
 Filter grammar, clauses joined by ';', values by ',':
 
@@ -37,7 +38,6 @@ from .errors import (
     DatasetError,
     IntegrityError,
     IsbnError,
-    NoClassError,
     ParseError,
     QuotaStateError,
     SampleSizeError,
@@ -46,12 +46,13 @@ from .errors import (
 )
 from .identifiers import normalize_isbn
 from .indicators import (
+    METRICS,
     author_profile,
     author_profiles,
-    cnls,
+    book_indicators,
     composition_report,
     coverage_report,
-    rank_in_class,
+    metric_columns,
     unit_report,
 )
 from .ingest import (
@@ -66,7 +67,6 @@ from .model import (
     AggregateUnit,
     CatalogSnapshot,
     LibraryFilter,
-    apply_filter,
     build_snapshot,
 )
 from .render import FORMATS, format_percent, format_rate, render_table
@@ -79,8 +79,6 @@ EXIT_QUOTA = 3
 EXIT_UNRESOLVED = 4
 EXIT_CONSTANT = 5
 EXIT_USAGE = 64
-
-METRIC_NAMES = ("libcitations", "citations")
 
 
 class _Failure(Exception):
@@ -156,7 +154,6 @@ def _emit(headers: Sequence[str], rows: Sequence[Sequence[str]], fmt: str) -> No
 # --- ingest -------------------------------------------------------------------
 
 def cmd_ingest(args) -> int:
-    _parse_filter_arg(args.filter)
     if args.format == "jsonl":
         parsed = _load_dataset_file(args.input)
         report = ParseReport(accepted=parsed.n_records)
@@ -230,7 +227,6 @@ def _build_client(args) -> CatalogClient:
 
 
 def cmd_fetch(args) -> int:
-    _parse_filter_arg(args.filter)
     snapshot = _load_dataset_file(args.dataset)
     if args.all:
         selected = list(snapshot.records)
@@ -313,26 +309,19 @@ def _resolve_unit(
         raise _Failure(EXIT_UNRESOLVED, f"unit {unit_id!r}: {exc}") from exc
 
 
-def _books_rows(filtered: CatalogSnapshot) -> list[list[str]]:
+def _books_rows(
+    snapshot: CatalogSnapshot, library_filter: Optional[LibraryFilter]
+) -> list[list[str]]:
     rows = []
-    for record in filtered.records:
-        count = filtered.libcitation_count(record.record_id)
-        try:
-            cnls_cell = format_rate(cnls(record.record_id, filtered))
-        except (NoClassError, UndefinedRateError):
-            cnls_cell = ""
-        try:
-            rank, size = rank_in_class(record.record_id, filtered)
-            rank_cell, size_cell = str(rank), str(size)
-        except NoClassError:
-            rank_cell = size_cell = ""
-        rows.append(
-            (count, record.title, record.record_id, cnls_cell, rank_cell, size_cell)
-        )
+    for book in book_indicators(snapshot, library_filter):
+        title = snapshot.get_record(book.record_id).title
+        cnls_cell = format_rate(book.cnls) if book.cnls is not None else ""
+        rank_cells = map(str, book.rank_in_class) if book.rank_in_class else ("", "")
+        rows.append((book.libcitations, title, book.record_id, cnls_cell, *rank_cells))
     rows.sort(key=lambda r: (-r[0], r[1], r[2]))
     return [
-        [record_id, title, str(count), cnls_cell, rank_cell, size_cell]
-        for count, title, record_id, cnls_cell, rank_cell, size_cell in rows
+        [record_id, title, str(count), *cells]
+        for count, title, record_id, *cells in rows
     ]
 
 
@@ -341,12 +330,11 @@ def cmd_indicators(args) -> int:
     snapshot = _load_dataset_file(args.dataset)
     if snapshot.n_records == 0:
         raise _Failure(EXIT_EMPTY, "dataset has no records")
-    filtered = apply_filter(snapshot, library_filter)
 
     if args.all_books:
         _emit(
             ["record", "title", "libcitations", "cnls", "rank", "class_size"],
-            _books_rows(filtered),
+            _books_rows(snapshot, library_filter),
             args.output,
         )
         return EXIT_OK
@@ -376,7 +364,7 @@ def cmd_indicators(args) -> int:
     for spec in args.unit:
         unit = _resolve_unit(spec, units_by_id, snapshot)
         try:
-            reports.append(unit_report(unit, filtered, None, benchmark))
+            reports.append(unit_report(unit, snapshot, library_filter, benchmark))
         except UnknownTargetError as exc:
             raise _Failure(EXIT_UNRESOLVED, str(exc)) from exc
         except UndefinedRateError as exc:
@@ -403,37 +391,28 @@ def cmd_indicators(args) -> int:
 # --- correlate ------------------------------------------------------------------
 
 def _metric_columns(
-    filtered: CatalogSnapshot, names: Sequence[str]
+    snapshot: CatalogSnapshot,
+    library_filter: Optional[LibraryFilter],
+    names: Sequence[str],
 ) -> list[tuple[str, list[float]]]:
-    raw: list[list[Optional[float]]] = []
-    for name in names:
-        column: list[Optional[float]] = []
-        for record in filtered.records:
-            if name == "libcitations":
-                column.append(float(filtered.libcitation_count(record.record_id)))
-            else:
-                column.append(
-                    float(record.citations) if record.citations is not None else None
-                )
-        raw.append(column)
+    """The named metrics over the records that carry every one of them."""
+    raw = metric_columns(names, snapshot, library_filter)
     keep = [
         i
-        for i in range(filtered.n_records)
-        if all(column[i] is not None for column in raw)
+        for i in range(snapshot.n_records)
+        if all(column[i] is not None for _, column in raw)
     ]
-    return [
-        (name, [raw[k][i] for i in keep]) for k, name in enumerate(names)
-    ]
+    return [(name, [float(column[i]) for i in keep]) for name, column in raw]
 
 
 def cmd_correlate(args) -> int:
     library_filter = _parse_filter_arg(args.filter)
     names = [n.strip() for n in args.metrics.split(",") if n.strip()]
-    unknown = [n for n in names if n not in METRIC_NAMES]
+    unknown = [n for n in names if n not in METRICS]
     if unknown:
         raise _Failure(
             EXIT_USAGE,
-            f"unknown metric {unknown[0]!r} (choose from {', '.join(METRIC_NAMES)})",
+            f"unknown metric {unknown[0]!r} (choose from {', '.join(METRICS)})",
         )
     if args.matrix and len(set(names)) != len(names):
         raise _Failure(EXIT_USAGE, "--matrix metrics must be distinct")
@@ -442,8 +421,7 @@ def cmd_correlate(args) -> int:
     if not args.matrix and len(names) != 2:
         raise _Failure(EXIT_USAGE, "correlate needs exactly two metrics")
     snapshot = _load_dataset_file(args.dataset)
-    filtered = apply_filter(snapshot, library_filter)
-    columns = _metric_columns(filtered, names)
+    columns = _metric_columns(snapshot, library_filter, names)
     length = len(columns[0][1])
     if length < 2:
         raise _Failure(
@@ -482,10 +460,9 @@ def _share(count: int, total: int) -> str:
 def cmd_report(args) -> int:
     library_filter = _parse_filter_arg(args.filter)
     snapshot = _load_dataset_file(args.dataset)
-    filtered = apply_filter(snapshot, library_filter)
-    if filtered.n_records == 0:
+    if snapshot.n_records == 0:
         raise _Failure(EXIT_EMPTY, "dataset has no records")
-    composition = composition_report(filtered)
+    composition = composition_report(snapshot, library_filter)
     rows = []
     for row in composition.rows:
         rows.append(
@@ -530,7 +507,7 @@ def cmd_report(args) -> int:
         args.output,
     )
     print()
-    coverage = coverage_report(filtered)
+    coverage = coverage_report(snapshot, library_filter=library_filter)
     _emit(
         ["metric", "covered", "total", "pct"],
         [
@@ -554,12 +531,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="canonical dataset file (default: %(default)s)",
     )
     common.add_argument(
-        "--filter", default="", metavar="SPEC",
-        help='library filter, e.g. "country=US;kind=academic;member=ARL;exclude-channel=donation"',
-    )
-    common.add_argument(
         "--output", choices=list(FORMATS), default="md",
         help="table format (default: %(default)s)",
+    )
+    filtering = _Parser(add_help=False, parents=[common])
+    filtering.add_argument(
+        "--filter", default="", metavar="SPEC",
+        help='library filter, e.g. "country=US;kind=academic;member=ARL;exclude-channel=donation"',
     )
 
     p = sub.add_parser(
@@ -589,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=float, default=10.0, metavar="SECONDS")
     p.set_defaults(func=cmd_fetch)
 
-    p = sub.add_parser("indicators", parents=[common], help="compute holdings indicators")
+    p = sub.add_parser("indicators", parents=[filtering], help="compute holdings indicators")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--all-books", action="store_true", help="per-book table")
     group.add_argument("--author", metavar="HEADING", help="profile one contributor")
@@ -602,15 +580,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--benchmark", metavar="SPEC", help="benchmark unit for RCIR (same forms as --unit)")
     p.set_defaults(func=cmd_indicators)
 
-    p = sub.add_parser("correlate", parents=[common], help="rank correlation between metrics")
+    p = sub.add_parser("correlate", parents=[filtering], help="rank correlation between metrics")
     p.add_argument(
         "--metrics", default="libcitations,citations", metavar="A,B",
-        help="comma-separated metric names (default: %(default)s)",
+        help=f"comma-separated metric names from {', '.join(METRICS)} (default: %(default)s)",
     )
     p.add_argument("--matrix", action="store_true", help="full pairwise matrix")
     p.set_defaults(func=cmd_correlate)
 
-    p = sub.add_parser("report", parents=[common], help="library composition and metric coverage")
+    p = sub.add_parser("report", parents=[filtering], help="library composition and metric coverage")
     p.set_defaults(func=cmd_report)
     return parser
 

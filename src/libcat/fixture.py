@@ -71,7 +71,10 @@ class FixtureServer:
         self._count_lock = threading.Lock()
         self._request_count = 0
         self._server = ThreadingHTTPServer((host, port), self._handler_class())
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # a short poll keeps close() from waiting out the default half second
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
         self._thread.start()
 
     @property

@@ -120,6 +120,19 @@ class TestUsage:
         assert code == 64
         assert "filter" in err
 
+    def test_filter_is_not_an_ingest_or_fetch_flag(self, capsys, tmp_path):
+        dataset = str(tmp_path / "catalog.jsonl")
+        code, _, err = run_cli(
+            capsys, "ingest", "--input", str(tmp_path / "export.xml"),
+            "--format", "marcxml", "--dataset", dataset, "--filter", "country=US",
+        )
+        assert code == 64
+        assert "--filter" in err
+        code, _, _ = run_cli(
+            capsys, "fetch", "--all", "--dataset", dataset, "--filter", "country=US",
+        )
+        assert code == 64
+
 
 class TestIngest:
     def test_dublin_core_ingest_reports_and_persists(self, capsys, tmp_path):
@@ -475,6 +488,16 @@ class TestCorrelateCommand:
             "citations,0.5000,1.0000",
         ]
 
+    def test_cnls_metric_drops_unclassified_records(self, capsys, analysis_dataset):
+        # US libraries only: b1, b2, b3 pair as (2, 4/3), (1, 2/3), (1, 1);
+        # b4 has no class, so it has no CNLS and drops out of the sample
+        code, out, _ = run_cli(
+            capsys, "correlate", "--metrics", "libcitations,cnls",
+            "--filter", "country=US", "--dataset", analysis_dataset,
+        )
+        assert code == 0
+        assert out.strip() == "0.8660"
+
     def test_matrix_requires_distinct_metrics(self, capsys, analysis_dataset):
         code, _, _ = run_cli(
             capsys, "correlate", "--matrix",
@@ -490,6 +513,7 @@ class TestCorrelateCommand:
         )
         assert code == 64
         assert "velocity" in err
+        assert "libcitations, citations, cnls" in err
 
     def test_constant_metric_exits_five(self, capsys, tmp_path):
         records = [

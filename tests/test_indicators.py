@@ -33,6 +33,7 @@ from libcat.indicators import (
 from libcat.model import (
     AggregateUnit,
     BookRecord,
+    CatalogSnapshot,
     Holding,
     Isbn,
     LibraryFilter,
@@ -412,6 +413,113 @@ class TestAuthorProfiles:
         )
         assert profile.works == 1
         assert profile.library_holdings == 1
+
+
+def tied_class_snapshot(rng, size):
+    """One class of `size` records over four libraries, so counts tie heavily."""
+    libraries = [datasets.simple_library(i) for i in range(4)]
+    records = []
+    holdings = []
+    for index in range(size):
+        record_id = f"r{index:04d}"
+        records.append(BookRecord(record_id, f"Book {index}", lc_class="QA76"))
+        for library in rng.sample(libraries, rng.randint(0, len(libraries))):
+            holdings.append(
+                Holding(record_id, library.library_id, rng.choice(datasets.CHANNELS))
+            )
+    return build_snapshot(records, libraries, holdings)
+
+
+VARIANT_NAMES = (
+    "Hart, Ada", "HART, ADA", "Härt, Ada", "hart ada",
+    "Moss, Kim", "moss, kim", "Öz, Eda", "Oz, Eda", "Lee, Bo",
+)
+
+
+def variant_author_snapshot(rng, n_records):
+    """Records naming spelling variants of a few authors, some sharing an OCLC."""
+    libraries = [
+        LibraryOrg(f"l{i}", f"Library {i}", rng.choice(("US", "GB")), "academic")
+        for i in range(6)
+    ]
+    records = []
+    for index in range(n_records):
+        names = rng.sample(VARIANT_NAMES, rng.randint(0, 3))
+        records.append(
+            BookRecord(
+                f"r{index:03d}",
+                f"Title {rng.randint(0, n_records)}",
+                oclc=rng.randint(1, 8) if rng.random() < 0.4 else None,
+                contributors=tuple((name, rng.choice(("author", "editor"))) for name in names),
+            )
+        )
+    holdings = [
+        Holding(record.record_id, library.library_id, rng.choice(datasets.CHANNELS))
+        for record in records
+        for library in libraries
+        if rng.random() < 0.4
+    ]
+    return build_snapshot(records, libraries, holdings)
+
+
+class TestCompiledView:
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(200, 600), st.booleans())
+    def test_large_tied_class_matches_oracles(self, seed, size, exclude):
+        snap = tied_class_snapshot(random.Random(seed), size)
+        excluded = frozenset({"donation", "pda"})
+        library_filter = LibraryFilter(excluded_channels=excluded) if exclude else None
+        holders = {record.record_id: set() for record in snap.records}
+        for holding in snap.holdings:
+            if not (exclude and holding.channel in excluded):
+                holders[holding.record_id].add(holding.library_id)
+        counts = [len(holders[record.record_id]) for record in snap.records]
+        ranks = oracles.competition_ranks(counts)
+        mean = sum(counts) / len(counts)
+        for record, count, rank in zip(snap.records, counts, ranks):
+            assert rank_in_class(record.record_id, snap, library_filter) == (rank, size)
+            if mean == 0:
+                with pytest.raises(UndefinedRateError):
+                    cnls(record.record_id, snap, library_filter)
+            else:
+                assert cnls(record.record_id, snap, library_filter) == count / mean
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_profiles_equal_one_profile_per_heading(self, seed, filtered):
+        rng = random.Random(seed)
+        snap = variant_author_snapshot(rng, rng.randint(1, 30))
+        library_filter = datasets.random_filter(rng) if filtered else None
+        profiles = author_profiles(snap, library_filter)
+        headings = [p.heading for p in profiles]
+        fresh = build_snapshot(snap.records, snap.libraries, snap.holdings)
+        assert profiles == [author_profile(h, fresh, library_filter) for h in headings]
+        assert profiles == sorted(profiles, key=lambda p: (-p.library_holdings, p.heading))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_filtered_profiles_filter_the_snapshot_once(self, seed):
+        rng = random.Random(seed)
+        snap = variant_author_snapshot(rng, rng.randint(1, 30))
+        library_filter = LibraryFilter(
+            countries=frozenset({"US"}), excluded_channels=frozenset({"donation"})
+        )
+        built = []
+        original = CatalogSnapshot.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        CatalogSnapshot.__init__ = counting_init
+        try:
+            profiles = author_profiles(snap, library_filter)
+            for profile in profiles:
+                author_profile(profile.heading, snap, library_filter)
+            author_profiles(snap, library_filter)
+        finally:
+            CatalogSnapshot.__init__ = original
+        assert len(built) == 1
 
 
 class TestUnitReport:
