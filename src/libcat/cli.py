@@ -241,13 +241,16 @@ def cmd_fetch(args) -> int:
     else:
         selected = [r for r in snapshot.records if r.oclc == args.oclc]
     client = _build_client(args)
-    result = harvest(client, selected)
+    try:
+        result = harvest(client, selected)
+        state = client.quota.state()
+    except QuotaStateError as exc:
+        raise _Failure(EXIT_UNREADABLE, str(exc)) from exc
     save_dataset(merge_snapshots(snapshot, result.delta), args.dataset)
     for record_id, reason in result.skipped:
         print(f"skipped {record_id}: {reason}", file=sys.stderr)
     for record_id, message in result.errors:
         print(f"failed {record_id}: {message}", file=sys.stderr)
-    state = client.quota.state()
     print(
         f"fetched={len(result.queried)} skipped={len(result.skipped)} "
         f"errors={len(result.errors)} holdings={len(result.holdings)} "
@@ -453,8 +456,15 @@ def cmd_correlate(args) -> int:
 
 # --- report ---------------------------------------------------------------------
 
-def _share(count: int, total: int) -> str:
-    return format_percent(count, total) if total > 0 else ""
+_KINDS = ("academic", "public", "other", "total")
+
+
+def _composition_row(label: str, counts: Sequence[int], totals: Sequence[int]) -> list[str]:
+    """A label, then each kind's count and its share of that kind's total."""
+    cells = [label]
+    for count, total in zip(counts, totals):
+        cells += [str(count), format_percent(count, total) if total > 0 else ""]
+    return cells
 
 
 def cmd_report(args) -> int:
@@ -463,49 +473,19 @@ def cmd_report(args) -> int:
     if snapshot.n_records == 0:
         raise _Failure(EXIT_EMPTY, "dataset has no records")
     composition = composition_report(snapshot, library_filter)
-    rows = []
-    for row in composition.rows:
-        rows.append(
-            [
-                row.country,
-                str(row.academic),
-                _share(row.academic, composition.total_academic),
-                str(row.public),
-                _share(row.public, composition.total_public),
-                str(row.other),
-                _share(row.other, composition.total_other),
-                str(row.total),
-                _share(row.total, composition.total),
-            ]
-        )
-    rows.append(
-        [
-            "total",
-            str(composition.total_academic),
-            _share(composition.total_academic, composition.total_academic),
-            str(composition.total_public),
-            _share(composition.total_public, composition.total_public),
-            str(composition.total_other),
-            _share(composition.total_other, composition.total_other),
-            str(composition.total),
-            _share(composition.total, composition.total),
-        ]
+    totals = (
+        composition.total_academic,
+        composition.total_public,
+        composition.total_other,
+        composition.total,
     )
-    _emit(
-        [
-            "country",
-            "academic",
-            "academic_pct",
-            "public",
-            "public_pct",
-            "other",
-            "other_pct",
-            "total",
-            "total_pct",
-        ],
-        rows,
-        args.output,
-    )
+    rows = [
+        _composition_row(row.country, [getattr(row, kind) for kind in _KINDS], totals)
+        for row in composition.rows
+    ]
+    rows.append(_composition_row("total", totals, totals))
+    header = ["country", *(name for kind in _KINDS for name in (kind, f"{kind}_pct"))]
+    _emit(header, rows, args.output)
     print()
     coverage = coverage_report(snapshot, library_filter=library_filter)
     _emit(

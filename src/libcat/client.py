@@ -22,31 +22,37 @@ by the server's Content-Type:
 Every physical HTTP request, retries and 404s included, costs one unit
 of a daily budget (default 50 000 per UTC day). The budget is checked
 and charged before the socket is touched, and can persist to a state
-file so separate process runs share one day's allowance.
+file so separate process runs, concurrent ones included, share one
+day's allowance.
 """
 
 from __future__ import annotations
 
+import contextlib
 import datetime as dt
+import fcntl
 import json
+import math
 import os
 import threading
 import time
 import urllib.parse
 import xml.etree.ElementTree as ET
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import requests
 
 from .errors import QuotaExceededError, QuotaStateError, TransportError
 from .identifiers import normalize_isbn
+from .ingest import _write_atomic
 from .model import BookRecord, CatalogSnapshot, Holding, LibraryOrg, build_snapshot
 
 DEFAULT_QUOTA_LIMIT = 50_000
 DEFAULT_RETRIES = 3
 DEFAULT_BACKOFF_SECONDS = 0.5
+MAX_PARALLELISM = 32
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,7 +109,10 @@ class QuotaStore:
     consume() charges before any request is issued; once the limit is
     reached it raises without side effects. The counter resets when the
     UTC day changes. Accounting is serialized under one lock, so
-    concurrent lookups never overshoot the limit.
+    concurrent lookups never overshoot the limit. With a state file,
+    consume() and state() also hold an exclusive flock on the sidecar
+    `<path>.lock` while they re-read the file, roll the day, charge and
+    rewrite it, so processes that share the file lose no charge.
     """
 
     def __init__(
@@ -121,7 +130,7 @@ class QuotaStore:
         self._day, self._used = self._load()
 
     def _load(self) -> tuple[dt.date, int]:
-        if self.state_path is None or not os.path.exists(self.state_path):
+        if self.state_path is None:
             return self._today(), 0
         try:
             with open(self.state_path, encoding="utf-8") as fh:
@@ -130,19 +139,47 @@ class QuotaStore:
             used = int(obj["used"])
             if used < 0:
                 raise ValueError("negative usage")
+        except FileNotFoundError:
+            return self._today(), 0
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise QuotaStateError(
                 f"unreadable quota state file {self.state_path}: {exc}"
             ) from exc
         return day, used
 
+    @contextlib.contextmanager
+    def _locked(self) -> Iterator[None]:
+        """Hold the accounting lock; with a state file, flock its sidecar
+        and reload the shared state, so the caller works on the latest."""
+        with self._lock:
+            if self.state_path is None:
+                yield
+                return
+            try:
+                fd = os.open(self.state_path + ".lock", os.O_RDWR | os.O_CREAT, 0o666)
+            except OSError as exc:
+                raise QuotaStateError(
+                    f"cannot lock quota state file {self.state_path}: {exc}"
+                ) from exc
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX)
+                self._day, self._used = self._load()
+                yield
+            finally:
+                os.close(fd)  # releases the flock
+
     def _persist_locked(self) -> None:
         if self.state_path is None:
             return
-        tmp = self.state_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump({"day": self._day.isoformat(), "used": self._used}, fh)
-        os.replace(tmp, self.state_path)
+        try:
+            _write_atomic(
+                self.state_path,
+                json.dumps({"day": self._day.isoformat(), "used": self._used}),
+            )
+        except OSError as exc:
+            raise QuotaStateError(
+                f"cannot write quota state file {self.state_path}: {exc}"
+            ) from exc
 
     def _roll_locked(self) -> None:
         today = self._today()
@@ -158,7 +195,7 @@ class QuotaStore:
         """
         if units < 1:
             raise ValueError("units must be positive")
-        with self._lock:
+        with self._locked():
             self._roll_locked()
             if self._used + units > self.limit:
                 raise QuotaExceededError(
@@ -170,7 +207,7 @@ class QuotaStore:
             return self.limit - self._used
 
     def state(self) -> QuotaState:
-        with self._lock:
+        with self._locked():
             self._roll_locked()
             return QuotaState(self._day, self._used, self.limit)
 
@@ -265,8 +302,10 @@ class CatalogClient:
             raise ValueError("base_url is required")
         if retries < 1:
             raise ValueError("retries must be at least 1")
-        if parallelism < 1:
-            raise ValueError("parallelism must be at least 1")
+        if not 1 <= parallelism <= MAX_PARALLELISM:
+            raise ValueError(f"parallelism must be between 1 and {MAX_PARALLELISM}")
+        if not 0 < timeout < math.inf:
+            raise ValueError("timeout must be a positive, finite number of seconds")
         self.base_url = base_url.rstrip("/")
         self.quota = quota if quota is not None else QuotaStore()
         self.api_key = api_key
@@ -368,7 +407,8 @@ class HarvestResult:
     """Outcome of harvesting holdings for a batch of records.
 
     `delta` bundles the completed records with the libraries and
-    holdings discovered for them, ready to merge into a dataset. A
+    holdings discovered for them, ready to merge into a dataset;
+    `libraries` and `holdings` read their sorted tuples from it. A
     record appears in `skipped` when it was never looked up (no usable
     identifier, or the budget ran out first) and in `errors` when its
     lookup failed after retries.
@@ -377,110 +417,71 @@ class HarvestResult:
     queried: tuple[str, ...]
     skipped: tuple[tuple[str, str], ...]
     errors: tuple[tuple[str, str], ...]
-    libraries: tuple[LibraryOrg, ...]
-    holdings: tuple[Holding, ...]
     quota_exhausted: bool
-    delta: CatalogSnapshot = field(compare=False)
+    delta: CatalogSnapshot
+
+    @property
+    def libraries(self) -> tuple[LibraryOrg, ...]:
+        return self.delta.libraries
+
+    @property
+    def holdings(self) -> tuple[Holding, ...]:
+        return self.delta.holdings
 
 
-def _lookup_plan(record: BookRecord) -> Optional[tuple[str, object]]:
+def _submit(
+    pool: ThreadPoolExecutor, client: CatalogClient, record: BookRecord
+) -> Optional[Future]:
     if record.oclc is not None:
-        return ("oclc", record.oclc)
+        return pool.submit(client.get_by_oclc_number, record.oclc)
     if record.isbns:
-        return ("isbn", record.isbns[0])
+        return pool.submit(client.get_by_isbn, record.isbns[0])
     return None
 
 
-def harvest(
-    client: CatalogClient,
-    records: Sequence[BookRecord],
-    parallelism: Optional[int] = None,
-) -> HarvestResult:
+def harvest(client: CatalogClient, records: Sequence[BookRecord]) -> HarvestResult:
     """Fetch holders for each record, by OCLC number when present else ISBN.
 
+    Lookups run on `client.parallelism` threads and are read back in
+    record order. A record with neither identifier gets no request.
     Transport failures are collected per record and the rest of the
-    batch proceeds; quota exhaustion stops the batch and the result
-    carries what was gathered up to that point.
+    batch proceeds. Once the budget is spent, the quota refuses each
+    later lookup before its request, so those records are skipped as
+    "quota exhausted" and the result carries what was gathered. A batch
+    that runs across UTC midnight goes on with the new day's budget.
     """
-    workers = parallelism if parallelism is not None else client.parallelism
-    plans: list[tuple[BookRecord, Optional[tuple[str, object]]]] = [
-        (record, _lookup_plan(record)) for record in records
-    ]
-
-    stop = threading.Event()
-
-    def run_one(plan: Optional[tuple[str, object]]) -> Optional[LocationResponse]:
-        if plan is None:
-            return None
-        if stop.is_set():
-            raise QuotaExceededError("budget spent earlier in this batch")
-        kind, value = plan
-        try:
-            if kind == "oclc":
-                return client.get_by_oclc_number(value)  # type: ignore[arg-type]
-            return client.get_by_isbn(value)
-        except QuotaExceededError:
-            stop.set()
-            raise
-
-    outcomes: list[object] = [None] * len(plans)
-    if workers <= 1:
-        for index, (_, plan) in enumerate(plans):
-            try:
-                outcomes[index] = run_one(plan)
-            except (QuotaExceededError, TransportError) as exc:
-                outcomes[index] = exc
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_one, plan) for _, plan in plans]
-            for index, future in enumerate(futures):
-                try:
-                    outcomes[index] = future.result()
-                except (QuotaExceededError, TransportError) as exc:
-                    outcomes[index] = exc
-
-    queried: list[str] = []
     skipped: list[tuple[str, str]] = []
     errors: list[tuple[str, str]] = []
+    completed: list[BookRecord] = []
     libraries: dict[str, LibraryOrg] = {}
-    holdings: dict[tuple[str, str], Holding] = {}
-    completed_records: list[BookRecord] = []
+    holdings: list[Holding] = []
     quota_exhausted = False
-    for (record, plan), outcome in zip(plans, outcomes):
-        if plan is None:
-            skipped.append((record.record_id, "no OCLC number or ISBN"))
-            continue
-        if isinstance(outcome, QuotaExceededError):
-            quota_exhausted = True
-            skipped.append((record.record_id, "quota exhausted"))
-            continue
-        if isinstance(outcome, TransportError):
-            errors.append((record.record_id, str(outcome)))
-            continue
-        assert isinstance(outcome, LocationResponse)
-        queried.append(record.record_id)
-        completed_records.append(record)
-        for loc in outcome.locations:
-            libraries.setdefault(
-                loc.institution_id,
-                LibraryOrg(
-                    library_id=loc.institution_id,
-                    name=loc.name,
-                    country=loc.country,
-                    kind="other",
-                ),
-            )
-            holdings.setdefault(
-                (record.record_id, loc.institution_id),
-                Holding(record.record_id, loc.institution_id),
-            )
-    delta = build_snapshot(completed_records, libraries.values(), holdings.values())
+    with ThreadPoolExecutor(max_workers=client.parallelism) as pool:
+        futures = [_submit(pool, client, record) for record in records]
+        for record, future in zip(records, futures):
+            if future is None:
+                skipped.append((record.record_id, "no OCLC number or ISBN"))
+                continue
+            try:
+                response = future.result()
+            except QuotaExceededError:
+                quota_exhausted = True
+                skipped.append((record.record_id, "quota exhausted"))
+                continue
+            except TransportError as exc:
+                errors.append((record.record_id, str(exc)))
+                continue
+            completed.append(record)
+            for loc in response.locations:
+                libraries.setdefault(
+                    loc.institution_id,
+                    LibraryOrg(loc.institution_id, loc.name, loc.country, kind="other"),
+                )
+                holdings.append(Holding(record.record_id, loc.institution_id))
     return HarvestResult(
-        queried=tuple(queried),
+        queried=tuple(record.record_id for record in completed),
         skipped=tuple(skipped),
         errors=tuple(errors),
-        libraries=tuple(libraries[k] for k in sorted(libraries)),
-        holdings=tuple(holdings[k] for k in sorted(holdings)),
         quota_exhausted=quota_exhausted,
-        delta=delta,
+        delta=build_snapshot(completed, libraries.values(), holdings),
     )

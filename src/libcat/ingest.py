@@ -14,10 +14,12 @@ omitted when absent, never written as null. Saves are deterministic
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import re
+import tempfile
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Optional
@@ -387,11 +389,32 @@ def save_dataset(snapshot: CatalogSnapshot, path: "str | os.PathLike") -> None:
         json.dumps(line, ensure_ascii=False, separators=(",", ":")) + "\n"
         for line in lines
     )
-    path = os.fspath(path)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    _write_atomic(os.fspath(path), text)
+
+
+# mkstemp creates its file 0600; a saved file gets the mode open() would give it.
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
+
+
+def _write_atomic(path: str, text: str) -> None:
+    """Replace the file at `path` with `text` by write-then-rename.
+
+    The temp file is unique to this call (mkstemp in the target's
+    directory), so concurrent writers of one path never rename or
+    remove each other's temp file: readers see one whole version.
+    """
+    directory, name = os.path.split(path)
+    fd, tmp = tempfile.mkstemp(prefix=f".{name}.", dir=directory or ".")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fd, 0o666 & ~_UMASK)
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def load_dataset(path: "str | os.PathLike") -> CatalogSnapshot:

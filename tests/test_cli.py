@@ -286,6 +286,32 @@ class TestFetch:
         assert code == 0
         assert "quota_used=4/10" in out
 
+    def test_unwritable_quota_state_exits_one(self, capsys, fetch_world, tmp_path):
+        dataset, server = fetch_world
+        code, _, err = run_cli(
+            capsys, "fetch", "--all", "--dataset", dataset,
+            "--base-url", server.base_url,
+            "--quota-state", str(tmp_path / "missing" / "q.json"),
+        )
+        assert code == 1
+        assert err.startswith("error: ") and "quota state file" in err
+        assert server.request_count == 0
+
+    def test_non_positive_timeout_is_a_usage_error_before_any_charge(
+        self, capsys, fetch_world, tmp_path
+    ):
+        dataset, server = fetch_world
+        state = tmp_path / "q.json"
+        code, _, err = run_cli(
+            capsys, "fetch", "--all", "--dataset", dataset,
+            "--base-url", server.base_url, "--timeout", "0",
+            "--quota-state", str(state),
+        )
+        assert code == 64
+        assert "timeout" in err
+        assert not state.exists()
+        assert server.request_count == 0
+
     def test_bad_isbn_selector_is_a_usage_error(self, capsys, fetch_world):
         dataset, server = fetch_world
         code, _, _ = run_cli(

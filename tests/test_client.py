@@ -1,7 +1,12 @@
 """Quota accounting, the HTTP client, and harvesting against the replay server."""
 
+import contextlib
 import datetime as dt
+import json
+import os
 import random
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -9,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import datasets
+import libcat
 from libcat.client import (
     EMPTY_RESPONSE,
+    MAX_PARALLELISM,
     CatalogClient,
     QuotaStore,
     _response_from_json,
@@ -154,6 +161,37 @@ class TestQuotaStore:
             t.join()
         assert store.state().used == 200
 
+    def test_processes_sharing_a_state_file_lose_no_charge(self, tmp_path):
+        path = tmp_path / "quota.json"
+        child = (
+            "import sys\n"
+            "from libcat.client import QuotaStore\n"
+            "store = QuotaStore(limit=10_000, state_path=sys.argv[1])\n"
+            "print('ready', flush=True)\n"
+            "sys.stdin.read()\n"
+            "for _ in range(500):\n"
+            "    store.consume()\n"
+        )
+        src = os.path.dirname(os.path.dirname(libcat.__file__))
+        path_entries = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path_entries)}
+        with contextlib.ExitStack() as stack:
+            procs = [
+                stack.enter_context(subprocess.Popen(
+                    [sys.executable, "-c", child, str(path)], env=env, text=True,
+                    stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                ))
+                for _ in range(2)
+            ]
+            for p in procs:  # runs before each Popen exit, which waits unbounded
+                stack.callback(p.kill)
+            assert [p.stdout.readline() for p in procs] == ["ready\n", "ready\n"]
+            for p in procs:  # both start charging at once
+                p.stdin.close()
+            codes = [p.wait(timeout=60) for p in procs]
+            assert codes == [0, 0], [p.stderr.read() for p in procs]
+        assert json.loads(path.read_text())["used"] == 1000
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(1, 7), max_size=30), st.integers(0, 40))
     def test_usage_is_monotone_within_a_day(self, charges, limit):
@@ -256,6 +294,25 @@ class TestClientLookups:
             client.get_by_issn("not-an-issn")
         assert server.request_count == before + 1
         assert client.quota.state().used == 1
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"timeout": 0},
+            {"timeout": -1},
+            {"timeout": float("nan")},
+            {"timeout": float("inf")},
+            {"parallelism": 0},
+            {"parallelism": MAX_PARALLELISM + 1},
+        ],
+    )
+    def test_out_of_range_settings_are_rejected(self, setting):
+        with pytest.raises(ValueError):
+            CatalogClient("http://unit.test", quota=QuotaStore(10), **setting)
+
+    def test_parallelism_may_reach_the_maximum(self):
+        client = CatalogClient("http://unit.test", parallelism=MAX_PARALLELISM)
+        assert client.parallelism == MAX_PARALLELISM
 
     def test_invalid_arguments_cost_nothing(self, server):
         client = make_client(server)
@@ -378,6 +435,18 @@ class TestHarvest:
         assert reasons["r4"] == "quota exhausted"
         assert reasons["r3"] == "no OCLC number or ISBN"
 
+    def test_parallel_quota_exhaustion_sends_no_further_request(self, corpus, server):
+        client = make_client(server, limit=2, parallelism=4)
+        result = harvest(client, corpus.records)
+        assert len(result.queried) == 2
+        assert server.request_count == client.quota.state().used == 2
+        assert result.quota_exhausted
+        identified = {"r1", "r2", "r4"}
+        assert dict(result.skipped) == {
+            "r3": "no OCLC number or ISBN",
+            **{rid: "quota exhausted" for rid in identified - set(result.queried)},
+        }
+
     def test_transport_errors_do_not_stop_the_batch(self):
         good = FakeResponse(
             200,
@@ -408,8 +477,8 @@ class TestHarvest:
         assert client.quota.state().used == 3
 
     def test_parallel_matches_sequential(self, corpus, server):
-        sequential = harvest(make_client(server), corpus.records, parallelism=1)
-        parallel = harvest(make_client(server), corpus.records, parallelism=4)
+        sequential = harvest(make_client(server, parallelism=1), corpus.records)
+        parallel = harvest(make_client(server, parallelism=4), corpus.records)
         assert parallel == sequential
 
     @settings(max_examples=10, deadline=None)

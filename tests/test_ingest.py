@@ -2,6 +2,7 @@
 
 import json
 import random
+import stat
 
 import pytest
 from hypothesis import given, settings
@@ -329,7 +330,14 @@ class TestPersistence:
         save_dataset(first, path)
         save_dataset(second, path)
         assert load_dataset(path) == second
-        assert not (tmp_path / "data.jsonl.tmp").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["data.jsonl"]
+
+    def test_save_gives_the_mode_a_plain_open_gives(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        save_dataset(build_snapshot([BookRecord("r1", "T")], [], []), path)
+        plain = tmp_path / "plain"
+        plain.write_text("")
+        assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
 
 
 class TestMerge:
