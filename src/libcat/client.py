@@ -38,7 +38,8 @@ import threading
 import time
 import urllib.parse
 import xml.etree.ElementTree as ET
-from concurrent.futures import Future, ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -429,21 +430,35 @@ class HarvestResult:
         return self.delta.holdings
 
 
-def _submit(
-    pool: ThreadPoolExecutor, client: CatalogClient, record: BookRecord
-) -> Optional[Future]:
-    if record.oclc is not None:
-        return pool.submit(client.get_by_oclc_number, record.oclc)
-    if record.isbns:
-        return pool.submit(client.get_by_isbn, record.isbns[0])
-    return None
+def _lookups(
+    pool: ThreadPoolExecutor, client: CatalogClient, records: Sequence[BookRecord]
+) -> Iterator[tuple[BookRecord, Optional[Future]]]:
+    """Yield each record with its lookup's future (None without an
+    identifier) in record order, submitting only while fewer than
+    `client.parallelism` lookups run: a reader that stops early leaves
+    no queued lookups behind to send requests and charge quota."""
+    window: deque[tuple[BookRecord, Optional[Future]]] = deque()
+    for record in records:
+        future = None
+        if record.oclc is not None:
+            future = pool.submit(client.get_by_oclc_number, record.oclc)
+        elif record.isbns:
+            future = pool.submit(client.get_by_isbn, record.isbns[0])
+        window.append((record, future))
+        running = [f for _, f in window if f is not None and not f.done()]
+        if len(running) >= client.parallelism:
+            wait(running, return_when=FIRST_COMPLETED)
+        while window and (window[0][1] is None or window[0][1].done()):
+            yield window.popleft()
+    yield from window
 
 
 def harvest(client: CatalogClient, records: Sequence[BookRecord]) -> HarvestResult:
     """Fetch holders for each record, by OCLC number when present else ISBN.
 
-    Lookups run on `client.parallelism` threads and are read back in
-    record order. A record with neither identifier gets no request.
+    At most `client.parallelism` lookups run at once, on that many
+    threads, and they are read back in record order. A record with
+    neither identifier gets no request.
     Transport failures are collected per record and the rest of the
     batch proceeds. Once the budget is spent, the quota refuses each
     later lookup before its request, so those records are skipped as
@@ -457,8 +472,7 @@ def harvest(client: CatalogClient, records: Sequence[BookRecord]) -> HarvestResu
     holdings: list[Holding] = []
     quota_exhausted = False
     with ThreadPoolExecutor(max_workers=client.parallelism) as pool:
-        futures = [_submit(pool, client, record) for record in records]
-        for record, future in zip(records, futures):
+        for record, future in _lookups(pool, client, records):
             if future is None:
                 skipped.append((record.record_id, "no OCLC number or ISBN"))
                 continue

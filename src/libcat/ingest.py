@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import json
 import os
 import re
-import tempfile
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Optional
@@ -392,23 +392,27 @@ def save_dataset(snapshot: CatalogSnapshot, path: "str | os.PathLike") -> None:
     _write_atomic(os.fspath(path), text)
 
 
-# mkstemp creates its file 0600; a saved file gets the mode open() would give it.
-_UMASK = os.umask(0o022)
-os.umask(_UMASK)
+_temp_ids = itertools.count()
 
 
 def _write_atomic(path: str, text: str) -> None:
     """Replace the file at `path` with `text` by write-then-rename.
 
-    The temp file is unique to this call (mkstemp in the target's
-    directory), so concurrent writers of one path never rename or
-    remove each other's temp file: readers see one whole version.
+    The temp file is unique to this call (named from the process id and
+    a per-process counter, created exclusively), so concurrent writers of
+    one path never rename or remove each other's temp file: readers see
+    one whole version. It is created 0666 less the umask, as open() would.
     """
     directory, name = os.path.split(path)
-    fd, tmp = tempfile.mkstemp(prefix=f".{name}.", dir=directory or ".")
+    while True:
+        tmp = os.path.join(directory, f".{name}.{os.getpid()}-{next(_temp_ids)}")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            os.fchmod(fd, 0o666 & ~_UMASK)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -476,6 +476,22 @@ class TestHarvest:
         assert result.skipped == (("r3", "no OCLC number or ISBN"),)
         assert client.quota.state().used == 3
 
+    @pytest.mark.parametrize("parallelism", [1, 3])
+    def test_an_unexpected_error_leaves_no_queued_lookups(self, parallelism):
+        session = ScriptedSession(lambda url, n: RuntimeError("boom"))
+        client = CatalogClient(
+            "http://unit.test",
+            quota=QuotaStore(100),
+            session=session,
+            sleep=lambda _: None,
+            parallelism=parallelism,
+        )
+        records = [BookRecord(f"r{i}", "T", oclc=i) for i in range(1, 20)]
+        with pytest.raises(RuntimeError):
+            harvest(client, records)
+        assert 1 <= len(session.calls) <= parallelism
+        assert client.quota.state().used == len(session.calls)
+
     def test_parallel_matches_sequential(self, corpus, server):
         sequential = harvest(make_client(server, parallelism=1), corpus.records)
         parallel = harvest(make_client(server, parallelism=4), corpus.records)
