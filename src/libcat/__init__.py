@@ -8,16 +8,8 @@ in-class ranks, author profiles, and rank correlations against citation
 counts. See the `lca` command for the batch interface.
 """
 
-from .client import (
-    CatalogClient,
-    HarvestResult,
-    Location,
-    LocationResponse,
-    MatchedRecord,
-    QuotaState,
-    QuotaStore,
-    harvest,
-)
+from importlib import import_module as _import_module
+
 from .errors import (
     AuthorNotFoundError,
     ConstantInputError,
@@ -39,7 +31,6 @@ from .errors import (
     UnknownTargetError,
     WorkKeyError,
 )
-from .fixture import FixtureServer, serve_fixture
 from .identifiers import (
     WorkCluster,
     WorkKey,
@@ -94,6 +85,34 @@ from .model import (
 )
 from .stats import CorrelationMatrix, PairedSample, correlation_matrix, spearman
 
+# The network layer (requests, http.server, thread pools) loads on first
+# use, so commands that only read a dataset never import it.
+_LAZY = {
+    "CatalogClient": "client",
+    "HarvestResult": "client",
+    "Location": "client",
+    "LocationResponse": "client",
+    "MatchedRecord": "client",
+    "QuotaState": "client",
+    "QuotaStore": "client",
+    "harvest": "client",
+    "FixtureServer": "fixture",
+    "serve_fixture": "fixture",
+}
+
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(
+    {name for name in dir() if not name.startswith("_")} | set(_LAZY) | set(_LAZY.values())
+)
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))

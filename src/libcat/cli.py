@@ -21,17 +21,12 @@ author; 5 constant metric column; 64 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
-from .client import (
-    DEFAULT_QUOTA_LIMIT,
-    CatalogClient,
-    QuotaStore,
-    harvest,
-)
 from .errors import (
     AuthorNotFoundError,
     ConstantInputError,
@@ -57,6 +52,7 @@ from .indicators import (
 )
 from .ingest import (
     ParseReport,
+    _lock_sidecar,
     load_dataset,
     merge_snapshots,
     parse_dublin_core,
@@ -71,6 +67,9 @@ from .model import (
 )
 from .render import FORMATS, format_percent, format_rate, render_table
 from .stats import PairedSample, correlation_matrix, spearman
+
+if TYPE_CHECKING:  # the network layer loads only when `fetch` runs
+    from .client import CatalogClient
 
 EXIT_OK = 0
 EXIT_UNREADABLE = 1
@@ -147,6 +146,18 @@ def _load_dataset_file(path: str) -> CatalogSnapshot:
         raise _Failure(EXIT_UNREADABLE, f"dataset {path}: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _dataset_locked(path: str) -> Iterator[None]:
+    """Run the with-block's load-merge-save of `path` alone among `lca`
+    processes, under the exclusive lock on the sidecar `<path>.lock`."""
+    with contextlib.ExitStack() as stack:
+        try:
+            stack.enter_context(_lock_sidecar(path))
+        except OSError as exc:
+            raise _Failure(EXIT_UNREADABLE, f"cannot lock dataset {path}: {exc}") from exc
+        yield
+
+
 def _emit(headers: Sequence[str], rows: Sequence[Sequence[str]], fmt: str) -> None:
     print(render_table(headers, rows, fmt))
 
@@ -177,11 +188,12 @@ def cmd_ingest(args) -> int:
     print(f"accepted={report.accepted} rejected={report.rejected}")
     if report.accepted == 0:
         return EXIT_EMPTY
-    if os.path.exists(args.dataset):
-        base = _load_dataset_file(args.dataset)
-    else:
-        base = build_snapshot((), (), ())
-    save_dataset(merge_snapshots(base, new), args.dataset)
+    with _dataset_locked(args.dataset):
+        if os.path.exists(args.dataset):
+            base = _load_dataset_file(args.dataset)
+        else:
+            base = build_snapshot((), (), ())
+        save_dataset(merge_snapshots(base, new), args.dataset)
     return EXIT_OK
 
 
@@ -198,6 +210,8 @@ def _env_int(name: str, default: int) -> int:
 
 
 def _build_client(args) -> CatalogClient:
+    from .client import DEFAULT_QUOTA_LIMIT, CatalogClient, QuotaStore
+
     base_url = args.base_url or os.environ.get("LCA_BASE_URL") or ""
     if not base_url:
         raise _Failure(
@@ -227,6 +241,8 @@ def _build_client(args) -> CatalogClient:
 
 
 def cmd_fetch(args) -> int:
+    from .client import harvest
+
     snapshot = _load_dataset_file(args.dataset)
     if args.all:
         selected = list(snapshot.records)
@@ -246,7 +262,11 @@ def cmd_fetch(args) -> int:
         state = client.quota.state()
     except QuotaStateError as exc:
         raise _Failure(EXIT_UNREADABLE, str(exc)) from exc
-    save_dataset(merge_snapshots(snapshot, result.delta), args.dataset)
+    # The harvest ran without the lock; merge onto the dataset as it is
+    # now, so whatever another process saved meanwhile is kept.
+    with _dataset_locked(args.dataset):
+        current = _load_dataset_file(args.dataset)
+        save_dataset(merge_snapshots(current, result.delta), args.dataset)
     for record_id, reason in result.skipped:
         print(f"skipped {record_id}: {reason}", file=sys.stderr)
     for record_id, message in result.errors:

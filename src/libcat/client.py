@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import contextlib
 import datetime as dt
-import fcntl
 import json
 import math
 import os
@@ -47,7 +46,7 @@ import requests
 
 from .errors import QuotaExceededError, QuotaStateError, TransportError
 from .identifiers import normalize_isbn
-from .ingest import _write_atomic
+from .ingest import _lock_sidecar, _write_atomic
 from .model import BookRecord, CatalogSnapshot, Holding, LibraryOrg, build_snapshot
 
 DEFAULT_QUOTA_LIMIT = 50_000
@@ -156,18 +155,15 @@ class QuotaStore:
             if self.state_path is None:
                 yield
                 return
-            try:
-                fd = os.open(self.state_path + ".lock", os.O_RDWR | os.O_CREAT, 0o666)
-            except OSError as exc:
-                raise QuotaStateError(
-                    f"cannot lock quota state file {self.state_path}: {exc}"
-                ) from exc
-            try:
-                fcntl.flock(fd, fcntl.LOCK_EX)
+            with contextlib.ExitStack() as stack:
+                try:
+                    stack.enter_context(_lock_sidecar(self.state_path))
+                except OSError as exc:
+                    raise QuotaStateError(
+                        f"cannot lock quota state file {self.state_path}: {exc}"
+                    ) from exc
                 self._day, self._used = self._load()
                 yield
-            finally:
-                os.close(fd)  # releases the flock
 
     def _persist_locked(self) -> None:
         if self.state_path is None:

@@ -15,6 +15,7 @@ omitted when absent, never written as null. Saves are deterministic
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import hashlib
 import itertools
 import json
@@ -22,7 +23,7 @@ import os
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import DatasetError, IsbnError, ParseError
 from .identifiers import looks_like_isbn, normalize_isbn, parse_oclc
@@ -421,6 +422,48 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
+@contextlib.contextmanager
+def _lock_sidecar(path: "str | os.PathLike") -> Iterator[None]:
+    """Hold an exclusive flock on the sidecar `<path>.lock` for the with-block.
+
+    Processes that each take it around a read-modify-write of `path` run
+    that step one at a time, so none overwrites another's update. The
+    lock file stays in place: deleting it would let a waiter and a later
+    process lock two different files. Opening or locking it may raise
+    OSError, before the with-block runs.
+    """
+    fd = os.open(os.fspath(path) + ".lock", os.O_RDWR | os.O_CREAT, 0o666)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        yield
+    finally:
+        os.close(fd)  # releases the flock
+
+
+_scan_once = json.JSONDecoder().scan_once
+
+
+def _decode_line(line: str, number: int) -> object:
+    """Decode one stripped dataset line exactly as `json.loads` would.
+
+    The C scanner alone decodes a well-formed line and skips the
+    per-call checks `json.loads` makes; anything else goes through
+    `json.loads`, so a bad line fails with its usual message. The scanner
+    raises StopIteration when no value starts at the index and
+    JSONDecodeError for a value that is malformed, so both fall back.
+    """
+    try:
+        obj, end = _scan_once(line, 0)
+        if end == len(line):
+            return obj
+    except (StopIteration, json.JSONDecodeError):
+        pass
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise DatasetError(f"line {number}: not valid JSON ({exc.msg})") from exc
+
+
 def load_dataset(path: "str | os.PathLike") -> CatalogSnapshot:
     """Load a canonical dataset file; malformed lines name their line number."""
     records: list[BookRecord] = []
@@ -431,10 +474,7 @@ def load_dataset(path: "str | os.PathLike") -> CatalogSnapshot:
             stripped = raw.strip()
             if not stripped:
                 continue
-            try:
-                obj = json.loads(stripped)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"line {number}: not valid JSON ({exc.msg})") from exc
+            obj = _decode_line(stripped, number)
             if not isinstance(obj, dict) or "t" not in obj:
                 raise DatasetError(f"line {number}: expected an object with a 't' tag")
             tag = obj["t"]

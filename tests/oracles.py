@@ -8,6 +8,7 @@ other one, so an algebra slip in the package cannot cancel out here.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from typing import Iterable, Optional, Sequence
@@ -71,6 +72,32 @@ def isbn10_to_13(chars: str) -> str:
         if isbn13_is_valid(body + candidate):
             return body + candidate
     raise AssertionError("unreachable")
+
+
+# --- JSON lines ------------------------------------------------------------
+
+def decode_json_lines(
+    text: str,
+) -> tuple[list[tuple[int, object]], Optional[tuple[int, str]]]:
+    """Decode a JSON-lines text one line at a time with plain `json.loads`.
+
+    Lines split the way a text-mode file read splits them (at "\n", "\r\n"
+    and a lone "\r"); each is stripped and blank ones are skipped. Returns
+    the (line number, value) pairs before the first line json.loads
+    rejects, and that line's (number, error message), or None when every
+    line decodes.
+    """
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    decoded: list[tuple[int, object]] = []
+    for number, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            decoded.append((number, json.loads(line)))
+        except json.JSONDecodeError as exc:
+            return decoded, (number, exc.msg)
+    return decoded, None
 
 
 # --- ranking and correlation ---------------------------------------------

@@ -1,12 +1,16 @@
 """End-to-end command-line behavior, driven in process through run()."""
 
+import contextlib
 import json
+import subprocess
+import sys
 
 import pytest
 
+import libcat.client
 from libcat.cli import run
 from libcat.fixture import serve_fixture
-from libcat.ingest import load_dataset, save_dataset
+from libcat.ingest import load_dataset, merge_snapshots, save_dataset
 from libcat.model import (
     BookRecord,
     Holding,
@@ -208,6 +212,49 @@ class TestIngest:
         assert out.strip() == "accepted=4 rejected=0"
         assert load_dataset(dataset).n_records == 4
 
+    def test_unlockable_dataset_exits_one(self, capsys, tmp_path, analysis_dataset):
+        code, _, err = run_cli(
+            capsys, "ingest", "--input", analysis_dataset, "--format", "jsonl",
+            "--dataset", str(tmp_path / "missing" / "cat.jsonl"),
+        )
+        assert code == 1
+        assert err.startswith("error: cannot lock dataset")
+
+    def test_concurrent_ingests_lose_no_record(self, tmp_path, subprocess_env):
+        dataset = tmp_path / "shared.jsonl"
+        save_dataset(build_snapshot((), (), ()), dataset)
+        inputs = []
+        for side in "ab":
+            path = tmp_path / f"{side}.jsonl"
+            records = [BookRecord(f"{side}{i:04d}", f"Title {side}{i}") for i in range(5000)]
+            save_dataset(build_snapshot(records, (), ()), path)
+            inputs.append(path)
+        child = (
+            "import sys\n"
+            "from libcat.cli import run\n"
+            "print('ready', flush=True)\n"
+            "sys.stdin.read()\n"
+            "sys.exit(run(['ingest', '--format', 'jsonl', '--input', sys.argv[1],\n"
+            "              '--dataset', sys.argv[2]]))\n"
+        )
+        with contextlib.ExitStack() as stack:
+            procs = [
+                stack.enter_context(subprocess.Popen(
+                    [sys.executable, "-c", child, str(path), str(dataset)], env=subprocess_env,
+                    text=True, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                    stderr=subprocess.PIPE,
+                ))
+                for path in inputs
+            ]
+            for p in procs:  # runs before each Popen exit, which waits unbounded
+                stack.callback(p.kill)
+            assert [p.stdout.readline() for p in procs] == ["ready\n", "ready\n"]
+            for p in procs:  # both start their ingest at once
+                p.stdin.close()
+            codes = [p.wait(timeout=60) for p in procs]
+            assert codes == [0, 0], [p.stderr.read() for p in procs]
+        assert load_dataset(dataset).n_records == 10_000
+
 
 class TestFetch:
     def test_fetch_all_merges_holdings(self, capsys, fetch_world):
@@ -311,6 +358,28 @@ class TestFetch:
         assert "timeout" in err
         assert not state.exists()
         assert server.request_count == 0
+
+    def test_fetch_keeps_what_another_process_saved_during_the_harvest(
+        self, capsys, fetch_world, monkeypatch
+    ):
+        dataset, server = fetch_world
+        harvest = libcat.client.harvest
+
+        def harvest_while_another_ingest_lands(client, records):
+            result = harvest(client, records)
+            before = load_dataset(dataset)
+            extra = build_snapshot([BookRecord("x1", "Ingested meanwhile")], (), ())
+            save_dataset(merge_snapshots(before, extra), dataset)
+            return result
+
+        monkeypatch.setattr(libcat.client, "harvest", harvest_while_another_ingest_lands)
+        code, _, _ = run_cli(
+            capsys, "fetch", "--all", "--dataset", dataset, "--base-url", server.base_url,
+        )
+        assert code == 0
+        merged = load_dataset(dataset)
+        assert merged.get_record("x1").title == "Ingested meanwhile"
+        assert merged.n_holdings == 3
 
     def test_bad_isbn_selector_is_a_usage_error(self, capsys, fetch_world):
         dataset, server = fetch_world

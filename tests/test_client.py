@@ -3,7 +3,6 @@
 import contextlib
 import datetime as dt
 import json
-import os
 import random
 import subprocess
 import sys
@@ -14,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import datasets
-import libcat
 from libcat.client import (
     EMPTY_RESPONSE,
     MAX_PARALLELISM,
@@ -161,7 +159,7 @@ class TestQuotaStore:
             t.join()
         assert store.state().used == 200
 
-    def test_processes_sharing_a_state_file_lose_no_charge(self, tmp_path):
+    def test_processes_sharing_a_state_file_lose_no_charge(self, tmp_path, subprocess_env):
         path = tmp_path / "quota.json"
         child = (
             "import sys\n"
@@ -172,13 +170,10 @@ class TestQuotaStore:
             "for _ in range(500):\n"
             "    store.consume()\n"
         )
-        src = os.path.dirname(os.path.dirname(libcat.__file__))
-        path_entries = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path_entries)}
         with contextlib.ExitStack() as stack:
             procs = [
                 stack.enter_context(subprocess.Popen(
-                    [sys.executable, "-c", child, str(path)], env=env, text=True,
+                    [sys.executable, "-c", child, str(path)], env=subprocess_env, text=True,
                     stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                 ))
                 for _ in range(2)

@@ -365,3 +365,93 @@ class TestMerge:
         empty = build_snapshot([], [], [])
         assert merge_snapshots(snap, empty) == snap
         assert merge_snapshots(empty, snap) == snap
+
+
+RECORD_LINE = '{"t":"R","id":"r2","title":"T","format":"print"}'
+
+
+def expected_load_error(text):
+    """The DatasetError message load_dataset owes `text`, or None if it loads.
+
+    Built on the json.loads oracle: the loader checks each decoded line's
+    shape before it decodes the next, so a non-object line stops it first.
+    """
+    decoded, bad = oracles.decode_json_lines(text)
+    for number, value in decoded:
+        if not (isinstance(value, dict) and "t" in value):
+            return f"line {number}: expected an object with a 't' tag"
+    if bad is not None:
+        return f"line {bad[0]}: not valid JSON ({bad[1]})"
+    return None
+
+
+def assert_loader_matches_oracle(path, odd_line):
+    text = (
+        '{"t":"R","id":"r1","title":"First","format":"print"}\n'
+        f"{odd_line}\n"
+        '{"t":"R","id":"r3","title":"Third","format":"print"}\n'
+    )
+    path.write_bytes(text.encode("utf-8"))
+    expected = expected_load_error(text)
+    try:
+        snapshot = load_dataset(path)
+    except DatasetError as exc:
+        assert str(exc) == expected
+        return
+    assert expected is None
+    titles = {
+        value["id"]: value["title"]
+        for _, value in oracles.decode_json_lines(text)[0]
+    }
+    assert {r.record_id: r.title for r in snapshot.records} == titles
+
+
+ODD_FRAGMENTS = [
+    "", " ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028", "\ufeff",
+    "\r", "\x00", "x", "{", "{}", "[1]", "]", "}", '"', "\\", ",", '"t":', "NaN",
+    "-Infinity", "1e999", "null",
+]
+
+
+class TestDecoderEquivalence:
+    """load_dataset accepts, rejects and names lines as per-line json.loads does."""
+
+    @pytest.mark.parametrize(
+        "odd_line",
+        [
+            RECORD_LINE + RECORD_LINE,  # two objects on one line
+            RECORD_LINE + " trailing",
+            "\ufeff" + RECORD_LINE,  # a leading byte-order mark
+            "[1]",
+            '"a bare string"',
+            "NaN",
+            '{"t":"R","id":"r2","title":"\\ud800","format":"print"}',  # lone surrogate
+            "\x0b" + RECORD_LINE + "\x0b",  # whitespace JSON does not allow
+            "\x1c\x85" + RECORD_LINE + "\u2028\xa0",
+            "{oops",
+            RECORD_LINE,
+        ],
+    )
+    def test_odd_line(self, tmp_path, odd_line):
+        assert_loader_matches_oracle(tmp_path / "data.jsonl", odd_line)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        prefix=st.lists(st.sampled_from(ODD_FRAGMENTS), max_size=3).map("".join),
+        title=st.text(st.characters(blacklist_categories=("Cs",)), min_size=1),
+        ascii_only=st.booleans(),
+        cut=st.integers(0, 80),
+        suffix=st.lists(st.sampled_from(ODD_FRAGMENTS), max_size=3).map("".join),
+    )
+    def test_odd_line_property(
+        self, tmp_path_factory, prefix, title, ascii_only, cut, suffix
+    ):
+        """A record line, perhaps truncated, between odd fragments."""
+        record = json.dumps(
+            {"t": "R", "id": "r2", "title": title + "!", "format": "print"},
+            ensure_ascii=ascii_only,
+        )
+        if cut:
+            record = record[: len(record) - cut]
+        path = tmp_path_factory.mktemp("ds") / "data.jsonl"
+        assert_loader_matches_oracle(path, prefix + record + suffix)

@@ -72,6 +72,20 @@ class TestValues:
             digits = oracles.make_isbn13(rng)
             assert isbn13_check_digit(digits[:12]) == digits[-1]
 
+    @given(st.text("0123456789", min_size=12, max_size=12))
+    def test_check_digit_is_the_weighted_modulus_10_formula(self, body):
+        weighted = sum(int(d) * (3 if i % 2 else 1) for i, d in enumerate(body))
+        assert isbn13_check_digit(body) == str((10 - weighted % 10) % 10)
+        assert oracles.isbn13_is_valid(body + isbn13_check_digit(body))
+
+    @given(
+        st.text("0123456789", max_size=20).filter(lambda s: len(s) != 12)
+        | st.text(min_size=12, max_size=12).filter(lambda s: not s.isdigit())
+    )
+    def test_check_digit_rejects_a_body_that_is_not_12_digits(self, body):
+        with pytest.raises(ValueError):
+            isbn13_check_digit(body)
+
     def test_contributor_role_vocabulary(self):
         assert Contributor("Doe, Jane").role == "author"
         with pytest.raises(ValueError):
