@@ -1,9 +1,10 @@
 """Command-line surface for reproducible batch runs.
 
-Commands: ingest, fetch, indicators, correlate, report. Shared flags:
---dataset PATH (the canonical dataset file) and --output {csv,md,jsonl}.
-The analysis commands (indicators, correlate, report) also take
---filter SPEC, the library population filter, in one grammar.
+Commands: ingest, fetch, indicators, correlate, report. Every command
+takes --dataset PATH (the canonical dataset file). The analysis commands
+(indicators, correlate, report) also take --output {csv,md,jsonl}, the
+table format, and --filter SPEC, the library population filter, in one
+grammar.
 
 Filter grammar, clauses joined by ';', values by ',':
 
@@ -12,20 +13,20 @@ Filter grammar, clauses joined by ';', values by ',':
 Client settings for fetch come from flags or environment variables
 (flags win): LCA_BASE_URL, LCA_API_KEY, LCA_QUOTA, LCA_QUOTA_STATE.
 
-Exit codes: 0 success; 1 unreadable input; 2 nothing to work on (zero
-accepted records, empty dataset, or too little data to correlate);
-3 quota exhausted mid-fetch after a partial merge; 4 unresolved unit or
-author; 5 constant metric column; 64 usage error.
+Exit codes: 0 success; 1 unreadable input or a dataset that cannot be
+written; 2 nothing to work on (zero accepted records, empty dataset, or
+too little data to correlate); 3 quota exhausted mid-fetch after a
+partial merge; 4 unresolved unit or author; 5 constant metric column;
+64 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import (
     AuthorNotFoundError,
@@ -78,6 +79,16 @@ EXIT_QUOTA = 3
 EXIT_UNRESOLVED = 4
 EXIT_CONSTANT = 5
 EXIT_USAGE = 64
+
+# The library errors that commands let through, and their exit codes.
+_EXIT_CODES = {
+    QuotaStateError: EXIT_UNREADABLE,
+    UndefinedRateError: EXIT_EMPTY,
+    SampleSizeError: EXIT_EMPTY,
+    AuthorNotFoundError: EXIT_UNRESOLVED,
+    UnknownTargetError: EXIT_UNRESOLVED,
+    ConstantInputError: EXIT_CONSTANT,
+}
 
 
 class _Failure(Exception):
@@ -146,16 +157,22 @@ def _load_dataset_file(path: str) -> CatalogSnapshot:
         raise _Failure(EXIT_UNREADABLE, f"dataset {path}: {exc}") from exc
 
 
-@contextlib.contextmanager
-def _dataset_locked(path: str) -> Iterator[None]:
-    """Run the with-block's load-merge-save of `path` alone among `lca`
-    processes, under the exclusive lock on the sidecar `<path>.lock`."""
-    with contextlib.ExitStack() as stack:
-        try:
-            stack.enter_context(_lock_sidecar(path))
-        except OSError as exc:
-            raise _Failure(EXIT_UNREADABLE, f"cannot lock dataset {path}: {exc}") from exc
-        yield
+def _merge_into_dataset(path: str, delta: CatalogSnapshot) -> None:
+    """Merge `delta` onto the dataset at `path` (none there counts as
+    empty) and save it, under the exclusive lock on the sidecar
+    `<path>.lock`, so concurrent `lca` processes lose no update."""
+    try:
+        with _lock_sidecar(path):
+            if os.path.exists(path):
+                delta = merge_snapshots(_load_dataset_file(path), delta)
+            try:
+                save_dataset(delta, path)
+            except OSError as exc:
+                raise _Failure(
+                    EXIT_UNREADABLE, f"cannot write dataset {path}: {exc}"
+                ) from exc
+    except OSError as exc:
+        raise _Failure(EXIT_UNREADABLE, f"cannot lock dataset {path}: {exc}") from exc
 
 
 def _emit(headers: Sequence[str], rows: Sequence[Sequence[str]], fmt: str) -> None:
@@ -188,12 +205,7 @@ def cmd_ingest(args) -> int:
     print(f"accepted={report.accepted} rejected={report.rejected}")
     if report.accepted == 0:
         return EXIT_EMPTY
-    with _dataset_locked(args.dataset):
-        if os.path.exists(args.dataset):
-            base = _load_dataset_file(args.dataset)
-        else:
-            base = build_snapshot((), (), ())
-        save_dataset(merge_snapshots(base, new), args.dataset)
+    _merge_into_dataset(args.dataset, new)
     return EXIT_OK
 
 
@@ -221,15 +233,9 @@ def _build_client(args) -> CatalogClient:
     state_path = args.quota_state or os.environ.get("LCA_QUOTA_STATE") or None
     api_key = args.api_key or os.environ.get("LCA_API_KEY") or None
     try:
-        quota = QuotaStore(limit=limit, state_path=state_path)
-    except QuotaStateError as exc:
-        raise _Failure(EXIT_UNREADABLE, str(exc)) from exc
-    except ValueError as exc:
-        raise _Failure(EXIT_USAGE, str(exc)) from exc
-    try:
         return CatalogClient(
             base_url,
-            quota=quota,
+            quota=QuotaStore(limit=limit, state_path=state_path),
             api_key=api_key,
             api_key_header=args.api_key_header,
             retries=args.retries,
@@ -257,16 +263,11 @@ def cmd_fetch(args) -> int:
     else:
         selected = [r for r in snapshot.records if r.oclc == args.oclc]
     client = _build_client(args)
-    try:
-        result = harvest(client, selected)
-        state = client.quota.state()
-    except QuotaStateError as exc:
-        raise _Failure(EXIT_UNREADABLE, str(exc)) from exc
+    result = harvest(client, selected)
+    state = client.quota.state()
     # The harvest ran without the lock; merge onto the dataset as it is
     # now, so whatever another process saved meanwhile is kept.
-    with _dataset_locked(args.dataset):
-        current = _load_dataset_file(args.dataset)
-        save_dataset(merge_snapshots(current, result.delta), args.dataset)
+    _merge_into_dataset(args.dataset, result.delta)
     for record_id, reason in result.skipped:
         print(f"skipped {record_id}: {reason}", file=sys.stderr)
     for record_id, message in result.errors:
@@ -364,10 +365,7 @@ def cmd_indicators(args) -> int:
 
     if args.author is not None or args.authors:
         if args.author is not None:
-            try:
-                profiles = [author_profile(args.author, snapshot, library_filter)]
-            except AuthorNotFoundError as exc:
-                raise _Failure(EXIT_UNRESOLVED, str(exc)) from exc
+            profiles = [author_profile(args.author, snapshot, library_filter)]
         else:
             profiles = author_profiles(snapshot, library_filter)
         rows = [
@@ -386,12 +384,7 @@ def cmd_indicators(args) -> int:
     reports = []
     for spec in args.unit:
         unit = _resolve_unit(spec, units_by_id, snapshot)
-        try:
-            reports.append(unit_report(unit, snapshot, library_filter, benchmark))
-        except UnknownTargetError as exc:
-            raise _Failure(EXIT_UNRESOLVED, str(exc)) from exc
-        except UndefinedRateError as exc:
-            raise _Failure(EXIT_EMPTY, str(exc)) from exc
+        reports.append(unit_report(unit, snapshot, library_filter, benchmark))
     reports.sort(key=lambda r: (-r.ci, r.label, r.unit_id))
     rows = [
         [
@@ -464,12 +457,7 @@ def cmd_correlate(args) -> int:
             rows.append([label, *cells])
         _emit(["metric", *matrix.labels], rows, args.output)
         return EXIT_OK
-    try:
-        rho = spearman(PairedSample.from_columns(columns[0][1], columns[1][1]))
-    except ConstantInputError as exc:
-        raise _Failure(EXIT_CONSTANT, str(exc)) from exc
-    except SampleSizeError as exc:
-        raise _Failure(EXIT_EMPTY, str(exc)) from exc
+    rho = spearman(PairedSample.from_columns(columns[0][1], columns[1][1]))
     print(format_rate(rho))
     return EXIT_OK
 
@@ -530,11 +518,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--dataset", default="catalog.jsonl", metavar="PATH",
         help="canonical dataset file (default: %(default)s)",
     )
-    common.add_argument(
+    filtering = _Parser(add_help=False, parents=[common])
+    filtering.add_argument(
         "--output", choices=list(FORMATS), default="md",
         help="table format (default: %(default)s)",
     )
-    filtering = _Parser(add_help=False, parents=[common])
     filtering.add_argument(
         "--filter", default="", metavar="SPEC",
         help='library filter, e.g. "country=US;kind=academic;member=ARL;exclude-channel=donation"',
@@ -604,6 +592,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except _Failure as failure:
         print(f"error: {failure}", file=sys.stderr)
         return failure.exit_code
+    except tuple(_EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 def main() -> None:

@@ -47,7 +47,7 @@ import requests
 from .errors import QuotaExceededError, QuotaStateError, TransportError
 from .identifiers import normalize_isbn
 from .ingest import _lock_sidecar, _write_atomic
-from .model import BookRecord, CatalogSnapshot, Holding, LibraryOrg, build_snapshot
+from .model import BookRecord, CatalogSnapshot, Holding, LibraryOrg, _check_types, build_snapshot
 
 DEFAULT_QUOTA_LIMIT = 50_000
 DEFAULT_RETRIES = 3
@@ -62,6 +62,9 @@ class Location:
     name: str
     country: str
     institution_id: str
+
+    def __post_init__(self) -> None:
+        _check_types(self, str, "name", "country", "institution_id")
 
 
 @dataclass(frozen=True, slots=True)

@@ -23,10 +23,10 @@ import os
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .errors import DatasetError, IsbnError, ParseError
-from .identifiers import looks_like_isbn, normalize_isbn, parse_oclc
+from .identifiers import normalize_isbn, parse_oclc
 from .model import (
     BookRecord,
     CatalogSnapshot,
@@ -102,9 +102,26 @@ def _build_record(
     )
 
 
-def _finish(
-    parsed: list[tuple[str, BookRecord]], report: ParseReport
+def _parse_records(
+    document: "str | bytes",
+    select: Callable[[ET.Element], list[ET.Element]],
+    read: Callable[[ET.Element], Optional[BookRecord]],
 ) -> tuple[list[BookRecord], ParseReport]:
+    """The record loop both XML formats share.
+
+    `select` picks the record nodes from the root, numbered "record N"
+    from 1; `read` turns one node into a record, or None when it has no
+    title. Untitled nodes are rejected in document order, then a second
+    pass rejects each record whose id an earlier record already took.
+    """
+    report = ParseReport()
+    parsed: list[tuple[str, BookRecord]] = []
+    for index, node in enumerate(select(_parse_xml(document)), start=1):
+        record = read(node)
+        if record is None:
+            report.reject(f"record {index}", "missing title")
+        else:
+            parsed.append((f"record {index}", record))
     records: list[BookRecord] = []
     seen: dict[str, str] = {}
     for locator, record in parsed:
@@ -120,34 +137,60 @@ def _finish(
 
 # --- Dublin Core -------------------------------------------------------------
 
-def _sniff_identifier(
-    text: str, isbns: list[Isbn], oclc_holder: list[int]
-) -> None:
-    """Classify one dc:identifier value as ISBN, OCLC number, or noise."""
-    value = text.strip()
+def _sniff_identifier(value: str) -> tuple[Optional[Isbn], Optional[int]]:
+    """Classify one stripped dc:identifier value as (ISBN, None),
+    (None, OCLC number) or, for noise, (None, None)."""
     upper = value.upper()
-    if upper.startswith("ISBN"):
-        candidate = value[4:].lstrip(" :=")
-        try:
-            isbns.append(normalize_isbn(candidate))
-        except IsbnError:
-            pass
-        return
     if value.startswith("(OCoLC)"):
-        number = parse_oclc(value)
-        if number is not None and not oclc_holder:
-            oclc_holder.append(number)
-        return
+        return None, parse_oclc(value)
     if upper.startswith("OCLC"):
-        number = parse_oclc(value[4:].lstrip(" :="))
-        if number is not None and not oclc_holder:
-            oclc_holder.append(number)
-        return
-    if looks_like_isbn(value):
-        try:
-            isbns.append(normalize_isbn(value))
-        except IsbnError:
-            pass
+        return None, parse_oclc(value[4:].lstrip(" :="))
+    if upper.startswith("ISBN"):
+        value = value[4:].lstrip(" :=")
+    try:
+        return normalize_isbn(value), None
+    except IsbnError:
+        return None, None
+
+
+def _dc_nodes(root: ET.Element) -> list[ET.Element]:
+    if any(_local_name(el.tag) == "title" for el in root):
+        return [root]
+    return list(root)
+
+
+def _read_dc(node: ET.Element) -> Optional[BookRecord]:
+    title = oclc = year = language = lc_class = None
+    contributors: list[tuple[str, str]] = []
+    isbns: list[Isbn] = []
+    for el in node.iter():
+        name = _local_name(el.tag)
+        text = (el.text or "").strip()
+        if not text:
+            continue
+        if name == "title" and title is None:
+            title = text
+        elif name == "creator":
+            contributors.append((text, "author"))
+        elif name == "contributor":
+            contributors.append((text, "other"))
+        elif name == "identifier":
+            isbn, number = _sniff_identifier(text)
+            if isbn is not None:
+                isbns.append(isbn)
+            if oclc is None:
+                oclc = number
+        elif name == "date" and year is None:
+            match = _YEAR.search(text)
+            if match:
+                year = int(match.group())
+        elif name == "language" and language is None:
+            language = text
+        elif name == "subject" and lc_class is None:
+            lc_class = text
+    if not title:
+        return None
+    return _build_record(title, contributors, isbns, oclc, year, language, lc_class)
 
 
 def parse_dublin_core(document: "str | bytes") -> tuple[list[BookRecord], ParseReport]:
@@ -157,93 +200,84 @@ def parse_dublin_core(document: "str | bytes") -> tuple[list[BookRecord], ParseR
     Each child of the root is one record; a root that itself carries a
     title element is treated as a single record.
     """
-    root = _parse_xml(document)
-    children = list(root)
-    if any(_local_name(el.tag) == "title" for el in root):
-        nodes = [root]
-    else:
-        nodes = children
-
-    report = ParseReport()
-    parsed: list[tuple[str, BookRecord]] = []
-    for index, node in enumerate(nodes, start=1):
-        locator = f"record {index}"
-        title: Optional[str] = None
-        contributors: list[tuple[str, str]] = []
-        isbns: list[Isbn] = []
-        oclc_holder: list[int] = []
-        year: Optional[int] = None
-        language: Optional[str] = None
-        lc_class: Optional[str] = None
-        for el in node.iter():
-            name = _local_name(el.tag)
-            text = (el.text or "").strip()
-            if not text:
-                continue
-            if name == "title" and title is None:
-                title = text
-            elif name == "creator":
-                contributors.append((text, "author"))
-            elif name == "contributor":
-                contributors.append((text, "other"))
-            elif name == "identifier":
-                _sniff_identifier(text, isbns, oclc_holder)
-            elif name == "date" and year is None:
-                match = _YEAR.search(text)
-                if match:
-                    year = int(match.group())
-            elif name == "language" and language is None:
-                language = text
-            elif name == "subject" and lc_class is None:
-                lc_class = text
-        if not title:
-            report.reject(locator, "missing title")
-            continue
-        parsed.append(
-            (
-                locator,
-                _build_record(
-                    title,
-                    contributors,
-                    isbns,
-                    oclc_holder[0] if oclc_holder else None,
-                    year,
-                    language,
-                    lc_class,
-                ),
-            )
-        )
-    return _finish(parsed, report)
+    return _parse_records(document, _dc_nodes, _read_dc)
 
 
 # --- MARC-XML ----------------------------------------------------------------
 
-def _marc_subfields(record_node: ET.Element) -> dict[tuple[str, str], list[str]]:
-    """Collect (datafield tag, subfield code) -> values, in document order."""
-    out: dict[tuple[str, str], list[str]] = {}
-    for df in record_node.iter():
-        if _local_name(df.tag) != "datafield":
+def _marc_nodes(root: ET.Element) -> list[ET.Element]:
+    if _local_name(root.tag) == "record":
+        return [root]
+    return [el for el in root.iter() if _local_name(el.tag) == "record"]
+
+
+def _marc_fields(node: ET.Element) -> dict[str | tuple[str, str], list[str]]:
+    """Non-empty values in document order, keyed by control-field tag
+    ("001") or by (datafield tag, subfield code) (("245", "a"))."""
+    out: dict[str | tuple[str, str], list[str]] = {}
+    for el in node.iter():
+        name = _local_name(el.tag)
+        if name == "controlfield":
+            values = [(el.get("tag", ""), el.text)]
+        elif name == "datafield":
+            tag = el.get("tag", "")
+            values = [
+                ((tag, sf.get("code", "")), sf.text)
+                for sf in el
+                if _local_name(sf.tag) == "subfield"
+            ]
+        else:
             continue
-        tag = df.get("tag", "")
-        for sf in df:
-            if _local_name(sf.tag) != "subfield":
-                continue
-            code = sf.get("code", "")
-            text = (sf.text or "").strip()
+        for key, text in values:
+            text = (text or "").strip()
             if text:
-                out.setdefault((tag, code), []).append(text)
+                out.setdefault(key, []).append(text)
     return out
 
 
-def _marc_controlfields(record_node: ET.Element) -> dict[str, list[str]]:
-    out: dict[str, list[str]] = {}
-    for cf in record_node.iter():
-        if _local_name(cf.tag) != "controlfield":
+def _read_marc(node: ET.Element) -> Optional[BookRecord]:
+    fields = _marc_fields(node)
+    title = None
+    for value in fields.get(("245", "a"), []):
+        trimmed = value.rstrip(_ISBD_TRAIL).strip()
+        if trimmed:
+            title = trimmed
+            break
+    if not title:
+        return None
+
+    contributors: list[tuple[str, str]] = []
+    for tag, role in (("100", "author"), ("700", "other")):
+        for value in fields.get((tag, "a"), []):
+            name = value.rstrip(",. ").strip()
+            if name:
+                contributors.append((name, role))
+
+    isbns: list[Isbn] = []
+    for value in fields.get(("020", "a"), []):
+        token = value.split()[0] if value.split() else ""
+        try:
+            isbns.append(normalize_isbn(token))
+        except IsbnError:
             continue
-        text = (cf.text or "").strip()
-        if text:
-            out.setdefault(cf.get("tag", ""), []).append(text)
-    return out
+
+    oclc: Optional[int] = None
+    for value in fields.get("001", []) + fields.get(("035", "a"), []):
+        if value.startswith("(OCoLC)"):
+            oclc = parse_oclc(value)
+            if oclc is not None:
+                break
+
+    year: Optional[int] = None
+    for value in fields.get("008", []):
+        chunk = value[7:11]
+        if len(chunk) == 4 and chunk.isdigit():
+            year = int(chunk)
+            break
+
+    lc_values = fields.get(("050", "a"), [])
+    lc_class = lc_values[0].strip() if lc_values else None
+    return _build_record(title, contributors, isbns, oclc, year, None, lc_class)
 
 
 def parse_marc_xml(document: "str | bytes") -> tuple[list[BookRecord], ParseReport]:
@@ -254,67 +288,7 @@ def parse_marc_xml(document: "str | bytes") -> tuple[list[BookRecord], ParseRepo
     skipped), 001/035 yield an OCLC number only when prefixed "(OCoLC)",
     008 positions 7-10 give the year, 050$a the classification heading.
     """
-    root = _parse_xml(document)
-    if _local_name(root.tag) == "record":
-        nodes = [root]
-    else:
-        nodes = [el for el in root.iter() if _local_name(el.tag) == "record"]
-
-    report = ParseReport()
-    parsed: list[tuple[str, BookRecord]] = []
-    for index, node in enumerate(nodes, start=1):
-        locator = f"record {index}"
-        sub = _marc_subfields(node)
-        control = _marc_controlfields(node)
-
-        title = None
-        for value in sub.get(("245", "a"), []):
-            trimmed = value.rstrip(_ISBD_TRAIL).strip()
-            if trimmed:
-                title = trimmed
-                break
-        if not title:
-            report.reject(locator, "missing title")
-            continue
-
-        contributors: list[tuple[str, str]] = []
-        for tag, role in (("100", "author"), ("700", "other")):
-            for value in sub.get((tag, "a"), []):
-                name = value.rstrip(",. ").strip()
-                if name:
-                    contributors.append((name, role))
-
-        isbns: list[Isbn] = []
-        for value in sub.get(("020", "a"), []):
-            token = value.split()[0] if value.split() else ""
-            try:
-                isbns.append(normalize_isbn(token))
-            except IsbnError:
-                continue
-
-        oclc: Optional[int] = None
-        for value in control.get("001", []) + sub.get(("035", "a"), []):
-            if value.startswith("(OCoLC)"):
-                oclc = parse_oclc(value)
-                if oclc is not None:
-                    break
-
-        year: Optional[int] = None
-        for value in control.get("008", []):
-            chunk = value[7:11]
-            if len(chunk) == 4 and chunk.isdigit():
-                year = int(chunk)
-                break
-
-        lc_values = sub.get(("050", "a"), [])
-        lc_class = lc_values[0].strip() if lc_values else None
-        parsed.append(
-            (
-                locator,
-                _build_record(title, contributors, isbns, oclc, year, None, lc_class),
-            )
-        )
-    return _finish(parsed, report)
+    return _parse_records(document, _marc_nodes, _read_marc)
 
 
 # --- canonical dataset -------------------------------------------------------

@@ -27,6 +27,19 @@ CHANNELS = frozenset(
 EPOCH = dt.datetime(1970, 1, 1, tzinfo=dt.timezone.utc)
 
 
+def _check_types(entity: object, kind: type, *names: str) -> None:
+    """Raise TypeError unless each named dataclass field holds a `kind`,
+    or None where None is its default (a bool does not count as an int)."""
+    for name in names:
+        value = getattr(entity, name)
+        if value is None and entity.__dataclass_fields__[name].default is None:
+            continue
+        if type(value) is bool or not isinstance(value, kind):
+            raise TypeError(
+                f"{type(entity).__name__} {name} must be {kind.__name__}, not {value!r}"
+            )
+
+
 def isbn13_check_digit(first12: str) -> str:
     """Modulus-10 check digit for a 12-digit ISBN-13 body (weights 1,3,1,3...)."""
     if len(first12) != 12 or not first12.isdigit():
@@ -64,6 +77,7 @@ class Contributor:
     role: str = "author"
 
     def __post_init__(self) -> None:
+        _check_types(self, str, "name", "role")
         if not self.name.strip():
             raise ValueError("contributor name must be non-empty")
         if self.role not in ROLES:
@@ -90,11 +104,13 @@ class BookRecord:
     citations: Optional[int] = None
 
     def __post_init__(self) -> None:
+        _check_types(self, str, "record_id", "title", "language", "lc_class")
+        _check_types(self, int, "oclc", "year", "citations")
         if not self.record_id:
             raise ValueError("record_id must be non-empty")
         if not self.title or not self.title.strip():
             raise ValueError(f"record {self.record_id}: title must be non-empty")
-        if self.oclc is not None and (not isinstance(self.oclc, int) or self.oclc <= 0):
+        if self.oclc is not None and self.oclc <= 0:
             raise ValueError(f"record {self.record_id}: oclc must be a positive integer")
         isbns = self.isbns
         if not isinstance(isbns, tuple) or any(not isinstance(i, Isbn) for i in isbns):
@@ -130,6 +146,7 @@ class LibraryOrg:
     memberships: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
+        _check_types(self, str, "library_id", "name", "country", "kind")
         if not self.library_id:
             raise ValueError("library_id must be non-empty")
         object.__setattr__(self, "country", self.country.strip().upper())

@@ -2,6 +2,7 @@
 
 import contextlib
 import json
+import os
 import subprocess
 import sys
 
@@ -124,17 +125,18 @@ class TestUsage:
         assert code == 64
         assert "filter" in err
 
-    def test_filter_is_not_an_ingest_or_fetch_flag(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "flag", [("--filter", "country=US"), ("--output", "csv")], ids=["filter", "output"]
+    )
+    def test_filter_is_not_an_ingest_or_fetch_flag(self, capsys, tmp_path, flag):
         dataset = str(tmp_path / "catalog.jsonl")
         code, _, err = run_cli(
             capsys, "ingest", "--input", str(tmp_path / "export.xml"),
-            "--format", "marcxml", "--dataset", dataset, "--filter", "country=US",
+            "--format", "marcxml", "--dataset", dataset, *flag,
         )
         assert code == 64
-        assert "--filter" in err
-        code, _, _ = run_cli(
-            capsys, "fetch", "--all", "--dataset", dataset, "--filter", "country=US",
-        )
+        assert flag[0] in err
+        code, _, _ = run_cli(capsys, "fetch", "--all", "--dataset", dataset, *flag)
         assert code == 64
 
 
@@ -219,6 +221,19 @@ class TestIngest:
         )
         assert code == 1
         assert err.startswith("error: cannot lock dataset")
+
+    def test_unwritable_dataset_exits_one(self, capsys, tmp_path, analysis_dataset):
+        # `<name>.lock` just fits the file-name limit, but the save's temp
+        # file `.<name>.<pid>-<n>` is longer for any pid of two digits or more.
+        name = "d" * (os.pathconf(tmp_path, "PC_NAME_MAX") - len(".lock"))
+        code, _, err = run_cli(
+            capsys, "ingest", "--input", analysis_dataset, "--format", "jsonl",
+            "--dataset", str(tmp_path / name),
+        )
+        assert code == 1
+        assert err.startswith("error: cannot write dataset")
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["analysis.jsonl", name + ".lock"]
 
     def test_concurrent_ingests_lose_no_record(self, tmp_path, subprocess_env):
         dataset = tmp_path / "shared.jsonl"
@@ -381,6 +396,26 @@ class TestFetch:
         assert merged.get_record("x1").title == "Ingested meanwhile"
         assert merged.n_holdings == 3
 
+    def test_fetch_recreates_a_dataset_removed_during_the_harvest(
+        self, capsys, fetch_world, monkeypatch
+    ):
+        dataset, server = fetch_world
+        harvest = libcat.client.harvest
+
+        def harvest_then_remove_the_dataset(client, records):
+            result = harvest(client, records)
+            os.remove(dataset)
+            return result
+
+        monkeypatch.setattr(libcat.client, "harvest", harvest_then_remove_the_dataset)
+        code, _, _ = run_cli(
+            capsys, "fetch", "--all", "--dataset", dataset, "--base-url", server.base_url,
+        )
+        assert code == 0
+        recreated = load_dataset(dataset)
+        assert [r.record_id for r in recreated.records] == ["f1", "f2"]
+        assert recreated.n_holdings == 3
+
     def test_bad_isbn_selector_is_a_usage_error(self, capsys, fetch_world):
         dataset, server = fetch_world
         code, _, _ = run_cli(
@@ -497,6 +532,22 @@ class TestIndicatorsCommand:
         lines = out.splitlines()
         assert lines[1].startswith("top,Top pair,2,5,")
         assert lines[2].startswith("rest,The rest,2,1,")
+
+    def test_filter_leaving_no_catalog_exits_two(self, capsys, analysis_dataset):
+        code, _, err = run_cli(
+            capsys, "indicators", "--unit", "@all", "--filter", "country=ZZ",
+            "--dataset", analysis_dataset,
+        )
+        assert code == 2
+        assert "no catalogs remain after filtering" in err
+
+    def test_unheld_benchmark_exits_two(self, capsys, analysis_dataset):
+        code, _, err = run_cli(
+            capsys, "indicators", "--unit", "x=b1", "--benchmark", "y=b4",
+            "--dataset", analysis_dataset,
+        )
+        assert code == 2
+        assert "zero inclusions per title" in err
 
     def test_rcir_blank_without_benchmark(self, capsys, analysis_dataset):
         code, out, _ = run_cli(
@@ -621,6 +672,21 @@ class TestCorrelateCommand:
         code, _, err = run_cli(capsys, "correlate", "--dataset", str(path))
         assert code == 5
         assert "constant" in err
+
+    def test_nan_citation_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "nan.jsonl"
+        path.write_text(
+            '{"t":"R","id":"c1","title":"One","citations":NaN}\n'
+            '{"t":"R","id":"c2","title":"Two","citations":3}\n'
+            '{"t":"R","id":"c3","title":"Three","citations":5}\n'
+            '{"t":"L","id":"l1","name":"Lib","country":"US"}\n'
+            '{"t":"H","record":"c1","library":"l1"}\n'
+            '{"t":"H","record":"c2","library":"l1"}\n'
+        )
+        code, _, err = run_cli(capsys, "correlate", "--dataset", str(path))
+        assert code == 1
+        assert err.startswith(f"error: dataset {path}: line 1:")
+        assert "Traceback" not in err
 
     def test_too_few_complete_rows_exits_two(self, capsys, tmp_path):
         records = [

@@ -209,6 +209,10 @@ class TestResponseParsing:
             _response_from_json(b"{nope")
         with pytest.raises(TransportError):
             _response_from_json(b'{"locations": [{"name": "x"}]}')
+        with pytest.raises(TransportError):
+            _response_from_json(
+                b'{"locations": [{"name": 5, "country": "US", "institution_id": "i1"}]}'
+            )
 
     def test_malformed_xml_is_a_transport_error(self):
         with pytest.raises(TransportError):

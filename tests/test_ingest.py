@@ -311,9 +311,30 @@ class TestPersistence:
         with pytest.raises(DatasetError, match="line 1"):
             load_dataset(path)
 
-    def test_constructor_errors_name_the_line(self, tmp_path):
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"t":"R","id":"r1","title":"T","format":"vinyl"}',
+            '{"t":"R","id":"r1","title":"T","citations":NaN}',
+            '{"t":"R","id":"r1","title":"T","citations":1.5}',
+            '{"t":"R","id":"r1","title":"T","oclc":true}',
+            '{"t":"R","id":"r1","title":"T","year":"soon"}',
+            '{"t":"R","id":"r1","title":"T","lc":5}',
+            '{"t":"R","id":"r1","title":7}',
+            '{"t":"R","id":5,"title":"T"}',
+            '{"t":"R","id":"r1","title":"T","contributors":[[5,"author"]]}',
+            '{"t":"L","id":"l1","name":"Lib","country":5}',
+            '{"t":"L","id":"l1","name":null,"country":"US"}',
+        ],
+        ids=[
+            "format-vinyl", "citations-nan", "citations-float", "oclc-bool", "year-text",
+            "lc-int", "title-int", "id-int", "contributor-int", "country-int",
+            "name-null",
+        ],
+    )
+    def test_constructor_errors_name_the_line(self, tmp_path, line):
         path = tmp_path / "data.jsonl"
-        path.write_text('{"t":"R","id":"r1","title":"T","format":"vinyl"}\n')
+        path.write_text(line + "\n")
         with pytest.raises(DatasetError, match="line 1"):
             load_dataset(path)
 
@@ -370,11 +391,14 @@ class TestMerge:
 RECORD_LINE = '{"t":"R","id":"r2","title":"T","format":"print"}'
 
 
-def expected_load_error(text):
+def expected_load_error(text, canonical_path):
     """The DatasetError message load_dataset owes `text`, or None if it loads.
 
     Built on the json.loads oracle: the loader checks each decoded line's
     shape before it decodes the next, so a non-object line stops it first.
+    When every line decodes, `text` owes what the same values owe written
+    one `json.dumps` per line under the same numbers (to `canonical_path`),
+    so a value the model rejects fails alike in either encoding.
     """
     decoded, bad = oracles.decode_json_lines(text)
     for number, value in decoded:
@@ -382,6 +406,14 @@ def expected_load_error(text):
             return f"line {number}: expected an object with a 't' tag"
     if bad is not None:
         return f"line {bad[0]}: not valid JSON ({bad[1]})"
+    lines = [""] * max(number for number, _ in decoded)
+    for number, value in decoded:
+        lines[number - 1] = json.dumps(value)
+    canonical_path.write_text("".join(line + "\n" for line in lines))
+    try:
+        load_dataset(canonical_path)
+    except DatasetError as exc:
+        return str(exc)
     return None
 
 
@@ -392,7 +424,7 @@ def assert_loader_matches_oracle(path, odd_line):
         '{"t":"R","id":"r3","title":"Third","format":"print"}\n'
     )
     path.write_bytes(text.encode("utf-8"))
-    expected = expected_load_error(text)
+    expected = expected_load_error(text, path.with_name("canonical.jsonl"))
     try:
         snapshot = load_dataset(path)
     except DatasetError as exc:
