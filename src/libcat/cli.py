@@ -13,8 +13,8 @@ Filter grammar, clauses joined by ';', values by ',':
 Client settings for fetch come from flags or environment variables
 (flags win): LCA_BASE_URL, LCA_API_KEY, LCA_QUOTA, LCA_QUOTA_STATE.
 
-Exit codes: 0 success; 1 unreadable input or a dataset that cannot be
-written; 2 nothing to work on (zero accepted records, empty dataset, or
+Exit codes: 0 success; 1 unreadable input (a dataset, units file or
+export) or a dataset that cannot be written; 2 nothing to work on (zero accepted records, empty dataset, or
 too little data to correlate); 3 quota exhausted mid-fetch after a
 partial merge; 4 unresolved unit or author; 5 constant metric column;
 64 usage error.
@@ -141,13 +141,6 @@ def parse_filter_spec(spec: str) -> Optional[LibraryFilter]:
     )
 
 
-def _parse_filter_arg(spec: str) -> Optional[LibraryFilter]:
-    try:
-        return parse_filter_spec(spec)
-    except ValueError as exc:
-        raise _Failure(EXIT_USAGE, f"bad --filter: {exc}") from exc
-
-
 def _load_dataset_file(path: str) -> CatalogSnapshot:
     try:
         return load_dataset(path)
@@ -155,6 +148,19 @@ def _load_dataset_file(path: str) -> CatalogSnapshot:
         raise _Failure(EXIT_UNREADABLE, f"cannot read dataset {path}: {exc}") from exc
     except (DatasetError, IntegrityError) as exc:
         raise _Failure(EXIT_UNREADABLE, f"dataset {path}: {exc}") from exc
+
+
+def _analysis_input(args) -> tuple[CatalogSnapshot, Optional[LibraryFilter]]:
+    """The dataset and library filter an analysis command works on: parse
+    --filter, load --dataset, and refuse a dataset with no records."""
+    try:
+        library_filter = parse_filter_spec(args.filter)
+    except ValueError as exc:
+        raise _Failure(EXIT_USAGE, f"bad --filter: {exc}") from exc
+    snapshot = _load_dataset_file(args.dataset)
+    if snapshot.n_records == 0:
+        raise _Failure(EXIT_EMPTY, "dataset has no records")
+    return snapshot, library_filter
 
 
 def _merge_into_dataset(path: str, delta: CatalogSnapshot) -> None:
@@ -292,9 +298,14 @@ def _load_units_file(path: str) -> dict[str, tuple[str, list[str]]]:
                     continue
                 try:
                     obj = json.loads(stripped)
-                    unit_id = obj["id"]
-                    members = list(obj["members"])
+                    unit_id, members = obj["id"], obj["members"]
                     label = obj.get("label", unit_id)
+                    if not isinstance(unit_id, str) or not isinstance(label, str):
+                        raise TypeError("id and label must be strings")
+                    if not isinstance(members, list) or not all(
+                        isinstance(member, str) for member in members
+                    ):
+                        raise TypeError("members must be a list of strings")
                 except (ValueError, KeyError, TypeError) as exc:
                     raise _Failure(
                         EXIT_UNREADABLE, f"units file {path} line {number}: {exc}"
@@ -312,8 +323,6 @@ def _resolve_unit(
 ) -> AggregateUnit:
     spec = spec.strip()
     if spec == "@all":
-        if snapshot.n_records == 0:
-            raise _Failure(EXIT_EMPTY, "dataset has no records")
         return AggregateUnit(
             "@all", "all records", frozenset(r.record_id for r in snapshot.records)
         )
@@ -350,11 +359,7 @@ def _books_rows(
 
 
 def cmd_indicators(args) -> int:
-    library_filter = _parse_filter_arg(args.filter)
-    snapshot = _load_dataset_file(args.dataset)
-    if snapshot.n_records == 0:
-        raise _Failure(EXIT_EMPTY, "dataset has no records")
-
+    snapshot, library_filter = _analysis_input(args)
     if args.all_books:
         _emit(
             ["record", "title", "libcitations", "cnls", "rank", "class_size"],
@@ -406,23 +411,7 @@ def cmd_indicators(args) -> int:
 
 # --- correlate ------------------------------------------------------------------
 
-def _metric_columns(
-    snapshot: CatalogSnapshot,
-    library_filter: Optional[LibraryFilter],
-    names: Sequence[str],
-) -> list[tuple[str, list[float]]]:
-    """The named metrics over the records that carry every one of them."""
-    raw = metric_columns(names, snapshot, library_filter)
-    keep = [
-        i
-        for i in range(snapshot.n_records)
-        if all(column[i] is not None for _, column in raw)
-    ]
-    return [(name, [float(column[i]) for i in keep]) for name, column in raw]
-
-
 def cmd_correlate(args) -> int:
-    library_filter = _parse_filter_arg(args.filter)
     names = [n.strip() for n in args.metrics.split(",") if n.strip()]
     unknown = [n for n in names if n not in METRICS]
     if unknown:
@@ -436,8 +425,8 @@ def cmd_correlate(args) -> int:
         raise _Failure(EXIT_USAGE, "--matrix needs at least two metrics")
     if not args.matrix and len(names) != 2:
         raise _Failure(EXIT_USAGE, "correlate needs exactly two metrics")
-    snapshot = _load_dataset_file(args.dataset)
-    columns = _metric_columns(snapshot, library_filter, names)
+    snapshot, library_filter = _analysis_input(args)
+    columns = metric_columns(names, snapshot, library_filter)
     length = len(columns[0][1])
     if length < 2:
         raise _Failure(
@@ -476,10 +465,7 @@ def _composition_row(label: str, counts: Sequence[int], totals: Sequence[int]) -
 
 
 def cmd_report(args) -> int:
-    library_filter = _parse_filter_arg(args.filter)
-    snapshot = _load_dataset_file(args.dataset)
-    if snapshot.n_records == 0:
-        raise _Failure(EXIT_EMPTY, "dataset has no records")
+    snapshot, library_filter = _analysis_input(args)
     composition = composition_report(snapshot, library_filter)
     totals = (
         composition.total_academic,

@@ -19,6 +19,14 @@ by the server's Content-Type:
         <institutionId>…</institutionId></location></locations>
     </locationResponse>
 
+Both variants decode to the JSON shape and then pass one rule: every
+location needs a non-blank name, country and institution id (JSON may
+send the id as an integer), each stripped of surrounding spaces, and
+the first location per institution id wins; the record's title must be
+a string and its OCLC number an integer or text that reads as one. A
+body that breaks the rule is a TransportError, which `harvest` reports
+per record.
+
 Every physical HTTP request, retries and 404s included, costs one unit
 of a daily budget (default 50 000 per UTC day). The budget is checked
 and charged before the socket is touched, and can persist to a state
@@ -40,7 +48,7 @@ import xml.etree.ElementTree as ET
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import requests
 
@@ -65,6 +73,11 @@ class Location:
 
     def __post_init__(self) -> None:
         _check_types(self, str, "name", "country", "institution_id")
+        for attr in ("name", "country", "institution_id"):
+            value = getattr(self, attr).strip()
+            if not value:
+                raise ValueError(f"location {attr} must be non-blank")
+            object.__setattr__(self, attr, value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,6 +87,10 @@ class MatchedRecord:
     title: Optional[str] = None
     oclc: Optional[int] = None
     isbns: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        _check_types(self, str, "title")
+        _check_types(self, int, "oclc")
 
 
 @dataclass(frozen=True, slots=True)
@@ -219,67 +236,59 @@ def _text(element: Optional[ET.Element]) -> Optional[str]:
     return stripped if stripped else None
 
 
-def _local(tag: str) -> str:
-    return tag.rsplit("}", 1)[-1]
-
-
-def _dedupe_locations(raw: Iterable[Location]) -> tuple[Location, ...]:
-    seen: dict[str, Location] = {}
-    for loc in raw:
-        seen.setdefault(loc.institution_id, loc)
-    return tuple(seen.values())
-
-
-def _response_from_json(body: bytes) -> LocationResponse:
+def _build_response(kind: str, decode: Callable[[], object]) -> LocationResponse:
+    """Build a response from `decode()`, the body in the JSON shape,
+    under the module's decode rule; any failure, the decode's included,
+    is a TransportError."""
     try:
-        obj = json.loads(body.decode("utf-8"))
+        obj = decode()
         record = None
         fragment = obj.get("record")
         if fragment is not None:
+            oclc = fragment.get("oclc")
             record = MatchedRecord(
                 title=fragment.get("title"),
-                oclc=fragment.get("oclc"),
+                oclc=int(oclc) if isinstance(oclc, str) else oclc,
                 isbns=tuple(fragment.get("isbns", ())),
             )
-        locations = [
-            Location(
-                name=item["name"],
-                country=item["country"],
-                institution_id=str(item["institution_id"]),
+        locations: dict[str, Location] = {}
+        for item in obj.get("locations", ()):
+            inst = item.get("institution_id")
+            location = Location(
+                item.get("name"),
+                item.get("country"),
+                str(inst) if type(inst) is int else inst,
             )
-            for item in obj.get("locations", ())
-        ]
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise TransportError(f"malformed JSON location response: {exc}") from exc
-    return LocationResponse(record, _dedupe_locations(locations))
+            locations.setdefault(location.institution_id, location)
+    except (ValueError, TypeError, AttributeError, ET.ParseError) as exc:
+        raise TransportError(f"malformed {kind} location response: {exc}") from exc
+    return LocationResponse(record, tuple(locations.values()))
+
+
+def _response_from_json(body: bytes) -> LocationResponse:
+    return _build_response("JSON", lambda: json.loads(body.decode("utf-8")))
 
 
 def _response_from_xml(body: bytes) -> LocationResponse:
-    try:
-        root = ET.fromstring(body)
-    except ET.ParseError as exc:
-        raise TransportError(f"malformed XML location response: {exc}") from exc
-    record = None
-    locations: list[Location] = []
-    for element in root.iter():
-        name = _local(element.tag)
-        if name == "record":
-            oclc_text = _text(element.find("oclc"))
-            record = MatchedRecord(
-                title=_text(element.find("title")),
-                oclc=int(oclc_text) if oclc_text else None,
-                isbns=tuple(
-                    t for t in (_text(e) for e in element.findall("isbn")) if t
-                ),
-            )
-        elif name == "location":
-            loc_name = _text(element.find("name"))
-            country = _text(element.find("country"))
-            inst = _text(element.find("institutionId"))
-            if loc_name is None or country is None or inst is None:
-                raise TransportError("XML location is missing a required field")
-            locations.append(Location(loc_name, country, inst))
-    return LocationResponse(record, _dedupe_locations(locations))
+    def shape() -> dict:
+        obj: dict = {"record": None, "locations": []}
+        for element in ET.fromstring(body).iter():
+            tag = element.tag.rsplit("}", 1)[-1]
+            if tag == "record":
+                obj["record"] = {
+                    "title": _text(element.find("title")),
+                    "oclc": _text(element.find("oclc")),
+                    "isbns": [t for t in map(_text, element.findall("isbn")) if t],
+                }
+            elif tag == "location":
+                obj["locations"].append({
+                    "name": _text(element.find("name")),
+                    "country": _text(element.find("country")),
+                    "institution_id": _text(element.find("institutionId")),
+                })
+        return obj
+
+    return _build_response("XML", shape)
 
 
 class CatalogClient:
@@ -292,7 +301,6 @@ class CatalogClient:
         api_key: Optional[str] = None,
         api_key_header: str = "X-API-Key",
         retries: int = DEFAULT_RETRIES,
-        backoff: float = DEFAULT_BACKOFF_SECONDS,
         timeout: float = 10.0,
         parallelism: int = 1,
         session: Optional[requests.Session] = None,
@@ -311,7 +319,6 @@ class CatalogClient:
         self.api_key = api_key
         self.api_key_header = api_key_header
         self.retries = retries
-        self.backoff = backoff
         self.timeout = timeout
         self.parallelism = parallelism
         self._session = session if session is not None else requests.Session()
@@ -353,7 +360,7 @@ class CatalogClient:
                         f"unexpected status {response.status_code} for {path}"
                     )
             if attempt + 1 < self.retries:
-                self._sleep(self.backoff * (2 ** attempt))
+                self._sleep(DEFAULT_BACKOFF_SECONDS * (2 ** attempt))
         assert failure is not None
         raise failure
 

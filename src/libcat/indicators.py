@@ -141,17 +141,22 @@ class _View:
         above = len(ordered) - bisect_right(ordered, self.counts[record.record_id])
         return 1 + above, len(ordered)
 
+    def cnls_or_none(self, target: "str | BookRecord") -> Optional[float]:
+        """CNLS, or None where it is undefined: no class, or an all-zero class."""
+        try:
+            return self.cnls(target)
+        except (NoClassError, UndefinedRateError):
+            return None
+
     def book(self, record_id: str) -> BookIndicators:
         """Per-book indicators, blank where CNLS or rank is undefined."""
-        try:
-            cnls_value: Optional[float] = self.cnls(record_id)
-        except (NoClassError, UndefinedRateError):
-            cnls_value = None
         try:
             rank: Optional[tuple[int, int]] = self.rank(record_id)
         except NoClassError:
             rank = None
-        return BookIndicators(record_id, self.counts[record_id], cnls_value, rank)
+        return BookIndicators(
+            record_id, self.counts[record_id], self.cnls_or_none(record_id), rank
+        )
 
     def headings(self) -> dict[str, tuple[str, set[str]]]:
         """Folded heading -> (smallest display variant, ids of records naming it)."""
@@ -474,18 +479,11 @@ def composition_report(
 MetricExtractor = Callable[[BookRecord, _View], Optional[float]]
 
 
-def _cnls_or_none(record: BookRecord, view: _View) -> Optional[float]:
-    try:
-        return view.cnls(record)
-    except (NoClassError, UndefinedRateError):
-        return None
-
-
 # Every named per-record metric; `correlate` and `coverage_report` read it.
 METRICS: dict[str, MetricExtractor] = {
     "libcitations": lambda record, view: view.counts[record.record_id],
     "citations": lambda record, view: record.citations,
-    "cnls": _cnls_or_none,
+    "cnls": lambda record, view: view.cnls_or_none(record),
 }
 # The metrics a coverage report lists unless told otherwise.
 COVERAGE_METRICS = ("libcitations", "citations")
@@ -495,18 +493,18 @@ def metric_columns(
     names: Sequence[str],
     snapshot: CatalogSnapshot,
     library_filter: Optional[LibraryFilter] = None,
-) -> list[tuple[str, list[Optional[float]]]]:
-    """Each named metric's value for every record, in record-id order.
-
-    Records without a value (no citation count, no class for CNLS, an
-    all-zero class) get None. Unknown names raise KeyError.
-    """
-    extractors = [(name, METRICS[name]) for name in names]
+) -> list[tuple[str, list[float]]]:
+    """Each named metric as floats, over the records that carry every one
+    of them (a citation count, a class for CNLS, a class not all zero),
+    in record-id order. Unknown names raise KeyError."""
+    extractors = [METRICS[name] for name in names]
     view = _view(snapshot, library_filter)
-    return [
-        (name, [extract(record, view) for record in view.filtered.records])
-        for name, extract in extractors
+    rows = [
+        values
+        for record in view.filtered.records
+        if None not in (values := [extract(record, view) for extract in extractors])
     ]
+    return [(name, [float(row[i]) for row in rows]) for i, name in enumerate(names)]
 
 
 @dataclass(frozen=True, slots=True)

@@ -32,6 +32,8 @@ def _check_types(entity: object, kind: type, *names: str) -> None:
     or None where None is its default (a bool does not count as an int)."""
     for name in names:
         value = getattr(entity, name)
+        if type(value) is kind:
+            continue
         if value is None and entity.__dataclass_fields__[name].default is None:
             continue
         if type(value) is bool or not isinstance(value, kind):
@@ -167,6 +169,7 @@ class Holding:
     channel: str = "unspecified"
 
     def __post_init__(self) -> None:
+        _check_types(self, str, "record_id", "library_id", "channel")
         if not self.record_id or not self.library_id:
             raise ValueError("holding needs both record_id and library_id")
         if self.channel not in CHANNELS:

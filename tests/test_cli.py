@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -99,6 +101,32 @@ def fetch_world(tmp_path):
     server = serve_fixture(build_snapshot(records, libraries, holdings))
     yield str(dataset), server
     server.close()
+
+
+@contextlib.contextmanager
+def answering(content_type, body):
+    """A server that answers every GET with 200 and this one body."""
+
+    class Handler(BaseHTTPRequestHandler):
+        def log_message(self, *args):
+            pass
+
+        def do_GET(self):
+            self.send_response(200)
+            self.send_header("Content-Type", content_type)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05})
+    thread.start()
+    try:
+        yield "http://%s:%d" % server.server_address[:2]
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
 
 
 class TestUsage:
@@ -416,6 +444,54 @@ class TestFetch:
         assert [r.record_id for r in recreated.records] == ["f1", "f2"]
         assert recreated.n_holdings == 3
 
+    @pytest.mark.parametrize(
+        "content_type, body",
+        [
+            (
+                "application/xml",
+                b"<locationResponse><record><title>T</title><oclc>12x</oclc></record>"
+                b"</locationResponse>",
+            ),
+            (
+                "application/json",
+                b'{"record": null, "locations": '
+                b'[{"name": "x", "country": "", "institution_id": "i1"}]}',
+            ),
+            (
+                "application/json",
+                b'{"record": null, "locations": '
+                b'[{"name": "x", "country": "US", "institution_id": null}]}',
+            ),
+        ],
+        ids=["xml-oclc-text", "json-country-empty", "json-id-null"],
+    )
+    def test_malformed_answer_is_a_per_record_failure(
+        self, capsys, fetch_world, content_type, body
+    ):
+        dataset, _ = fetch_world
+        with answering(content_type, body) as base_url:
+            code, out, err = run_cli(
+                capsys, "fetch", "--oclc", "501", "--dataset", dataset,
+                "--base-url", base_url,
+            )
+        assert code == 0
+        assert "fetched=0 skipped=0 errors=1 holdings=0" in out
+        assert err.startswith("failed f1: malformed ")
+        assert "Traceback" not in err
+        assert load_dataset(dataset).n_holdings == 0
+
+    def test_non_integer_quota_variable_is_a_usage_error(
+        self, capsys, fetch_world, monkeypatch
+    ):
+        dataset, server = fetch_world
+        monkeypatch.setenv("LCA_QUOTA", "abc")
+        code, _, err = run_cli(
+            capsys, "fetch", "--all", "--dataset", dataset, "--base-url", server.base_url,
+        )
+        assert code == 64
+        assert "LCA_QUOTA must be an integer" in err
+        assert server.request_count == 0
+
     def test_bad_isbn_selector_is_a_usage_error(self, capsys, fetch_world):
         dataset, server = fetch_world
         code, _, _ = run_cli(
@@ -532,6 +608,38 @@ class TestIndicatorsCommand:
         lines = out.splitlines()
         assert lines[1].startswith("top,Top pair,2,5,")
         assert lines[2].startswith("rest,The rest,2,1,")
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"id": "u1", "label": 7, "members": ["b1"]}',
+            '{"id": "u1", "members": "b1"}',
+            '{"id": 5, "members": ["b1"]}',
+            '{"id": "u1", "members": ["b1", 2]}',
+            '{"id": "u1", "members": [',
+            '["u1"]',
+        ],
+        ids=["label-int", "members-text", "id-int", "member-int", "bad-json", "not-an-object"],
+    )
+    def test_malformed_units_line_exits_one(self, capsys, analysis_dataset, tmp_path, line):
+        units = tmp_path / "units.jsonl"
+        units.write_text('{"id": "ok", "members": ["b1"]}\n' + line + "\n")
+        code, _, err = run_cli(
+            capsys, "indicators", "--unit", "u1", "--units", str(units),
+            "--dataset", analysis_dataset,
+        )
+        assert code == 1
+        assert err.startswith(f"error: units file {units} line 2: ")
+        assert "Traceback" not in err
+
+    def test_missing_units_file_exits_one(self, capsys, analysis_dataset, tmp_path):
+        units = tmp_path / "absent.jsonl"
+        code, _, err = run_cli(
+            capsys, "indicators", "--unit", "u1", "--units", str(units),
+            "--dataset", analysis_dataset,
+        )
+        assert code == 1
+        assert err.startswith(f"error: cannot read units file {units}: ")
 
     def test_filter_leaving_no_catalog_exits_two(self, capsys, analysis_dataset):
         code, _, err = run_cli(
@@ -660,6 +768,22 @@ class TestCorrelateCommand:
         assert code == 64
         assert "velocity" in err
         assert "libcitations, citations, cnls" in err
+
+    @pytest.mark.parametrize("matrix", [(), ("--matrix",)], ids=["pair", "matrix"])
+    def test_one_metric_is_a_usage_error(self, capsys, analysis_dataset, matrix):
+        code, _, err = run_cli(
+            capsys, "correlate", "--metrics", "libcitations", *matrix,
+            "--dataset", analysis_dataset,
+        )
+        assert code == 64
+        assert ("at least two" if matrix else "exactly two") in err
+
+    def test_empty_dataset_exits_two(self, capsys, tmp_path):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        code, _, err = run_cli(capsys, "correlate", "--dataset", str(empty))
+        assert code == 2
+        assert "dataset has no records" in err
 
     def test_constant_metric_exits_five(self, capsys, tmp_path):
         records = [

@@ -223,6 +223,62 @@ class TestResponseParsing:
                 b"</location></locations></locationResponse>"
             )
 
+    @pytest.mark.parametrize("field", ["name", "country", "institution_id"])
+    @pytest.mark.parametrize("value", [None, "", "  "], ids=["missing", "empty", "blank"])
+    def test_both_formats_reject_a_missing_or_blank_location_field(self, field, value):
+        location = {"name": "Lib", "country": "US", "institution_id": "i1"}
+        if value is None:
+            del location[field]
+        else:
+            location[field] = value
+        as_json = json.dumps({"record": None, "locations": [location]}).encode()
+        tags = {"name": "name", "country": "country", "institution_id": "institutionId"}
+        as_xml = (
+            "<locationResponse><locations><location>"
+            + "".join(f"<{tags[k]}>{v}</{tags[k]}>" for k, v in location.items())
+            + "</location></locations></locationResponse>"
+        ).encode()
+        with pytest.raises(TransportError, match="JSON"):
+            _response_from_json(as_json)
+        with pytest.raises(TransportError, match="XML"):
+            _response_from_xml(as_xml)
+
+    def test_both_formats_decode_to_the_same_response(self):
+        as_json = (
+            b'{"record": {"title": "T", "oclc": 12, "isbns": ["9780306406157"]},'
+            b' "locations": [{"name": " Lib ", "country": "US", "institution_id": 7}]}'
+        )
+        as_xml = (
+            b"<locationResponse><record><title>T</title><oclc>12</oclc>"
+            b"<isbn>9780306406157</isbn></record><locations><location>"
+            b"<name>Lib</name><country>US</country><institutionId>7</institutionId>"
+            b"</location></locations></locationResponse>"
+        )
+        assert _response_from_json(as_json) == _response_from_xml(as_xml)
+        assert _response_from_json(as_json).locations[0].institution_id == "7"
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b'{"locations": [{"name": "x", "country": "US", "institution_id": null}]}',
+            b'{"record": {"title": "T", "oclc": "12x"}, "locations": []}',
+            b'{"record": {"title": "T", "oclc": true}, "locations": []}',
+            b'{"record": {"title": 5}, "locations": []}',
+            b"[]",
+        ],
+        ids=["null-id", "oclc-text", "oclc-bool", "title-int", "not-an-object"],
+    )
+    def test_ill_typed_json_is_a_transport_error(self, body):
+        with pytest.raises(TransportError):
+            _response_from_json(body)
+
+    def test_non_numeric_xml_oclc_is_a_transport_error(self):
+        with pytest.raises(TransportError, match="12x"):
+            _response_from_xml(
+                b"<locationResponse><record><title>T</title><oclc>12x</oclc>"
+                b"</record></locationResponse>"
+            )
+
     def test_duplicate_institutions_collapse(self):
         body = (
             b'{"record": null, "locations": ['

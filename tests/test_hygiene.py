@@ -1,15 +1,16 @@
-"""Source hygiene that needs no linter: no module imports a name it never uses."""
+"""Source hygiene that needs no linter: no module imports a name it never
+uses, and no module-level private name goes unused by the package."""
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
 
 import libcat
 
-MODULES = sorted(
-    path for path in Path(libcat.__file__).parent.glob("*.py") if path.name != "__init__.py"
-)
+PACKAGE = sorted(Path(libcat.__file__).parent.glob("*.py"))
+MODULES = [path for path in PACKAGE if path.name != "__init__.py"]
 
 
 def _imported_names(tree: ast.AST) -> set[str]:
@@ -24,7 +25,11 @@ def _imported_names(tree: ast.AST) -> set[str]:
 
 def _referenced_names(tree: ast.AST) -> set[str]:
     """Every bare name the module reads, including inside string annotations."""
-    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
     annotations = [
         node.annotation
         for node in ast.walk(tree)
@@ -46,3 +51,38 @@ def _referenced_names(tree: ast.AST) -> set[str]:
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert sorted(_imported_names(tree) - _referenced_names(tree)) == []
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    """The `_name` functions, classes and assignments at module level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+@functools.cache
+def _package_uses() -> frozenset[str]:
+    """Every name any package module reads, as a bare name, an attribute
+    (`ingest._write_atomic`) or an import (`from .ingest import _lock_sidecar`)."""
+    names = set()
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names |= _referenced_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    return frozenset(names)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
+def test_every_private_name_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert sorted(_private_definitions(tree) - _package_uses()) == []

@@ -1,6 +1,7 @@
 """Record parsing and dataset persistence."""
 
 import json
+import os
 import random
 import stat
 
@@ -325,11 +326,14 @@ class TestPersistence:
             '{"t":"R","id":"r1","title":"T","contributors":[[5,"author"]]}',
             '{"t":"L","id":"l1","name":"Lib","country":5}',
             '{"t":"L","id":"l1","name":null,"country":"US"}',
+            '{"t":"H","record":["r1"],"library":"l1"}',
+            '{"t":"H","record":"r1","library":7}',
+            '{"t":"H","record":"r1","library":"l1","channel":null}',
         ],
         ids=[
             "format-vinyl", "citations-nan", "citations-float", "oclc-bool", "year-text",
             "lc-int", "title-int", "id-int", "contributor-int", "country-int",
-            "name-null",
+            "name-null", "holding-record-list", "holding-library-int", "holding-channel-null",
         ],
     )
     def test_constructor_errors_name_the_line(self, tmp_path, line):
@@ -351,6 +355,21 @@ class TestPersistence:
         save_dataset(first, path)
         save_dataset(second, path)
         assert load_dataset(path) == second
+        assert [p.name for p in tmp_path.iterdir()] == ["data.jsonl"]
+
+    def test_failed_rename_keeps_the_old_file_and_no_temp_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.jsonl"
+        old = build_snapshot([BookRecord("r1", "Old")], [], [])
+        save_dataset(old, path)
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            save_dataset(build_snapshot([BookRecord("r2", "New")], [], []), path)
+        monkeypatch.undo()
+        assert load_dataset(path) == old
         assert [p.name for p in tmp_path.iterdir()] == ["data.jsonl"]
 
     def test_save_gives_the_mode_a_plain_open_gives(self, tmp_path):
