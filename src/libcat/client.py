@@ -55,7 +55,8 @@ import requests
 from .errors import QuotaExceededError, QuotaStateError, TransportError
 from .identifiers import normalize_isbn
 from .ingest import _lock_sidecar, _write_atomic
-from .model import BookRecord, CatalogSnapshot, Holding, LibraryOrg, _check_types, build_snapshot
+from .model import BookRecord, CatalogSnapshot, Holding, LibraryOrg, build_snapshot
+from .model import _check_strings, _check_types
 
 DEFAULT_QUOTA_LIMIT = 50_000
 DEFAULT_RETRIES = 3
@@ -91,6 +92,7 @@ class MatchedRecord:
     def __post_init__(self) -> None:
         _check_types(self, str, "title")
         _check_types(self, int, "oclc")
+        _check_strings(self, "isbns", tuple)
 
 
 @dataclass(frozen=True, slots=True)
@@ -249,7 +251,7 @@ def _build_response(kind: str, decode: Callable[[], object]) -> LocationResponse
             record = MatchedRecord(
                 title=fragment.get("title"),
                 oclc=int(oclc) if isinstance(oclc, str) else oclc,
-                isbns=tuple(fragment.get("isbns", ())),
+                isbns=fragment.get("isbns", ()),
             )
         locations: dict[str, Location] = {}
         for item in obj.get("locations", ()):
@@ -260,7 +262,7 @@ def _build_response(kind: str, decode: Callable[[], object]) -> LocationResponse
                 str(inst) if type(inst) is int else inst,
             )
             locations.setdefault(location.institution_id, location)
-    except (ValueError, TypeError, AttributeError, ET.ParseError) as exc:
+    except (ValueError, TypeError, AttributeError, RecursionError, ET.ParseError) as exc:
         raise TransportError(f"malformed {kind} location response: {exc}") from exc
     return LocationResponse(record, tuple(locations.values()))
 

@@ -20,12 +20,15 @@ editions of those clusters, holdings sums the clusters' libcitations.
 Every indicator reads from one compiled view per (snapshot, filter)
 pair, memoized on the snapshot: the filtered snapshot (filtered once),
 a holder count per record, and per class the sorted counts and their
-sum, so rank is a binary search and CNLS a division. The first author
-query adds a folded-heading index and a distinct-holder count per work
-cluster. Building a view costs O(records + holdings), plus a sort per
-class; every indicator after that is a lookup or a sum over its own
-members. Every function here is pure: it reads, counts, and returns.
-Rendering and rounding live elsewhere.
+sum, so rank is a binary search and CNLS a division. Distinct holders
+of a record set, which libcitations of a set and every author's work
+clusters count, come from one method over one record -> holders table,
+built on the first set or author query; the first author query also
+adds a folded-heading index and the work clusters. Building a view
+costs O(records + holdings), plus a sort per class; every indicator
+after that is a lookup or a sum over its own members. Every function
+here is pure: it reads, counts, and returns. Rendering and rounding
+live elsewhere.
 """
 
 from __future__ import annotations
@@ -74,12 +77,14 @@ class _View:
     """One (snapshot, filter) pair, compiled once for every indicator.
 
     `filtered` is the filtered snapshot and `counts` its libcitations per
-    record. The author tables are built on the first author query; work
-    clusters always come from the unfiltered snapshot, since filtering
-    keeps every record.
+    record. `holders` counts distinct holders of a record set, from one
+    record -> holders table built on the first set or author query. The
+    author tables are built on the first author query; work clusters
+    always come from the unfiltered snapshot, since filtering keeps
+    every record.
     """
 
-    __slots__ = ("source", "filtered", "counts", "_classes", "_headings", "_clusters")
+    __slots__ = ("source", "filtered", "counts", "_classes", "_holders", "_headings", "_clusters")
 
     def __init__(
         self, snapshot: CatalogSnapshot, library_filter: Optional[LibraryFilter]
@@ -99,6 +104,7 @@ class _View:
             lc_class: (sorted(class_counts), sum(class_counts))
             for lc_class, class_counts in by_class.items()
         }
+        self._holders: Optional[dict[str, list[str]]] = None
         self._headings: Optional[dict[str, tuple[str, set[str]]]] = None
         self._clusters: Optional[tuple[dict[str, int], list[WorkCluster], list[int]]] = None
 
@@ -158,6 +164,19 @@ class _View:
             record_id, self.counts[record_id], self.cnls_or_none(record_id), rank
         )
 
+    def holders(self, record_ids: frozenset[str]) -> int:
+        """The number of distinct libraries holding any of the records."""
+        if len(record_ids) == 1:
+            (record_id,) = record_ids
+            return self.counts[record_id]
+        if self._holders is None:
+            table: dict[str, list[str]] = {}
+            for holding in self.filtered.holdings:
+                table.setdefault(holding.record_id, []).append(holding.library_id)
+            self._holders = table
+        table = self._holders
+        return len(set().union(*(table.get(record_id, ()) for record_id in record_ids)))
+
     def headings(self) -> dict[str, tuple[str, set[str]]]:
         """Folded heading -> (smallest display variant, ids of records naming it)."""
         if self._headings is None:
@@ -182,10 +201,8 @@ class _View:
                 for index, cluster in enumerate(clusters)
                 for record_id in cluster.member_record_ids
             }
-            holders: list[set[str]] = [set() for _ in clusters]
-            for holding in self.filtered.holdings:
-                holders[cluster_of[holding.record_id]].add(holding.library_id)
-            self._clusters = (cluster_of, clusters, [len(h) for h in holders])
+            holders = [self.holders(cluster.member_record_ids) for cluster in clusters]
+            self._clusters = (cluster_of, clusters, holders)
         cluster_of, clusters, holders = self._clusters
         touched = {cluster_of[record_id] for record_id in record_ids}
         return AuthorProfile(
@@ -216,8 +233,7 @@ def libcitations(
 ) -> int:
     """Distinct libraries holding any member edition of the target."""
     view = _view(snapshot, library_filter)
-    members = view.members(target)
-    return len(frozenset().union(*map(view.filtered.holders_of, members)))
+    return view.holders(view.members(target))
 
 
 @dataclass(frozen=True, slots=True)

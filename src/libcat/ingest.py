@@ -377,6 +377,8 @@ def _write_atomic(path: str, text: str) -> None:
     a per-process counter, created exclusively), so concurrent writers of
     one path never rename or remove each other's temp file: readers see
     one whole version. It is created 0666 less the umask, as open() would.
+    Every caller writes JSON, so a lone surrogate, which UTF-8 cannot
+    encode, is written as its JSON escape (`\\ud800`) and reads back equal.
     """
     directory, name = os.path.split(path)
     while True:
@@ -387,7 +389,7 @@ def _write_atomic(path: str, text: str) -> None:
         except FileExistsError:
             continue
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8", errors="backslashreplace") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -423,19 +425,23 @@ def _decode_line(line: str, number: int) -> object:
     The C scanner alone decodes a well-formed line and skips the
     per-call checks `json.loads` makes; anything else goes through
     `json.loads`, so a bad line fails with its usual message. The scanner
-    raises StopIteration when no value starts at the index and
-    JSONDecodeError for a value that is malformed, so both fall back.
+    raises StopIteration when no value starts at the index,
+    JSONDecodeError for a value that is malformed, ValueError for an
+    integer past the int-string digit limit and RecursionError for
+    nesting too deep, so all of them fall back.
     """
     try:
         obj, end = _scan_once(line, 0)
         if end == len(line):
             return obj
-    except (StopIteration, json.JSONDecodeError):
+    except (StopIteration, ValueError, RecursionError):
         pass
     try:
         return json.loads(line)
     except json.JSONDecodeError as exc:
         raise DatasetError(f"line {number}: not valid JSON ({exc.msg})") from exc
+    except (ValueError, RecursionError) as exc:
+        raise DatasetError(f"line {number}: not decodable JSON ({exc})") from exc
 
 
 def load_dataset(path: "str | os.PathLike") -> CatalogSnapshot:
@@ -462,7 +468,7 @@ def load_dataset(path: "str | os.PathLike") -> CatalogSnapshot:
                             name=obj["name"],
                             country=obj["country"],
                             kind=obj.get("kind", "other"),
-                            memberships=frozenset(obj.get("memberships", [])),
+                            memberships=obj.get("memberships", frozenset()),
                         )
                     )
                 elif tag == "H":
@@ -490,5 +496,4 @@ def merge_snapshots(base: CatalogSnapshot, delta: CatalogSnapshot) -> CatalogSna
     libraries.update({lib.library_id: lib for lib in base.libraries})
     holdings = {(h.record_id, h.library_id): h for h in delta.holdings}
     holdings.update({(h.record_id, h.library_id): h for h in base.holdings})
-    taken_at = max(base.taken_at, delta.taken_at)
-    return build_snapshot(records.values(), libraries.values(), holdings.values(), taken_at)
+    return build_snapshot(records.values(), libraries.values(), holdings.values())

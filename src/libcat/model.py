@@ -1,17 +1,16 @@
 """Core domain model for library catalog analysis.
 
 The unit of analysis is a catalog snapshot: book records, holding
-libraries, and the inclusion relation between them, frozen at one point
-in time. A holding means "this library's catalog includes this record";
-physical copy counts are deliberately out of scope, so the (record,
-library) pair is unique. Snapshots are immutable once built, and every
-indicator downstream is a pure function of (snapshot, filter), which
-keeps batch runs reproducible.
+libraries, and the inclusion relation between them. A holding means
+"this library's catalog includes this record"; physical copy counts are
+deliberately out of scope, so the (record, library) pair is unique.
+Snapshots hold their entities and id lookups only and are immutable once
+built; every count over them is derived downstream, as a pure function of
+(snapshot, filter), which keeps batch runs reproducible.
 """
 
 from __future__ import annotations
 
-import datetime as dt
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -23,8 +22,6 @@ FORMATS = frozenset({"print", "ebook", "unknown"})
 CHANNELS = frozenset(
     {"librarian_order", "approval_plan", "pda", "donation", "package", "unspecified"}
 )
-
-EPOCH = dt.datetime(1970, 1, 1, tzinfo=dt.timezone.utc)
 
 
 def _check_types(entity: object, kind: type, *names: str) -> None:
@@ -40,6 +37,20 @@ def _check_types(entity: object, kind: type, *names: str) -> None:
             raise TypeError(
                 f"{type(entity).__name__} {name} must be {kind.__name__}, not {value!r}"
             )
+
+
+def _check_strings(entity: object, name: str, kind: type) -> None:
+    """Store the named field as a `kind` of its items, raising TypeError
+    unless it is a list, tuple or set of str (a bare str is not one)."""
+    value = getattr(entity, name)
+    if not isinstance(value, (list, tuple, set, frozenset)) or not all(
+        isinstance(item, str) for item in value
+    ):
+        raise TypeError(
+            f"{type(entity).__name__} {name} must be a collection of str, not {value!r}"
+        )
+    if type(value) is not kind:
+        object.__setattr__(entity, name, kind(value))
 
 
 def isbn13_check_digit(first12: str) -> str:
@@ -62,6 +73,7 @@ class Isbn:
     original_form: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
+        _check_types(self, str, "digits")
         if len(self.digits) != 13 or not self.digits.isdigit():
             raise ValueError(f"canonical ISBN must be 13 digits: {self.digits!r}")
         if self.digits[-1] != isbn13_check_digit(self.digits[:12]):
@@ -156,8 +168,7 @@ class LibraryOrg:
             raise ValueError(f"library {self.library_id}: country must be non-empty")
         if self.kind not in LIBRARY_KINDS:
             raise ValueError(f"library {self.library_id}: unknown kind {self.kind!r}")
-        if not isinstance(self.memberships, frozenset):
-            object.__setattr__(self, "memberships", frozenset(self.memberships))
+        _check_strings(self, "memberships", frozenset)
 
 
 @dataclass(frozen=True, slots=True)
@@ -251,24 +262,24 @@ class AggregateUnit:
 
 
 class CatalogSnapshot:
-    """Immutable dataset of records + libraries + holdings at an instant.
+    """Immutable dataset of records + libraries + holdings.
 
     Referential integrity is checked at construction and duplicate
-    (record, library) holdings collapse to one. Lookup indexes are built
-    lazily and cached; concurrent readers are safe because nothing is
-    ever mutated after construction.
+    (record, library) holdings collapse to one. A snapshot holds its
+    entity tuples, sorted by id, and the id lookups behind `get_record`
+    and `get_library`; every count over them is derived elsewhere.
+    `memo` is scratch space for such derived artifacts (compiled views,
+    work clusters): safe because nothing is ever mutated after
+    construction, so concurrent builders of one entry compute equal values.
     """
 
     __slots__ = (
         "records",
         "libraries",
         "holdings",
-        "taken_at",
+        "memo",
         "_records_by_id",
         "_libraries_by_id",
-        "_holders",
-        "_by_class",
-        "_memo",
     )
 
     def __init__(
@@ -276,7 +287,6 @@ class CatalogSnapshot:
         records: Iterable[BookRecord],
         libraries: Iterable[LibraryOrg],
         holdings: Iterable[Holding],
-        taken_at: Optional[dt.datetime] = None,
     ) -> None:
         records_by_id: dict[str, BookRecord] = {}
         for rec in records:
@@ -303,15 +313,11 @@ class CatalogSnapshot:
             libraries_by_id[k] for k in sorted(libraries_by_id)
         )
         self.holdings: tuple[Holding, ...] = tuple(deduped[k] for k in sorted(deduped))
-        self.taken_at = taken_at if taken_at is not None else EPOCH
+        self.memo: dict = {}
         self._records_by_id = records_by_id
         self._libraries_by_id = libraries_by_id
-        self._holders: Optional[dict[str, frozenset[str]]] = None
-        self._by_class: Optional[dict[str, tuple[BookRecord, ...]]] = None
-        self._memo: dict = {}
 
-    # -- equality is structural over the entity sets; the timestamp is
-    #    metadata and the persisted form does not carry it.
+    # equality is structural over the entity sets; the memo is derived
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CatalogSnapshot):
             return NotImplemented
@@ -345,45 +351,14 @@ class CatalogSnapshot:
     def get_library(self, library_id: str) -> Optional[LibraryOrg]:
         return self._libraries_by_id.get(library_id)
 
-    def holders_of(self, record_id: str) -> frozenset[str]:
-        """Library ids whose catalogs include the record (empty if unheld)."""
-        if self._holders is None:
-            holders: dict[str, set[str]] = {}
-            for h in self.holdings:
-                holders.setdefault(h.record_id, set()).add(h.library_id)
-            self._holders = {rid: frozenset(libs) for rid, libs in holders.items()}
-        return self._holders.get(record_id, frozenset())
-
-    def libcitation_count(self, record_id: str) -> int:
-        return len(self.holders_of(record_id))
-
-    def records_in_class(self, lc_class: str) -> tuple[BookRecord, ...]:
-        if self._by_class is None:
-            by_class: dict[str, list[BookRecord]] = {}
-            for rec in self.records:
-                if rec.lc_class is not None:
-                    by_class.setdefault(rec.lc_class, []).append(rec)
-            self._by_class = {k: tuple(v) for k, v in by_class.items()}
-        return self._by_class.get(lc_class, ())
-
-    @property
-    def memo(self) -> dict:
-        """Scratch space for derived artifacts (cluster partitions, rankings).
-
-        Safe because snapshots never change; concurrent builders of the
-        same entry compute identical values.
-        """
-        return self._memo
-
 
 def build_snapshot(
     records: Iterable[BookRecord],
     libraries: Iterable[LibraryOrg],
     holdings: Iterable[Holding],
-    taken_at: Optional[dt.datetime] = None,
 ) -> CatalogSnapshot:
     """Validate and assemble a snapshot; see CatalogSnapshot for the rules."""
-    return CatalogSnapshot(records, libraries, holdings, taken_at)
+    return CatalogSnapshot(records, libraries, holdings)
 
 
 def apply_filter(
@@ -393,9 +368,9 @@ def apply_filter(
 
     Records are never dropped; holdings survive only if their library does
     and their channel is not excluded. The empty filter returns the very
-    same snapshot object so cached indexes stay warm. Filtering is
-    idempotent and two filters commute, since every clause is a pure
-    predicate on the library or the holding.
+    same snapshot object, so its memoized views and work clusters stay
+    warm. Filtering is idempotent and two filters commute, since every
+    clause is a pure predicate on the library or the holding.
     """
     if library_filter is None or library_filter.is_empty:
         return snapshot
@@ -408,6 +383,4 @@ def apply_filter(
         for h in snapshot.holdings
         if h.library_id in kept_ids and library_filter.admits_channel(h.channel)
     ]
-    return CatalogSnapshot(
-        snapshot.records, kept_libraries, kept_holdings, snapshot.taken_at
-    )
+    return CatalogSnapshot(snapshot.records, kept_libraries, kept_holdings)

@@ -10,6 +10,9 @@ from __future__ import annotations
 import random
 from typing import Optional
 
+from hypothesis import example
+from hypothesis import strategies as st
+
 import oracles
 from libcat.model import (
     BookRecord,
@@ -350,3 +353,28 @@ def classed_snapshot(
                 Holding(record_id, pool[m].library_id) for m in range(count)
             )
     return build_snapshot(records, pool, holdings), labels
+
+
+# --- ill-typed JSON values ------------------------------------------------
+
+# Values every field is checked against before any random draw: NaN,
+# bools, huge ints, the empty string, strings where a list belongs,
+# nesting, a lone surrogate.
+EDGE_VALUES = [
+    float("nan"), float("inf"), True, False, None, 0, -1, 2**64, -(2**80), 1.5,
+    "", " ", "ARL", "978", "\ud800", [], {}, [[]], [1, "a"], ["x"], [None],
+    {"a": [1]}, [[1] * 13], ["1" * 13],
+]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def edge_examples(test):
+    """Run the hypothesis test `test` on every EDGE_VALUES entry first."""
+    for value in EDGE_VALUES:
+        test = example(value=value)(test)
+    return test

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter
 from typing import Iterable, Optional, Sequence
 
 
@@ -216,6 +217,21 @@ def inclusions_bruteforce(holdings: Iterable, record_ids: set[str]) -> int:
 
 def distinct_holders_bruteforce(holdings: Iterable, record_id: str) -> int:
     return len({h.library_id for h in holdings if h.record_id == record_id})
+
+
+def holder_counts(holdings: Iterable) -> Counter:
+    """Distinct holders per record id, counted over the set of
+    (record, library) pairs; a record nobody holds counts 0."""
+    return Counter(record_id for record_id, _ in {(h.record_id, h.library_id) for h in holdings})
+
+
+def records_by_class(records: Iterable) -> dict:
+    """Classified records grouped by class, in input order."""
+    by_class: dict = {}
+    for record in records:
+        if record.lc_class is not None:
+            by_class.setdefault(record.lc_class, []).append(record)
+    return by_class
 
 
 def percent_string(count: int, total: int) -> str:

@@ -122,8 +122,9 @@ def test_c05_mean_cnls_identity(capsys):
     with criterion(capsys, 5, "mean cnls identity"):
         rng = random.Random(50)
         snapshot, labels = datasets.classed_snapshot(rng, 1000)
+        by_class = oracles.records_by_class(snapshot.records)
         for label in labels:
-            members = snapshot.records_in_class(label)
+            members = by_class[label]
             scores = [cnls(record.record_id, snapshot) for record in members]
             assert abs(math.fsum(scores) / len(scores) - 1.0) < 1e-9
 
@@ -173,10 +174,9 @@ def test_c07_rcir_self_benchmark(capsys):
             snapshot = datasets.random_snapshot(
                 rng, max_records=10, max_libraries=6, holding_rate=0.5
             )
+            counts = oracles.holder_counts(snapshot.holdings)
             held = [
-                record.record_id
-                for record in snapshot.records
-                if snapshot.libcitation_count(record.record_id) > 0
+                record.record_id for record in snapshot.records if counts[record.record_id] > 0
             ]
             if not held:
                 continue
@@ -195,11 +195,11 @@ def test_c08_competition_rank_oracle(capsys):
         snapshot, labels = datasets.classed_snapshot(
             rng, 1000, large_classes=5, max_small=50
         )
+        by_class = oracles.records_by_class(snapshot.records)
+        holders = oracles.holder_counts(snapshot.holdings)
         for label in labels:
-            members = snapshot.records_in_class(label)
-            counts = [
-                snapshot.libcitation_count(record.record_id) for record in members
-            ]
+            members = by_class[label]
+            counts = [holders[record.record_id] for record in members]
             expected = oracles.competition_ranks(counts)
             for record, want in zip(members, expected):
                 rank, size = rank_in_class(record.record_id, snapshot)
@@ -278,11 +278,7 @@ def test_c11_harvest_round_trip(capsys):
             assert not result.quota_exhausted
             assert set(result.queried) == {r.record_id for r in fixture.records}
             got = {(h.record_id, h.library_id) for h in result.holdings}
-            want = {
-                (record.record_id, library_id)
-                for record in fixture.records
-                for library_id in fixture.holders_of(record.record_id)
-            }
+            want = {(h.record_id, h.library_id) for h in fixture.holdings}
             assert got == want
 
 

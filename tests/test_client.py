@@ -1,6 +1,7 @@
 """Quota accounting, the HTTP client, and harvesting against the replay server."""
 
 import contextlib
+import copy
 import datetime as dt
 import json
 import random
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import datasets
+import oracles
 from libcat.client import (
     EMPTY_RESPONSE,
     MAX_PARALLELISM,
@@ -213,6 +215,8 @@ class TestResponseParsing:
             _response_from_json(
                 b'{"locations": [{"name": 5, "country": "US", "institution_id": "i1"}]}'
             )
+        with pytest.raises(TransportError):
+            _response_from_json(b"[" * 100_000 + b"]" * 100_000)
 
     def test_malformed_xml_is_a_transport_error(self):
         with pytest.raises(TransportError):
@@ -264,9 +268,10 @@ class TestResponseParsing:
             b'{"record": {"title": "T", "oclc": "12x"}, "locations": []}',
             b'{"record": {"title": "T", "oclc": true}, "locations": []}',
             b'{"record": {"title": 5}, "locations": []}',
+            b'{"record": {"isbns": "978"}}',
             b"[]",
         ],
-        ids=["null-id", "oclc-text", "oclc-bool", "title-int", "not-an-object"],
+        ids=["null-id", "oclc-text", "oclc-bool", "title-int", "isbns-str", "not-an-object"],
     )
     def test_ill_typed_json_is_a_transport_error(self, body):
         with pytest.raises(TransportError):
@@ -288,6 +293,51 @@ class TestResponseParsing:
         response = _response_from_json(body)
         assert len(response.locations) == 1
         assert response.locations[0].name == "A"
+
+
+VALID_BODY = {
+    "record": {"title": "T", "oclc": 7, "isbns": [ISBN_A]},
+    "locations": [{"name": "Lib", "country": "US", "institution_id": "i1"}],
+}
+# The key path of each replaced value; the empty path replaces the whole body.
+BODY_FIELDS = [
+    (), ("record",), ("record", "title"), ("record", "oclc"), ("record", "isbns"),
+    ("locations",), ("locations", 0), ("locations", 0, "name"),
+    ("locations", 0, "country"), ("locations", 0, "institution_id"),
+]
+
+
+class TestResponseProperty:
+    @pytest.mark.parametrize(
+        "field", BODY_FIELDS, ids=lambda f: "-".join(map(str, f)) or "body"
+    )
+    @settings(max_examples=40, deadline=None)
+    @given(value=datasets.JSON_VALUES)
+    @datasets.edge_examples
+    def test_one_replaced_value_decodes_typed_or_is_a_transport_error(self, field, value):
+        body = copy.deepcopy(VALID_BODY)
+        if field:
+            parent = body
+            for key in field[:-1]:
+                parent = parent[key]
+            parent[field[-1]] = value
+        else:
+            body = value
+        try:
+            response = _response_from_json(json.dumps(body).encode("utf-8"))
+        except TransportError:
+            return
+        record = response.matched_record
+        if record is not None:
+            assert record.title is None or type(record.title) is str
+            assert record.oclc is None or type(record.oclc) is int
+            assert type(record.isbns) is tuple
+            assert all(type(isbn) is str for isbn in record.isbns)
+        assert type(response.locations) is tuple
+        for location in response.locations:
+            assert type(location.name) is str
+            assert type(location.country) is str
+            assert type(location.institution_id) is str
 
 
 class TestClientLookups:
@@ -473,7 +523,7 @@ class TestHarvest:
         assert pairs == {("r1", "aaa"), ("r1", "bbb"), ("r1", "ccc"), ("r2", "aaa")}
         assert [lib.library_id for lib in result.libraries] == ["aaa", "bbb", "ccc"]
         assert result.delta.n_records == 3
-        assert result.delta.libcitation_count("r4") == 0
+        assert oracles.distinct_holders_bruteforce(result.delta.holdings, "r4") == 0
 
     def test_harvested_entities_carry_neutral_defaults(self, corpus, server):
         client = make_client(server)

@@ -1,5 +1,6 @@
 """Source hygiene that needs no linter: no module imports a name it never
-uses, and no module-level private name goes unused by the package."""
+uses, and no private name, at module level or in a class, goes unused by
+the package."""
 
 import ast
 import functools
@@ -86,3 +87,46 @@ def _package_uses() -> frozenset[str]:
 def test_every_private_name_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert sorted(_private_definitions(tree) - _package_uses()) == []
+
+
+def _private_members(tree: ast.Module) -> set[str]:
+    """The `_name` methods and `__slots__` entries of every class, nested
+    classes included."""
+    names = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(item.name)
+            elif isinstance(item, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets
+            ):
+                names.update(
+                    c.value
+                    for c in ast.walk(item.value)
+                    if isinstance(c, ast.Constant) and isinstance(c.value, str)
+                )
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+@functools.cache
+def _attribute_reads() -> frozenset[str]:
+    """Every attribute name any package module reads (`self._holders`);
+    an assignment to an attribute is not a read."""
+    names = set()
+    for path in PACKAGE:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+    return frozenset(names)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
+def test_every_private_member_is_read(path):
+    """Every `_name` method and `_name` slot of a class is read as an
+    attribute somewhere in the package. The match is by name alone, so the
+    check cannot separate two classes that use the same private name: one
+    class reading `self._holders` covers a stale `_holders` slot in another."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert sorted(_private_members(tree) - _attribute_reads()) == []

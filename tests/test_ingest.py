@@ -1,5 +1,6 @@
 """Record parsing and dataset persistence."""
 
+import copy
 import json
 import os
 import random
@@ -329,17 +330,31 @@ class TestPersistence:
             '{"t":"H","record":["r1"],"library":"l1"}',
             '{"t":"H","record":"r1","library":7}',
             '{"t":"H","record":"r1","library":"l1","channel":null}',
+            '{"t":"L","id":"l1","name":"Lib","country":"US","memberships":[1,"a"]}',
+            '{"t":"L","id":"l1","name":"Lib","country":"US","memberships":"ARL"}',
         ],
         ids=[
             "format-vinyl", "citations-nan", "citations-float", "oclc-bool", "year-text",
             "lc-int", "title-int", "id-int", "contributor-int", "country-int",
             "name-null", "holding-record-list", "holding-library-int", "holding-channel-null",
+            "memberships-int-item", "memberships-str",
         ],
     )
     def test_constructor_errors_name_the_line(self, tmp_path, line):
         path = tmp_path / "data.jsonl"
         path.write_text(line + "\n")
         with pytest.raises(DatasetError, match="line 1"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "value",
+        ["1" * 5000, "[" * 100_000 + "]" * 100_000],
+        ids=["int-past-digit-limit", "nested-too-deep"],
+    )
+    def test_undecodable_json_names_the_line(self, tmp_path, value):
+        path = tmp_path / "data.jsonl"
+        path.write_text(RECORD_LINE + "\n" + '{"t":"R","id":"r1","title":"T","year":' + value + "}\n")
+        with pytest.raises(DatasetError, match="^line 2: not decodable JSON"):
             load_dataset(path)
 
     def test_referential_integrity_checked_on_load(self, tmp_path):
@@ -506,3 +521,55 @@ class TestDecoderEquivalence:
             record = record[: len(record) - cut]
         path = tmp_path_factory.mktemp("ds") / "data.jsonl"
         assert_loader_matches_oracle(path, prefix + record + suffix)
+
+
+# One valid line per tag; the holding names the record and the library.
+VALID_LINES = {
+    "R": {
+        "t": "R", "id": "r1", "oclc": 7, "isbns": ["9780306406157"], "title": "T",
+        "contributors": [["Ann Author", "author"]], "year": 1999, "lang": "en",
+        "lc": "QA76", "format": "print", "citations": 3,
+    },
+    "L": {
+        "t": "L", "id": "l1", "name": "Lib", "country": "US", "kind": "academic",
+        "memberships": ["ARL"],
+    },
+    "H": {"t": "H", "record": "r1", "library": "l1", "channel": "pda"},
+}
+# A field is (tag, key, None), or (tag, key, index) for one half of the
+# contributor pair.
+LINE_FIELDS = [(tag, key, None) for tag, line in VALID_LINES.items() for key in line] + [
+    ("R", "contributors", 0),
+    ("R", "contributors", 1),
+]
+
+
+class TestIllTypedFields:
+    @pytest.mark.parametrize(
+        "field", LINE_FIELDS, ids=lambda f: "-".join(str(p) for p in f if p is not None)
+    )
+    @settings(max_examples=40, deadline=None)
+    @given(value=datasets.JSON_VALUES)
+    @datasets.edge_examples
+    def test_one_replaced_field_loads_or_names_its_line(self, tmp_path_factory, field, value):
+        """Either the line is rejected by number, or what loads saves and
+        reloads equal; a renamed reference may only break integrity."""
+        tag, key, index = field
+        lines = copy.deepcopy(VALID_LINES)
+        if index is None:
+            lines[tag][key] = value
+        else:
+            lines[tag][key][0][index] = value
+        path = tmp_path_factory.mktemp("ds") / "data.jsonl"
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines.values()))
+        number = list(lines).index(tag) + 1
+        try:
+            loaded = load_dataset(path)
+        except DatasetError as exc:
+            assert str(exc).startswith(f"line {number}: ")
+            return
+        except IntegrityError:
+            assert isinstance(value, str) and key in ("id", "record", "library")
+            return
+        save_dataset(loaded, path)
+        assert load_dataset(path) == loaded

@@ -1,6 +1,5 @@
 """Domain model: value validation, snapshot integrity, population filters."""
 
-import datetime as dt
 import random
 
 import pytest
@@ -176,31 +175,19 @@ class TestSnapshot:
 
     def test_holder_lookup_and_counts(self):
         snap = make_snapshot([("r1", "l1"), ("r1", "l2"), ("r2", "l1")])
-        assert snap.holders_of("r1") == frozenset({"l1", "l2"})
-        assert snap.libcitation_count("r2") == 1
-        assert snap.libcitation_count("r9") == 0
-        assert snap.holders_of("r9") == frozenset()
+        assert {h.library_id for h in snap.holdings if h.record_id == "r1"} == {"l1", "l2"}
+        assert oracles.distinct_holders_bruteforce(snap.holdings, "r2") == 1
+        assert oracles.distinct_holders_bruteforce(snap.holdings, "r9") == 0
+        assert snap.get_record("r1").title == "Title r1"
+        assert snap.get_library("l2").name == "Library l2"
+        assert snap.get_record("r9") is None
+        assert snap.get_library("l9") is None
 
-    def test_records_in_class_groups_by_classification(self):
-        records = [
-            BookRecord("r1", "A", lc_class="QA76"),
-            BookRecord("r2", "B", lc_class="QA76"),
-            BookRecord("r3", "C", lc_class="Z669"),
-            BookRecord("r4", "D"),
-        ]
-        snap = build_snapshot(records, [], [])
-        assert [r.record_id for r in snap.records_in_class("QA76")] == ["r1", "r2"]
-        assert snap.records_in_class("PN171") == ()
-
-    def test_equality_is_structural_and_ignores_timestamp(self):
+    def test_equality_is_structural(self):
         pairs = [("r1", "l1"), ("r2", "l1")]
         a = make_snapshot(pairs)
         b = make_snapshot(pairs)
         assert a == b
-        c = build_snapshot(
-            a.records, a.libraries, a.holdings, taken_at=dt.datetime(2020, 1, 1, tzinfo=dt.timezone.utc)
-        )
-        assert a == c
         d = make_snapshot([("r1", "l1")])
         assert a != d
 
@@ -232,7 +219,7 @@ class TestFilter:
         )
         narrowed = apply_filter(snap, LibraryFilter(countries=frozenset({"us"})))
         assert [l.library_id for l in narrowed.libraries] == ["l1"]
-        assert narrowed.libcitation_count("r1") == 1
+        assert oracles.distinct_holders_bruteforce(narrowed.holdings, "r1") == 1
         assert narrowed.n_records == snap.n_records
 
     def test_kind_filter(self):
@@ -270,7 +257,7 @@ class TestFilter:
         )
         narrowed = apply_filter(snap, LibraryFilter(countries=frozenset({"US"})))
         assert narrowed.get_record("r2") is not None
-        assert narrowed.libcitation_count("r2") == 0
+        assert oracles.distinct_holders_bruteforce(narrowed.holdings, "r2") == 0
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**9))
