@@ -13,17 +13,16 @@ Filter grammar, clauses joined by ';', values by ',':
 Client settings for fetch come from flags or environment variables
 (flags win): LCA_BASE_URL, LCA_API_KEY, LCA_QUOTA, LCA_QUOTA_STATE.
 
-Exit codes: 0 success; 1 unreadable input (a dataset, units file or
-export) or a dataset that cannot be written; 2 nothing to work on (zero accepted records, empty dataset, or
-too little data to correlate); 3 quota exhausted mid-fetch after a
-partial merge; 4 unresolved unit or author; 5 constant metric column;
-64 usage error.
+Exit codes: 0 success; 1 unreadable input (a dataset, units file,
+quota state file or export) or a dataset that cannot be written; 2
+nothing to work on (zero accepted records, empty dataset, or too little
+data to correlate); 3 quota exhausted mid-fetch after a partial merge;
+4 unresolved unit or author; 5 constant metric column; 64 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -53,6 +52,7 @@ from .indicators import (
 )
 from .ingest import (
     ParseReport,
+    _json_lines,
     _lock_sidecar,
     load_dataset,
     merge_snapshots,
@@ -290,29 +290,26 @@ def cmd_fetch(args) -> int:
 
 def _load_units_file(path: str) -> dict[str, tuple[str, list[str]]]:
     units: dict[str, tuple[str, list[str]]] = {}
+    number = 0
     try:
-        with open(path, encoding="utf-8") as fh:
-            for number, raw in enumerate(fh, start=1):
-                stripped = raw.strip()
-                if not stripped:
-                    continue
-                try:
-                    obj = json.loads(stripped)
-                    unit_id, members = obj["id"], obj["members"]
-                    label = obj.get("label", unit_id)
-                    if not isinstance(unit_id, str) or not isinstance(label, str):
-                        raise TypeError("id and label must be strings")
-                    if not isinstance(members, list) or not all(
-                        isinstance(member, str) for member in members
-                    ):
-                        raise TypeError("members must be a list of strings")
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise _Failure(
-                        EXIT_UNREADABLE, f"units file {path} line {number}: {exc}"
-                    ) from exc
-                units[unit_id] = (label, members)
+        for number, obj in _json_lines(path):
+            unit_id, members = obj["id"], obj["members"]
+            label = obj.get("label", unit_id)
+            if not isinstance(unit_id, str) or not isinstance(label, str):
+                raise TypeError("id and label must be strings")
+            if not isinstance(members, list) or not all(
+                isinstance(member, str) for member in members
+            ):
+                raise TypeError("members must be a list of strings")
+            units[unit_id] = (label, members)
     except OSError as exc:
         raise _Failure(EXIT_UNREADABLE, f"cannot read units file {path}: {exc}") from exc
+    except DatasetError as exc:
+        raise _Failure(EXIT_UNREADABLE, f"units file {path} {exc}") from exc
+    except (ValueError, KeyError, TypeError) as exc:
+        raise _Failure(
+            EXIT_UNREADABLE, f"units file {path} line {number}: {exc}"
+        ) from exc
     return units
 
 
@@ -359,6 +356,9 @@ def _books_rows(
 
 
 def cmd_indicators(args) -> int:
+    for flag, value in (("--units", args.units), ("--benchmark", args.benchmark)):
+        if value is not None and args.unit is None:
+            raise _Failure(EXIT_USAGE, f"{flag} applies only with --unit")
     snapshot, library_filter = _analysis_input(args)
     if args.all_books:
         _emit(

@@ -1,11 +1,9 @@
 """HTTP client for a union-catalog locations API, with a daily quota guard.
 
-The remote service answers four lookup paths:
+The client looks records up on two paths of the remote service:
 
     /content/libraries/{OCLC_Number}
     /content/libraries/isbn/{ISBN}
-    /content/libraries/issn/{ISSN}
-    /content/libraries/sn/{Standard_Number}
 
 Responses arrive as JSON or as an XML variant of the same shape, chosen
 by the server's Content-Type:
@@ -43,7 +41,6 @@ import math
 import os
 import threading
 import time
-import urllib.parse
 import xml.etree.ElementTree as ET
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
@@ -158,12 +155,12 @@ class QuotaStore:
             with open(self.state_path, encoding="utf-8") as fh:
                 obj = json.load(fh)
             day = dt.date.fromisoformat(obj["day"])
-            used = int(obj["used"])
-            if used < 0:
-                raise ValueError("negative usage")
+            used = obj["used"]
+            if type(used) is not int or used < 0:
+                raise ValueError("used must be a JSON integer >= 0")
         except FileNotFoundError:
             return self._today(), 0
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
             raise QuotaStateError(
                 f"unreadable quota state file {self.state_path}: {exc}"
             ) from exc
@@ -206,22 +203,20 @@ class QuotaStore:
             self._day = today
             self._used = 0
 
-    def consume(self, units: int = 1) -> int:
-        """Charge `units` requests; returns the remaining budget.
+    def consume(self) -> int:
+        """Charge one request; returns the remaining budget.
 
-        Raises QuotaExceededError, charging nothing, when the budget
-        cannot cover the charge.
+        Raises QuotaExceededError, charging nothing, when the budget is
+        spent.
         """
-        if units < 1:
-            raise ValueError("units must be positive")
         with self._locked():
             self._roll_locked()
-            if self._used + units > self.limit:
+            if self._used >= self.limit:
                 raise QuotaExceededError(
                     f"daily limit of {self.limit} consultations is exhausted "
                     f"({self._used} used)"
                 )
-            self._used += units
+            self._used += 1
             self._persist_locked()
             return self.limit - self._used
 
@@ -294,7 +289,7 @@ def _response_from_xml(body: bytes) -> LocationResponse:
 
 
 class CatalogClient:
-    """Budgeted, retrying client for the four location lookups."""
+    """Budgeted, retrying client for the two location lookups."""
 
     def __init__(
         self,
@@ -389,26 +384,6 @@ class CatalogClient:
     ) -> LocationResponse:
         digits = isbn.digits if hasattr(isbn, "digits") else normalize_isbn(str(isbn)).digits
         return self._lookup(f"/content/libraries/isbn/{digits}", geo)
-
-    def get_by_issn(
-        self, issn: str, geo: Optional[Mapping[str, str]] = None
-    ) -> LocationResponse:
-        issn = issn.strip()
-        if not issn:
-            raise ValueError("ISSN must be non-empty")
-        return self._lookup(
-            f"/content/libraries/issn/{urllib.parse.quote(issn, safe='')}", geo
-        )
-
-    def get_by_standard_number(
-        self, sn: str, geo: Optional[Mapping[str, str]] = None
-    ) -> LocationResponse:
-        sn = sn.strip()
-        if not sn:
-            raise ValueError("standard number must be non-empty")
-        return self._lookup(
-            f"/content/libraries/sn/{urllib.parse.quote(sn, safe='')}", geo
-        )
 
 
 @dataclass(frozen=True, slots=True)

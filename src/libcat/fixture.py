@@ -1,17 +1,21 @@
 """In-process HTTP server replaying a snapshot for hermetic client tests.
 
-The server answers the same four lookup paths as the real locations API,
+The server answers the two lookup paths the client uses,
+
+    /content/libraries/{OCLC_Number}
+    /content/libraries/isbn/{ISBN}
+
 resolving identifiers against a fixed CatalogSnapshot. Well-formed but
-unknown identifiers get 404, malformed ones 400, and every handled
-request, errors included, increments a counter so quota tests can assert
-exactly how many requests crossed the wire. `?format=xml` switches the
-body to the XML variant the client must also understand.
+unknown identifiers get 404, malformed ones 400 and any other path 404.
+Every handled request, errors included, increments a counter so quota
+tests can assert exactly how many requests crossed the wire.
+`?format=xml` switches the body to the XML variant the client must also
+understand.
 """
 
 from __future__ import annotations
 
 import json
-import re
 import threading
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -20,8 +24,6 @@ from xml.sax.saxutils import escape
 from .errors import IsbnError
 from .identifiers import normalize_isbn
 from .model import BookRecord, CatalogSnapshot
-
-_ISSN_SHAPE = re.compile(r"^\d{4}-?\d{3}[\dXx]$")
 
 
 def _record_fragment(record: BookRecord) -> dict:
@@ -110,28 +112,12 @@ class FixtureServer:
             if not value.isdigit() or int(value) <= 0:
                 return 400, None, []
             return self._match(self._by_oclc.get(int(value), []))
-        if len(segments) == 2:
-            scheme, value = segments
-            if not value:
+        if len(segments) == 2 and segments[0] == "isbn":
+            try:
+                digits = normalize_isbn(segments[1]).digits
+            except IsbnError:
                 return 400, None, []
-            if scheme == "isbn":
-                try:
-                    digits = normalize_isbn(value).digits
-                except IsbnError:
-                    return 400, None, []
-                return self._match(self._by_isbn.get(digits, []))
-            if scheme == "issn":
-                if not _ISSN_SHAPE.match(value):
-                    return 400, None, []
-                return self._match([])
-            if scheme == "sn":
-                record_ids: list[str] = []
-                try:
-                    record_ids = self._by_isbn.get(normalize_isbn(value).digits, [])
-                except IsbnError:
-                    if value.isdigit() and int(value) > 0:
-                        record_ids = self._by_oclc.get(int(value), [])
-                return self._match(record_ids)
+            return self._match(self._by_isbn.get(digits, []))
         return 404, None, []
 
     def _match(self, record_ids: list[str]) -> "tuple[int, dict | None, list[dict]]":

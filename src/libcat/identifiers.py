@@ -85,16 +85,6 @@ def isbn13_to_isbn10(isbn: "Isbn | str") -> str:
     return body + isbn10_check_char(body)
 
 
-def looks_like_isbn(text: str) -> bool:
-    """Cheap shape test used when sniffing untyped identifier fields."""
-    compact = _SEPARATORS.sub("", text.strip()).upper()
-    if len(compact) == 13:
-        return compact.isdigit()
-    if len(compact) == 10:
-        return compact[:9].isdigit() and (compact[9].isdigit() or compact[9] == "X")
-    return False
-
-
 def parse_oclc(raw: str) -> Optional[int]:
     """Extract an OCLC control number from a prefixed field value.
 

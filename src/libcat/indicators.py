@@ -501,7 +501,7 @@ METRICS: dict[str, MetricExtractor] = {
     "citations": lambda record, view: record.citations,
     "cnls": lambda record, view: view.cnls_or_none(record),
 }
-# The metrics a coverage report lists unless told otherwise.
+# The metrics a coverage report lists.
 COVERAGE_METRICS = ("libcitations", "citations")
 
 
@@ -532,23 +532,20 @@ class CoverageRow:
 
 def coverage_report(
     snapshot: CatalogSnapshot,
-    metrics: "Optional[Sequence[tuple[str, MetricExtractor]]]" = None,
     library_filter: Optional[LibraryFilter] = None,
 ) -> tuple[CoverageRow, ...]:
-    """Share of records with a nonzero value, per metric.
+    """Share of records with a nonzero value, per COVERAGE_METRICS metric.
 
     A record with no value for a metric counts as uncovered; the
-    denominator is always the full record count. Without `metrics`, the
-    registry's COVERAGE_METRICS are reported.
+    denominator is always the full record count.
     """
     view = _view(snapshot, library_filter)
     records = view.filtered.records
     if not records:
         raise UndefinedRateError("coverage is undefined over zero records")
-    if metrics is None:
-        metrics = [(name, METRICS[name]) for name in COVERAGE_METRICS]
     rows = []
-    for name, extract in metrics:
+    for name in COVERAGE_METRICS:
+        extract = METRICS[name]
         covered = sum(
             1
             for record in records

@@ -314,15 +314,28 @@ def _record_line(record: BookRecord) -> dict:
     return line
 
 
+def _array(obj: dict, key: str) -> list:
+    """The JSON array at `key`, empty when absent; anything else, an
+    object included, is a TypeError."""
+    value = obj.get(key, [])
+    if type(value) is not list:
+        raise TypeError(f"{key} must be an array, not {type(value).__name__}")
+    return value
+
+
+def _contributor(pair: object) -> Contributor:
+    if type(pair) is not list or len(pair) != 2:
+        raise TypeError("each contributor must be a [name, role] array")
+    return Contributor(*pair)
+
+
 def _parse_record_line(obj: dict) -> BookRecord:
     return BookRecord(
         record_id=obj["id"],
         title=obj["title"],
         oclc=obj.get("oclc"),
-        isbns=tuple(Isbn(d) for d in obj.get("isbns", [])),
-        contributors=tuple(
-            Contributor(name, role) for name, role in obj.get("contributors", [])
-        ),
+        isbns=tuple(Isbn(d) for d in _array(obj, "isbns")),
+        contributors=tuple(_contributor(pair) for pair in _array(obj, "contributors")),
         year=obj.get("year"),
         language=obj.get("lang"),
         lc_class=obj.get("lc"),
@@ -444,47 +457,74 @@ def _decode_line(line: str, number: int) -> object:
         raise DatasetError(f"line {number}: not decodable JSON ({exc})") from exc
 
 
+# A byte that is not UTF-8, as a text read with errors="surrogateescape" keeps it.
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
+def _json_lines(path: "str | os.PathLike") -> Iterator[tuple[int, object]]:
+    """Each non-blank line of a JSON-lines file as (line number from 1,
+    value decoded by `_decode_line`), split as a text-mode read splits
+    lines. A byte that is not UTF-8 is a DatasetError naming its line."""
+    number = 0
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for number, raw in enumerate(fh, start=1):
+                stripped = raw.strip()
+                if stripped:
+                    yield number, _decode_line(stripped, number)
+        return
+    except UnicodeDecodeError:
+        pass
+    # The strict read decodes many lines at a time, so it can fail short
+    # of the bad line; read on from the last line handled, keeping each
+    # bad byte as an escape, up to the line that holds one.
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for number, raw in itertools.islice(enumerate(fh, start=1), number, None):
+            bad = _ESCAPED_BYTE.search(raw)
+            if bad is not None:
+                byte = ord(bad.group()) - 0xDC00
+                raise DatasetError(f"line {number}: byte 0x{byte:02x} is not UTF-8")
+            stripped = raw.strip()
+            if stripped:
+                yield number, _decode_line(stripped, number)
+
+
 def load_dataset(path: "str | os.PathLike") -> CatalogSnapshot:
     """Load a canonical dataset file; malformed lines name their line number."""
     records: list[BookRecord] = []
     libraries: list[LibraryOrg] = []
     holdings: list[Holding] = []
-    with open(path, encoding="utf-8") as fh:
-        for number, raw in enumerate(fh, start=1):
-            stripped = raw.strip()
-            if not stripped:
-                continue
-            obj = _decode_line(stripped, number)
-            if not isinstance(obj, dict) or "t" not in obj:
-                raise DatasetError(f"line {number}: expected an object with a 't' tag")
-            tag = obj["t"]
-            try:
-                if tag == "R":
-                    records.append(_parse_record_line(obj))
-                elif tag == "L":
-                    libraries.append(
-                        LibraryOrg(
-                            library_id=obj["id"],
-                            name=obj["name"],
-                            country=obj["country"],
-                            kind=obj.get("kind", "other"),
-                            memberships=obj.get("memberships", frozenset()),
-                        )
+    for number, obj in _json_lines(path):
+        if not isinstance(obj, dict) or "t" not in obj:
+            raise DatasetError(f"line {number}: expected an object with a 't' tag")
+        tag = obj["t"]
+        try:
+            if tag == "R":
+                records.append(_parse_record_line(obj))
+            elif tag == "L":
+                libraries.append(
+                    LibraryOrg(
+                        library_id=obj["id"],
+                        name=obj["name"],
+                        country=obj["country"],
+                        kind=obj.get("kind", "other"),
+                        memberships=obj.get("memberships", frozenset()),
                     )
-                elif tag == "H":
-                    holdings.append(
-                        Holding(
-                            record_id=obj["record"],
-                            library_id=obj["library"],
-                            channel=obj.get("channel", "unspecified"),
-                        )
+                )
+            elif tag == "H":
+                holdings.append(
+                    Holding(
+                        record_id=obj["record"],
+                        library_id=obj["library"],
+                        channel=obj.get("channel", "unspecified"),
                     )
-                else:
-                    raise DatasetError(f"line {number}: unknown entity tag {tag!r}")
-            except DatasetError:
-                raise
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DatasetError(f"line {number}: {exc}") from exc
+                )
+            else:
+                raise DatasetError(f"line {number}: unknown entity tag {tag!r}")
+        except DatasetError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DatasetError(f"line {number}: {exc}") from exc
     return build_snapshot(records, libraries, holdings)
 
 

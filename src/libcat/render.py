@@ -28,9 +28,9 @@ def format_percent(count: int, total: int) -> str:
     return str(value.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
-def format_rate(value: float, places: int = 4) -> str:
-    """A real-valued rate to `places` decimals, half-up, no negative zero."""
-    quantum = Decimal(1).scaleb(-places)
+def format_rate(value: float) -> str:
+    """A real-valued rate to 4 decimals, half-up, no negative zero."""
+    quantum = Decimal("0.0001")
     out = Decimal(repr(float(value))).quantize(quantum, rounding=ROUND_HALF_UP)
     if out == 0:
         out = abs(out)

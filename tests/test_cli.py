@@ -493,6 +493,26 @@ class TestFetch:
         assert "LCA_QUOTA must be an integer" in err
         assert server.request_count == 0
 
+    @pytest.mark.parametrize(
+        "used",
+        ["1e400", "true", "1.5", '"5"', "[" * 100_000 + "]" * 100_000],
+        ids=["overflowing-float", "bool", "float", "text", "nested-too-deep"],
+    )
+    def test_quota_state_usage_that_is_not_a_json_integer_exits_one(
+        self, capsys, fetch_world, tmp_path, used
+    ):
+        dataset, server = fetch_world
+        state = tmp_path / "q.json"
+        state.write_text('{"day": "2026-08-17", "used": ' + used + "}")
+        code, _, err = run_cli(
+            capsys, "fetch", "--all", "--dataset", dataset,
+            "--base-url", server.base_url, "--quota-state", str(state),
+        )
+        assert code == 1
+        assert err.startswith("error: ") and "quota state file" in err
+        assert "Traceback" not in err
+        assert server.request_count == 0
+
     def test_bad_isbn_selector_is_a_usage_error(self, capsys, fetch_world):
         dataset, server = fetch_world
         code, _, _ = run_cli(
@@ -613,18 +633,23 @@ class TestIndicatorsCommand:
     @pytest.mark.parametrize(
         "line",
         [
-            '{"id": "u1", "label": 7, "members": ["b1"]}',
-            '{"id": "u1", "members": "b1"}',
-            '{"id": 5, "members": ["b1"]}',
-            '{"id": "u1", "members": ["b1", 2]}',
-            '{"id": "u1", "members": [',
-            '["u1"]',
+            b'{"id": "u1", "label": 7, "members": ["b1"]}',
+            b'{"id": "u1", "members": "b1"}',
+            b'{"id": 5, "members": ["b1"]}',
+            b'{"id": "u1", "members": ["b1", 2]}',
+            b'{"id": "u1", "members": [',
+            b'["u1"]',
+            b'{"id": "u1", "members": ["b\xff"]}',
+            b"[" * 100_000,
         ],
-        ids=["label-int", "members-text", "id-int", "member-int", "bad-json", "not-an-object"],
+        ids=[
+            "label-int", "members-text", "id-int", "member-int", "bad-json", "not-an-object",
+            "not-utf8", "nested-too-deep",
+        ],
     )
     def test_malformed_units_line_exits_one(self, capsys, analysis_dataset, tmp_path, line):
         units = tmp_path / "units.jsonl"
-        units.write_text('{"id": "ok", "members": ["b1"]}\n' + line + "\n")
+        units.write_bytes(b'{"id": "ok", "members": ["b1"]}\n' + line + b"\n")
         code, _, err = run_cli(
             capsys, "indicators", "--unit", "u1", "--units", str(units),
             "--dataset", analysis_dataset,
@@ -632,6 +657,20 @@ class TestIndicatorsCommand:
         assert code == 1
         assert err.startswith(f"error: units file {units} line 2: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("table", ["--all-books", "--authors"])
+    @pytest.mark.parametrize(
+        "flag, value", [("--benchmark", "nope"), ("--units", "units.jsonl")]
+    )
+    def test_unit_flags_without_unit_are_a_usage_error(
+        self, capsys, analysis_dataset, table, flag, value
+    ):
+        code, out, err = run_cli(
+            capsys, "indicators", table, flag, value, "--dataset", analysis_dataset,
+        )
+        assert code == 64
+        assert err == f"error: {flag} applies only with --unit\n"
+        assert out == ""
 
     def test_missing_units_file_exits_one(self, capsys, analysis_dataset, tmp_path):
         units = tmp_path / "absent.jsonl"
@@ -700,13 +739,27 @@ class TestIndicatorsCommand:
         )
         assert code == 1
 
-    def test_corrupt_dataset_exits_one(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b"{nope",
+            b'{"t":"R","id":"r2","title":"\xff"}',
+            b'{"t":"R","id":"r2","title":"T","isbns":{"9780306406157":0}}',
+            b'{"t":"R","id":"r2","title":"T","contributors":[{"Smith":1,"author":2}]}',
+        ],
+        ids=["bad-json", "not-utf8", "isbns-object", "contributor-object"],
+    )
+    @pytest.mark.parametrize(
+        "command", [["indicators", "--all-books"], ["report"]], ids=["indicators", "report"]
+    )
+    def test_corrupt_dataset_exits_one(self, capsys, tmp_path, command, line):
         bad = tmp_path / "bad.jsonl"
-        bad.write_text("{nope\n")
-        code, _, _ = run_cli(
-            capsys, "indicators", "--all-books", "--dataset", str(bad),
-        )
+        bad.write_bytes(b'{"t":"R","id":"r1","title":"T"}\n' + line + b"\n")
+        code, out, err = run_cli(capsys, *command, "--dataset", str(bad))
         assert code == 1
+        assert err.startswith(f"error: dataset {bad}: line 2: ")
+        assert "Traceback" not in err
+        assert out == ""
 
 
 class TestCorrelateCommand:

@@ -8,6 +8,9 @@ import random
 import subprocess
 import sys
 import threading
+import urllib.error
+import urllib.request
+import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import given, settings
@@ -98,14 +101,16 @@ class TestQuotaStore:
     def test_consume_charges_and_reports_remaining(self):
         store = QuotaStore(limit=5)
         assert store.consume() == 4
-        assert store.consume(2) == 2
+        store.consume()
+        assert store.consume() == 2
         state = store.state()
         assert state.used == 3
         assert state.remaining == 2
 
     def test_exhaustion_charges_nothing(self):
         store = QuotaStore(limit=2)
-        store.consume(2)
+        store.consume()
+        store.consume()
         with pytest.raises(QuotaExceededError):
             store.consume()
         assert store.state().used == 2
@@ -117,25 +122,41 @@ class TestQuotaStore:
 
     def test_state_persists_across_instances(self, tmp_path):
         path = tmp_path / "quota.json"
-        QuotaStore(limit=10, state_path=path).consume(7)
+        store = QuotaStore(limit=10, state_path=path)
+        for _ in range(7):
+            store.consume()
         reloaded = QuotaStore(limit=10, state_path=path)
         assert reloaded.state().used == 7
+        for _ in range(3):
+            reloaded.consume()
         with pytest.raises(QuotaExceededError):
-            reloaded.consume(4)
+            reloaded.consume()
+        assert QuotaStore(limit=10, state_path=path).state().used == 10
 
-    def test_corrupt_state_file_is_reported(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{broken",
+            *('{"day": "2026-08-17", "used": ' + used + "}" for used in (
+                "-3", "1e400", "true", "1.5", '"5"', "null", "[" * 100_000 + "]" * 100_000,
+            )),
+        ],
+        ids=[
+            "broken", "negative", "overflowing-float", "bool", "float", "text", "null",
+            "nested-too-deep",
+        ],
+    )
+    def test_corrupt_state_file_is_reported(self, tmp_path, text):
         path = tmp_path / "quota.json"
-        path.write_text("{broken")
-        with pytest.raises(QuotaStateError):
-            QuotaStore(limit=10, state_path=path)
-        path.write_text('{"day": "2026-08-17", "used": -3}')
-        with pytest.raises(QuotaStateError):
+        path.write_text(text)
+        with pytest.raises(QuotaStateError, match="quota state file"):
             QuotaStore(limit=10, state_path=path)
 
     def test_day_rollover_resets_usage(self):
         days = [dt.date(2026, 8, 16)]
         store = QuotaStore(limit=3, today=lambda: days[0])
-        store.consume(3)
+        for _ in range(3):
+            store.consume()
         with pytest.raises(QuotaExceededError):
             store.consume()
         days[0] = dt.date(2026, 8, 17)
@@ -190,19 +211,20 @@ class TestQuotaStore:
         assert json.loads(path.read_text())["used"] == 1000
 
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.integers(1, 7), max_size=30), st.integers(0, 40))
+    @given(st.integers(0, 60), st.integers(0, 40))
     def test_usage_is_monotone_within_a_day(self, charges, limit):
         store = QuotaStore(limit=limit)
         previous = 0
-        for units in charges:
+        for _ in range(charges):
             try:
-                store.consume(units)
+                assert store.consume() == limit - previous - 1
             except QuotaExceededError:
-                assert previous + units > limit
+                assert previous == limit
             used = store.state().used
             assert used >= previous
             assert used <= limit
             previous = used
+        assert previous == min(charges, limit)
 
 
 class TestResponseParsing:
@@ -306,6 +328,18 @@ BODY_FIELDS = [
     ("locations", 0, "country"), ("locations", 0, "institution_id"),
 ]
 
+VALID_XML = (
+    b"<locationResponse><record><title>T</title><oclc>7</oclc>"
+    b"<isbn>9780306406157</isbn></record><locations><location><name>Lib</name>"
+    b"<country>US</country><institutionId>i1</institutionId></location>"
+    b"</locations></locationResponse>"
+)
+# Every element of VALID_XML, each of which occurs once, root first.
+XML_TAGS = [
+    "locationResponse", "record", "title", "oclc", "isbn", "locations", "location",
+    "name", "country", "institutionId",
+]
+
 
 class TestResponseProperty:
     @pytest.mark.parametrize(
@@ -323,21 +357,46 @@ class TestResponseProperty:
             parent[field[-1]] = value
         else:
             body = value
-        try:
-            response = _response_from_json(json.dumps(body).encode("utf-8"))
-        except TransportError:
-            return
-        record = response.matched_record
-        if record is not None:
-            assert record.title is None or type(record.title) is str
-            assert record.oclc is None or type(record.oclc) is int
-            assert type(record.isbns) is tuple
-            assert all(type(isbn) is str for isbn in record.isbns)
-        assert type(response.locations) is tuple
-        for location in response.locations:
-            assert type(location.name) is str
-            assert type(location.country) is str
-            assert type(location.institution_id) is str
+        assert_typed_or_transport_error(_response_from_json, json.dumps(body).encode("utf-8"))
+
+    @pytest.mark.parametrize("tag", XML_TAGS)
+    @settings(max_examples=40, deadline=None)
+    @given(text=st.text(st.characters(blacklist_categories=("Cs",)), max_size=8))
+    def test_one_replaced_xml_text_decodes_typed_or_is_a_transport_error(self, tag, text):
+        root = ET.fromstring(VALID_XML)
+        next(root.iter(tag)).text = text
+        assert_typed_or_transport_error(_response_from_xml, ET.tostring(root))
+
+    @pytest.mark.parametrize("tag", XML_TAGS[1:])
+    @pytest.mark.parametrize("copies", [0, 2], ids=["dropped", "duplicated"])
+    def test_one_dropped_or_duplicated_xml_element_decodes_typed_or_is_a_transport_error(
+        self, tag, copies
+    ):
+        root = ET.fromstring(VALID_XML)
+        parent = next(p for p in root.iter() if p.find(tag) is not None)
+        index = list(parent).index(parent.find(tag))
+        parent[index:index + 1] = [copy.deepcopy(parent[index]) for _ in range(copies)]
+        assert_typed_or_transport_error(_response_from_xml, ET.tostring(root))
+
+
+def assert_typed_or_transport_error(decode, body):
+    """`decode(body)` raises nothing but TransportError, and every field
+    of what it returns holds its declared type."""
+    try:
+        response = decode(body)
+    except TransportError:
+        return
+    record = response.matched_record
+    if record is not None:
+        assert record.title is None or type(record.title) is str
+        assert record.oclc is None or type(record.oclc) is int
+        assert type(record.isbns) is tuple
+        assert all(type(isbn) is str for isbn in record.isbns)
+    assert type(response.locations) is tuple
+    for location in response.locations:
+        assert type(location.name) is str
+        assert type(location.country) is str
+        assert type(location.institution_id) is str
 
 
 class TestClientLookups:
@@ -383,22 +442,30 @@ class TestClientLookups:
         assert via_xml.locations == plain.locations
         assert via_xml.matched_record == plain.matched_record
 
-    def test_standard_number_accepts_isbn_or_oclc_forms(self, server):
-        client = make_client(server)
-        assert len(client.get_by_standard_number(ISBN_A).locations) == 3
-        assert len(client.get_by_standard_number("1001").locations) == 3
-
-    def test_issn_lookup_of_unknown_serial_is_empty(self, server):
-        client = make_client(server)
-        assert client.get_by_issn("0138-9130").is_empty
-
     def test_malformed_identifier_fails_fast(self, server):
         client = make_client(server, retries=3)
         before = server.request_count
         with pytest.raises(TransportError):
-            client.get_by_issn("not-an-issn")
+            client._get("/content/libraries/isbn/123")
         assert server.request_count == before + 1
         assert client.quota.state().used == 1
+
+    @pytest.mark.parametrize(
+        "path, status",
+        [
+            ("/content/libraries/0", 400),
+            ("/content/libraries/isbn/123", 400),
+            ("/content/libraries/issn/0138-9130", 404),
+            ("/content/libraries/sn/1001", 404),
+            ("/content/libraries/1001/extra", 404),
+            ("/content/other/1001", 404),
+        ],
+    )
+    def test_fixture_answers_only_the_two_lookup_paths(self, server, path, status):
+        with pytest.raises(urllib.error.HTTPError) as caught:
+            urllib.request.urlopen(server.base_url + path, timeout=10)
+        caught.value.close()
+        assert caught.value.code == status
 
     @pytest.mark.parametrize(
         "setting",

@@ -20,7 +20,6 @@ from libcat.identifiers import (
     fold_text,
     isbn10_check_char,
     isbn13_to_isbn10,
-    looks_like_isbn,
     normalize_isbn,
     parse_oclc,
     work_key,
@@ -115,14 +114,6 @@ class TestIsbn:
         once = normalize_isbn(hyphenate(rng, raw))
         again = normalize_isbn(str(once))
         assert again == once
-
-    def test_shape_probe(self):
-        assert looks_like_isbn("0-306-40615-2")
-        assert looks_like_isbn("9780306406157")
-        assert looks_like_isbn("030640615x")
-        assert not looks_like_isbn("10415")
-        assert not looks_like_isbn("ISBN")
-        assert not looks_like_isbn("")
 
     def test_check_char_matches_validation_oracle(self):
         rng = random.Random(9)

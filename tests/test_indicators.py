@@ -591,14 +591,3 @@ class TestPopulationReports:
         snap = build_snapshot([], [], [])
         with pytest.raises(UndefinedRateError):
             coverage_report(snap)
-
-    def test_coverage_accepts_custom_metrics(self):
-        records = [
-            BookRecord("r0", "A", year=1999),
-            BookRecord("r1", "B"),
-        ]
-        snap = build_snapshot(records, [], [])
-        (row,) = coverage_report(
-            snap, metrics=[("year", lambda record, _: record.year)]
-        )
-        assert (row.metric, row.covered, row.total) == ("year", 1, 2)

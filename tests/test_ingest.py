@@ -332,12 +332,17 @@ class TestPersistence:
             '{"t":"H","record":"r1","library":"l1","channel":null}',
             '{"t":"L","id":"l1","name":"Lib","country":"US","memberships":[1,"a"]}',
             '{"t":"L","id":"l1","name":"Lib","country":"US","memberships":"ARL"}',
+            '{"t":"R","id":"r1","title":"T","isbns":{"9780306406157":0}}',
+            '{"t":"R","id":"r1","title":"T","contributors":[{"Smith":1,"author":2}]}',
+            '{"t":"R","id":"r1","title":"T","contributors":{"ab":1}}',
+            '{"t":"R","id":"r1","title":"T","contributors":["ab"]}',
         ],
         ids=[
             "format-vinyl", "citations-nan", "citations-float", "oclc-bool", "year-text",
             "lc-int", "title-int", "id-int", "contributor-int", "country-int",
             "name-null", "holding-record-list", "holding-library-int", "holding-channel-null",
-            "memberships-int-item", "memberships-str",
+            "memberships-int-item", "memberships-str", "isbns-object",
+            "contributor-object", "contributors-object", "contributor-str",
         ],
     )
     def test_constructor_errors_name_the_line(self, tmp_path, line):
@@ -355,6 +360,20 @@ class TestPersistence:
         path = tmp_path / "data.jsonl"
         path.write_text(RECORD_LINE + "\n" + '{"t":"R","id":"r1","title":"T","year":' + value + "}\n")
         with pytest.raises(DatasetError, match="^line 2: not decodable JSON"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("before", [1, 5000], ids=["first-read", "later-read"])
+    def test_non_utf8_byte_names_its_line(self, tmp_path, before):
+        path = tmp_path / "data.jsonl"
+        lines = [RECORD_LINE.replace('"r2"', f'"a{n}"').encode() for n in range(before)]
+        path.write_bytes(b"\n".join(lines) + b'\n\n{"t":"R","id":"x","title":"\xff"}\n')
+        with pytest.raises(DatasetError, match=f"^line {before + 2}: byte 0xff is not UTF-8$"):
+            load_dataset(path)
+
+    def test_bad_line_before_a_non_utf8_byte_is_reported_first(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_bytes(RECORD_LINE.encode() + b"\n{oops\n" + b"\xff\n")
+        with pytest.raises(DatasetError, match="^line 2: not valid JSON"):
             load_dataset(path)
 
     def test_referential_integrity_checked_on_load(self, tmp_path):

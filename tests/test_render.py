@@ -46,9 +46,6 @@ class TestFormatRate:
         assert format_rate(-0.00001) == "0.0000"
         assert format_rate(-0.0) == "0.0000"
 
-    def test_custom_places(self):
-        assert format_rate(2 / 3, places=2) == "0.67"
-
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 10**6), st.integers(1, 10**4))
     def test_matches_integer_arithmetic_oracle_on_exact_ratios(self, num, den):
