@@ -6,7 +6,8 @@ takes --dataset PATH (the canonical dataset file). The analysis commands
 table format, and --filter SPEC, the library population filter, in one
 grammar.
 
-Filter grammar, clauses joined by ';', values by ',':
+Filter grammar, clauses joined by ';', values by ',', each key at most
+once:
 
     country=US,GB;kind=academic;member=ARL;exclude-channel=donation
 
@@ -61,13 +62,14 @@ from .ingest import (
     save_dataset,
 )
 from .model import (
+    LIBRARY_KINDS,
     AggregateUnit,
     CatalogSnapshot,
     LibraryFilter,
     build_snapshot,
 )
 from .render import FORMATS, format_percent, format_rate, render_table
-from .stats import PairedSample, correlation_matrix, spearman
+from .stats import correlation_matrix
 
 if TYPE_CHECKING:  # the network layer loads only when `fetch` runs
     from .client import CatalogClient
@@ -108,12 +110,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+# Each --filter key and the LibraryFilter field its values go to.
+_FILTER_FIELDS = {
+    "country": "countries",
+    "kind": "kinds",
+    "member": "required_memberships",
+    "exclude-channel": "excluded_channels",
+}
+
+
 def parse_filter_spec(spec: str) -> Optional[LibraryFilter]:
     """Parse the --filter grammar; empty input means no filter."""
-    spec = spec.strip()
-    if not spec:
-        return None
-    countries = kinds = members = channels = None
+    fields: dict[str, list[str]] = {}
     for clause in spec.split(";"):
         clause = clause.strip()
         if not clause:
@@ -123,22 +131,12 @@ def parse_filter_spec(spec: str) -> Optional[LibraryFilter]:
         values = [v.strip() for v in raw.split(",") if v.strip()]
         if not sep or not values:
             raise ValueError(f"filter clause needs key=value[,value...]: {clause!r}")
-        if key == "country":
-            countries = values
-        elif key == "kind":
-            kinds = values
-        elif key == "member":
-            members = values
-        elif key == "exclude-channel":
-            channels = values
-        else:
+        if key not in _FILTER_FIELDS:
             raise ValueError(f"unknown filter key: {key!r}")
-    return LibraryFilter(
-        countries=frozenset(countries) if countries else None,
-        kinds=frozenset(kinds) if kinds else None,
-        required_memberships=frozenset(members) if members else None,
-        excluded_channels=frozenset(channels) if channels else None,
-    )
+        if _FILTER_FIELDS[key] in fields:
+            raise ValueError(f"filter key {key!r} is repeated")
+        fields[_FILTER_FIELDS[key]] = values
+    return LibraryFilter(**fields) if fields else None
 
 
 def _load_dataset_file(path: str) -> CatalogSnapshot:
@@ -301,6 +299,8 @@ def _load_units_file(path: str) -> dict[str, tuple[str, list[str]]]:
                 isinstance(member, str) for member in members
             ):
                 raise TypeError("members must be a list of strings")
+            if unit_id in units:
+                raise ValueError(f"unit {unit_id!r} is already defined")
             units[unit_id] = (label, members)
     except OSError as exc:
         raise _Failure(EXIT_UNREADABLE, f"cannot read units file {path}: {exc}") from exc
@@ -386,10 +386,13 @@ def cmd_indicators(args) -> int:
         if args.benchmark
         else None
     )
-    reports = []
+    units: dict[str, AggregateUnit] = {}
     for spec in args.unit:
         unit = _resolve_unit(spec, units_by_id, snapshot)
-        reports.append(unit_report(unit, snapshot, library_filter, benchmark))
+        if unit.unit_id in units:
+            raise _Failure(EXIT_USAGE, f"--unit {unit.unit_id!r} is given twice")
+        units[unit.unit_id] = unit
+    reports = [unit_report(unit, snapshot, library_filter, benchmark) for unit in units.values()]
     reports.sort(key=lambda r: (-r.ci, r.label, r.unit_id))
     rows = [
         [
@@ -419,66 +422,40 @@ def cmd_correlate(args) -> int:
             EXIT_USAGE,
             f"unknown metric {unknown[0]!r} (choose from {', '.join(METRICS)})",
         )
-    if args.matrix and len(set(names)) != len(names):
-        raise _Failure(EXIT_USAGE, "--matrix metrics must be distinct")
+    if len(set(names)) != len(names):
+        raise _Failure(EXIT_USAGE, "correlate metrics must be distinct")
     if args.matrix and len(names) < 2:
         raise _Failure(EXIT_USAGE, "--matrix needs at least two metrics")
     if not args.matrix and len(names) != 2:
         raise _Failure(EXIT_USAGE, "correlate needs exactly two metrics")
     snapshot, library_filter = _analysis_input(args)
-    columns = metric_columns(names, snapshot, library_filter)
-    length = len(columns[0][1])
-    if length < 2:
-        raise _Failure(
-            EXIT_EMPTY, f"only {length} records carry all requested metrics"
-        )
-    for name, vector in columns:
-        if min(vector) == max(vector):
-            raise _Failure(EXIT_CONSTANT, f"metric {name!r} is constant")
-    if args.matrix:
-        matrix = correlation_matrix(columns)
-        rows = []
-        for i, label in enumerate(matrix.labels):
-            cells = [
-                format_rate(value) if value is not None else ""
-                for value in matrix.values[i]
-            ]
-            rows.append([label, *cells])
-        _emit(["metric", *matrix.labels], rows, args.output)
+    matrix = correlation_matrix(metric_columns(names, snapshot, library_filter))
+    if not args.matrix:
+        print(format_rate(matrix.values[0][1]))
         return EXIT_OK
-    rho = spearman(PairedSample.from_columns(columns[0][1], columns[1][1]))
-    print(format_rate(rho))
+    rows = [
+        [label, *map(format_rate, values)]
+        for label, values in zip(matrix.labels, matrix.values)
+    ]
+    _emit(["metric", *matrix.labels], rows, args.output)
     return EXIT_OK
 
 
 # --- report ---------------------------------------------------------------------
 
-_KINDS = ("academic", "public", "other", "total")
-
-
-def _composition_row(label: str, counts: Sequence[int], totals: Sequence[int]) -> list[str]:
-    """A label, then each kind's count and its share of that kind's total."""
-    cells = [label]
-    for count, total in zip(counts, totals):
-        cells += [str(count), format_percent(count, total) if total > 0 else ""]
-    return cells
-
-
 def cmd_report(args) -> int:
     snapshot, library_filter = _analysis_input(args)
     composition = composition_report(snapshot, library_filter)
-    totals = (
-        composition.total_academic,
-        composition.total_public,
-        composition.total_other,
-        composition.total,
-    )
-    rows = [
-        _composition_row(row.country, [getattr(row, kind) for kind in _KINDS], totals)
-        for row in composition.rows
-    ]
-    rows.append(_composition_row("total", totals, totals))
-    header = ["country", *(name for kind in _KINDS for name in (kind, f"{kind}_pct"))]
+    # Each kind's count and the row total, each with its share of its column's total.
+    totals = (*composition.totals.counts, composition.totals.total)
+    rows = []
+    for row in (*composition.rows, composition.totals):
+        cells = [row.country]
+        for count, total in zip((*row.counts, row.total), totals):
+            cells += [str(count), format_percent(count, total) if total > 0 else ""]
+        rows.append(cells)
+    columns = (*LIBRARY_KINDS, "total")
+    header = ["country", *(name for column in columns for name in (column, f"{column}_pct"))]
     _emit(header, rows, args.output)
     print()
     coverage = coverage_report(snapshot, library_filter=library_filter)

@@ -45,7 +45,7 @@ import xml.etree.ElementTree as ET
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import requests
 
@@ -321,9 +321,7 @@ class CatalogClient:
         self._session = session if session is not None else requests.Session()
         self._sleep = sleep
 
-    def _get(
-        self, path: str, params: Optional[Mapping[str, str]] = None
-    ) -> Optional[tuple[str, bytes]]:
+    def _get(self, path: str) -> Optional[tuple[str, bytes]]:
         """One logical lookup: quota-charged attempts with backoff.
 
         Returns (content type, body) on 200, None on 404. Non-404 client
@@ -337,10 +335,7 @@ class CatalogClient:
         for attempt in range(self.retries):
             self.quota.consume()
             try:
-                response = self._session.get(
-                    url, params=dict(params) if params else None,
-                    headers=headers, timeout=self.timeout,
-                )
+                response = self._session.get(url, headers=headers, timeout=self.timeout)
             except requests.RequestException as exc:
                 failure = TransportError(f"request failed for {path}: {exc}")
             else:
@@ -361,10 +356,8 @@ class CatalogClient:
         assert failure is not None
         raise failure
 
-    def _lookup(
-        self, path: str, geo: Optional[Mapping[str, str]]
-    ) -> LocationResponse:
-        result = self._get(path, params=geo)
+    def _lookup(self, path: str) -> LocationResponse:
+        result = self._get(path)
         if result is None:
             return EMPTY_RESPONSE
         content_type, body = result
@@ -372,18 +365,14 @@ class CatalogClient:
             return _response_from_xml(body)
         return _response_from_json(body)
 
-    def get_by_oclc_number(
-        self, number: int, geo: Optional[Mapping[str, str]] = None
-    ) -> LocationResponse:
+    def get_by_oclc_number(self, number: int) -> LocationResponse:
         if not isinstance(number, int) or number <= 0:
             raise ValueError(f"OCLC number must be a positive integer: {number!r}")
-        return self._lookup(f"/content/libraries/{number}", geo)
+        return self._lookup(f"/content/libraries/{number}")
 
-    def get_by_isbn(
-        self, isbn, geo: Optional[Mapping[str, str]] = None
-    ) -> LocationResponse:
+    def get_by_isbn(self, isbn) -> LocationResponse:
         digits = isbn.digits if hasattr(isbn, "digits") else normalize_isbn(str(isbn)).digits
-        return self._lookup(f"/content/libraries/isbn/{digits}", geo)
+        return self._lookup(f"/content/libraries/isbn/{digits}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -472,7 +461,7 @@ def harvest(client: CatalogClient, records: Sequence[BookRecord]) -> HarvestResu
             for loc in response.locations:
                 libraries.setdefault(
                     loc.institution_id,
-                    LibraryOrg(loc.institution_id, loc.name, loc.country, kind="other"),
+                    LibraryOrg(loc.institution_id, loc.name, loc.country),
                 )
                 holdings.append(Holding(record.record_id, loc.institution_id))
     return HarvestResult(

@@ -29,6 +29,12 @@ costs O(records + holdings), plus a sort per class; every indicator
 after that is a lookup or a sum over its own members. Every function
 here is pure: it reads, counts, and returns. Rendering and rounding
 live elsewhere.
+
+The composition report counts libraries per country in LIBRARY_KINDS
+order, with its totals as one more row of the same type. For
+`correlate`, `metric_columns` keeps the records that carry every named
+metric; the rules on those columns (enough rows, none constant) belong
+to `stats.correlation_matrix`.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ from .model import (
     AggregateUnit,
     BookRecord,
     CatalogSnapshot,
+    LIBRARY_KINDS,
     LibraryFilter,
     apply_filter,
 )
@@ -435,14 +442,15 @@ def author_profiles(
 
 @dataclass(frozen=True, slots=True)
 class CompositionRow:
+    """Libraries of one country (or of all, in the totals row), counted per
+    kind in LIBRARY_KINDS order."""
+
     country: str
-    academic: int
-    public: int
-    other: int
+    counts: tuple[int, ...]
 
     @property
     def total(self) -> int:
-        return self.academic + self.public + self.other
+        return sum(self.counts)
 
 
 @dataclass(frozen=True, slots=True)
@@ -450,41 +458,25 @@ class CompositionReport:
     """Libraries per country broken down by kind, with column totals."""
 
     rows: tuple[CompositionRow, ...]
-    total_academic: int
-    total_public: int
-    total_other: int
-
-    @property
-    def total(self) -> int:
-        return self.total_academic + self.total_public + self.total_other
+    totals: CompositionRow
 
 
 def composition_report(
     snapshot: CatalogSnapshot,
     library_filter: Optional[LibraryFilter] = None,
 ) -> CompositionReport:
-    """Count the library population by country and kind (rows sorted by country)."""
-    by_country: dict[str, dict[str, int]] = {}
+    """Count the library population by country and kind (rows sorted by
+    country); the totals row is labelled "total"."""
+    by_country: dict[str, list[int]] = {}
+    totals = [0] * len(LIBRARY_KINDS)
     for library in _view(snapshot, library_filter).filtered.libraries:
-        bucket = by_country.setdefault(
-            library.country, {"academic": 0, "public": 0, "other": 0}
-        )
-        bucket[library.kind] += 1
+        column = LIBRARY_KINDS.index(library.kind)
+        by_country.setdefault(library.country, [0] * len(LIBRARY_KINDS))[column] += 1
+        totals[column] += 1
     rows = tuple(
-        CompositionRow(
-            country,
-            by_country[country]["academic"],
-            by_country[country]["public"],
-            by_country[country]["other"],
-        )
-        for country in sorted(by_country)
+        CompositionRow(country, tuple(counts)) for country, counts in sorted(by_country.items())
     )
-    return CompositionReport(
-        rows=rows,
-        total_academic=sum(r.academic for r in rows),
-        total_public=sum(r.public for r in rows),
-        total_other=sum(r.other for r in rows),
-    )
+    return CompositionReport(rows, CompositionRow("total", tuple(totals)))
 
 
 # --- per-record metrics --------------------------------------------------------

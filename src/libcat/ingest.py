@@ -28,6 +28,7 @@ from typing import Callable, Iterator, Optional
 from .errors import DatasetError, IsbnError, ParseError
 from .identifiers import normalize_isbn, parse_oclc
 from .model import (
+    DEFAULT_KIND,
     BookRecord,
     CatalogSnapshot,
     Contributor,
@@ -465,23 +466,9 @@ def _json_lines(path: "str | os.PathLike") -> Iterator[tuple[int, object]]:
     """Each non-blank line of a JSON-lines file as (line number from 1,
     value decoded by `_decode_line`), split as a text-mode read splits
     lines. A byte that is not UTF-8 is a DatasetError naming its line."""
-    number = 0
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for number, raw in enumerate(fh, start=1):
-                stripped = raw.strip()
-                if stripped:
-                    yield number, _decode_line(stripped, number)
-        return
-    except UnicodeDecodeError:
-        pass
-    # The strict read decodes many lines at a time, so it can fail short
-    # of the bad line; read on from the last line handled, keeping each
-    # bad byte as an escape, up to the line that holds one.
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for number, raw in itertools.islice(enumerate(fh, start=1), number, None):
-            bad = _ESCAPED_BYTE.search(raw)
-            if bad is not None:
+        for number, raw in enumerate(fh, start=1):
+            if not raw.isascii() and (bad := _ESCAPED_BYTE.search(raw)) is not None:
                 byte = ord(bad.group()) - 0xDC00
                 raise DatasetError(f"line {number}: byte 0x{byte:02x} is not UTF-8")
             stripped = raw.strip()
@@ -507,7 +494,7 @@ def load_dataset(path: "str | os.PathLike") -> CatalogSnapshot:
                         library_id=obj["id"],
                         name=obj["name"],
                         country=obj["country"],
-                        kind=obj.get("kind", "other"),
+                        kind=obj.get("kind", DEFAULT_KIND),
                         memberships=obj.get("memberships", frozenset()),
                     )
                 )

@@ -17,7 +17,9 @@ from typing import Iterable, Optional
 from .errors import IntegrityError
 
 ROLES = frozenset({"author", "editor", "other", "creator"})
-LIBRARY_KINDS = frozenset({"academic", "public", "other"})
+# In the order reports list them; a library of unknown kind is "other".
+LIBRARY_KINDS = ("academic", "public", "other")
+DEFAULT_KIND = "other"
 FORMATS = frozenset({"print", "ebook", "unknown"})
 CHANNELS = frozenset(
     {"librarian_order", "approval_plan", "pda", "donation", "package", "unspecified"}
@@ -156,7 +158,7 @@ class LibraryOrg:
     library_id: str
     name: str
     country: str
-    kind: str = "other"
+    kind: str = DEFAULT_KIND
     memberships: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
@@ -207,7 +209,7 @@ class LibraryFilter:
             )
         if self.kinds is not None:
             kinds = frozenset(self.kinds)
-            bad = kinds - LIBRARY_KINDS
+            bad = kinds.difference(LIBRARY_KINDS)
             if bad:
                 raise ValueError(f"unknown library kinds: {sorted(bad)}")
             object.__setattr__(self, "kinds", kinds)

@@ -4,9 +4,10 @@ All numbers shown to users pass through the two formatters here:
 percentages get 2 decimal places, rates 4, both rounded half-up (ties
 away from zero). Percentages are computed by exact decimal division of
 the integer counts, so the printed value never inherits binary float
-noise. Tables render to CSV (RFC 4180 quoting), Markdown pipe tables,
-or JSON lines; cells arrive pre-formatted as strings and identical
-inputs produce byte-identical output.
+noise. Tables render to CSV (RFC 4180 quoting), Markdown pipe tables
+(a line break in a cell written as <br>), or JSON lines; cells arrive
+pre-formatted as strings and identical inputs produce byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -14,10 +15,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Sequence
 
 FORMATS = ("csv", "md", "jsonl")
+
+# A line break inside a cell; a Markdown row must stay on one line.
+_LINE_BREAK = re.compile("\r\n|\r|\n")
 
 
 def format_percent(count: int, total: int) -> str:
@@ -48,7 +53,7 @@ def _render_csv(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 
 def _render_md(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     def clean(cell: str) -> str:
-        return cell.replace("|", "\\|")
+        return _LINE_BREAK.sub("<br>", cell.replace("|", "\\|"))
 
     lines = [
         "| " + " | ".join(clean(h) for h in headers) + " |",

@@ -4,13 +4,17 @@ Ties get average (fractional) ranks and the coefficient is the Pearson
 product-moment correlation of the two rank vectors. That is exact under
 ties, unlike the 6*sum(d^2) shortcut, and count data here is tied almost
 by construction. No p-values: only the coefficient is reported.
+
+`correlation_matrix` is the one computation: it ranks each column once
+and owns the input rules (at least two rows, then no constant column).
+`spearman` is its two-column case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import ConstantInputError, SampleSizeError
 
@@ -63,90 +67,63 @@ def average_ranks(values: Sequence[float]) -> list[float]:
     return ranks
 
 
-def _pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
-    n = len(xs)
-    mean_x = math.fsum(xs) / n
-    mean_y = math.fsum(ys) / n
-    cov = math.fsum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    var_x = math.fsum((x - mean_x) ** 2 for x in xs)
-    var_y = math.fsum((y - mean_y) ** 2 for y in ys)
-    return cov / math.sqrt(var_x * var_y)
+def _centered(ranks: Sequence[float]) -> tuple[list[float], float]:
+    """A rank column's deviations from its mean, and their sum of squares."""
+    mean = math.fsum(ranks) / len(ranks)
+    deviations = [r - mean for r in ranks]
+    return deviations, math.fsum(d ** 2 for d in deviations)
 
 
 def spearman(sample: "PairedSample | Sequence[tuple[float, float]]") -> float:
-    """Spearman rank correlation with average-rank tie handling, in [-1, 1].
-
-    Raises SampleSizeError below two pairs and ConstantInputError when a
-    coordinate never varies (its ranks have zero variance).
-    """
+    """Spearman rank correlation of the two coordinates, in [-1, 1]: the
+    off-diagonal cell of their `correlation_matrix`, with its errors."""
     if not isinstance(sample, PairedSample):
         sample = PairedSample(tuple(sample))
-    xs, ys = sample.xs, sample.ys
-    if min(xs) == max(xs):
-        raise ConstantInputError("first coordinate is constant")
-    if min(ys) == max(ys):
-        raise ConstantInputError("second coordinate is constant")
-    rho = _pearson(average_ranks(xs), average_ranks(ys))
-    return max(-1.0, min(1.0, rho))
+    return correlation_matrix([("x", sample.xs), ("y", sample.ys)]).values[0][1]
 
 
 @dataclass(frozen=True, slots=True)
 class CorrelationMatrix:
-    """Pairwise Spearman coefficients between named metric columns.
-
-    Cells are None where the coefficient is undefined (a constant
-    column), with the reason recorded per label in `notes`. For defined
-    columns the diagonal is exactly 1 and the matrix is symmetric.
-    """
+    """Pairwise Spearman coefficients between named metric columns; the
+    diagonal is exactly 1 and the matrix is symmetric."""
 
     labels: tuple[str, ...]
-    values: tuple[tuple[Optional[float], ...], ...]
-    notes: tuple[tuple[str, str], ...] = ()
+    values: tuple[tuple[float, ...], ...]
 
-    def cell(self, row_label: str, col_label: str) -> Optional[float]:
-        i = self.labels.index(row_label)
-        j = self.labels.index(col_label)
-        return self.values[i][j]
+    def cell(self, row_label: str, col_label: str) -> float:
+        return self.values[self.labels.index(row_label)][self.labels.index(col_label)]
 
 
-def correlation_matrix(
-    columns: "Sequence[tuple[str, Sequence[float]]] | dict[str, Sequence[float]]",
-) -> CorrelationMatrix:
-    """All-pairs Spearman over equal-length named columns.
+def correlation_matrix(columns: Sequence[tuple[str, Sequence[float]]]) -> CorrelationMatrix:
+    """All-pairs Spearman over two or more equal-length, distinctly named
+    columns of finite values.
 
-    A constant column does not abort the run; its whole row and column
-    (diagonal included) are undefined and the reason is noted.
+    Raises SampleSizeError below two rows, then ConstantInputError naming
+    the first constant column. Each column is ranked once.
     """
-    if isinstance(columns, dict):
-        items = list(columns.items())
-    else:
-        items = [(name, vector) for name, vector in columns]
-    if len(items) < 2:
+    labels = tuple(name for name, _ in columns)
+    if len(labels) < 2:
         raise ValueError("need at least two columns")
-    labels = tuple(name for name, _ in items)
     if len(set(labels)) != len(labels):
         raise ValueError("column labels must be unique")
-    vectors = [tuple(float(v) for v in vector) for _, vector in items]
+    vectors = [tuple(float(v) for v in vector) for _, vector in columns]
     length = len(vectors[0])
     if any(len(v) != length for v in vectors):
         raise ValueError("columns must have equal lengths")
     if length < 2:
-        raise SampleSizeError("need at least 2 rows")
+        raise SampleSizeError(f"need at least 2 complete rows, got {length}")
+    if not all(math.isfinite(v) for vector in vectors for v in vector):
+        raise ValueError("columns must be finite")
+    for label, vector in zip(labels, vectors):
+        if min(vector) == max(vector):
+            raise ConstantInputError(f"metric {label!r} is constant")
 
-    constant = [min(v) == max(v) for v in vectors]
-    notes = tuple(
-        (labels[i], "constant column") for i in range(len(labels)) if constant[i]
-    )
+    centered = [_centered(average_ranks(vector)) for vector in vectors]
     size = len(vectors)
-    cells: list[list[Optional[float]]] = [[None] * size for _ in range(size)]
-    for i in range(size):
-        if constant[i]:
-            continue
-        cells[i][i] = 1.0
+    cells = [[1.0] * size for _ in range(size)]
+    for i, (dx, var_x) in enumerate(centered):
         for j in range(i + 1, size):
-            if constant[j]:
-                continue
-            rho = spearman(PairedSample.from_columns(vectors[i], vectors[j]))
-            cells[i][j] = rho
-            cells[j][i] = rho
-    return CorrelationMatrix(labels, tuple(tuple(row) for row in cells), notes)
+            dy, var_y = centered[j]
+            rho = math.fsum(x * y for x, y in zip(dx, dy)) / math.sqrt(var_x * var_y)
+            cells[i][j] = cells[j][i] = max(-1.0, min(1.0, rho))
+    return CorrelationMatrix(labels, tuple(tuple(row) for row in cells))

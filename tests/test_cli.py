@@ -155,6 +155,28 @@ class TestUsage:
         assert "filter" in err
 
     @pytest.mark.parametrize(
+        "spec", ["country=US;country=GB", "kind=academic; KIND=public"]
+    )
+    def test_repeated_filter_key_is_a_usage_error(self, capsys, analysis_dataset, spec):
+        code, out, err = run_cli(
+            capsys, "report", "--dataset", analysis_dataset, "--filter", spec,
+        )
+        assert code == 64
+        assert err.startswith("error: bad --filter: filter key ")
+        assert err.endswith(" is repeated\n")
+        assert out == ""
+
+    def test_filter_values_are_normalized_by_the_model(self, capsys, analysis_dataset):
+        _, upper, _ = run_cli(
+            capsys, "report", "--dataset", analysis_dataset, "--filter", "country=US,GB",
+        )
+        code, lower, _ = run_cli(
+            capsys, "report", "--dataset", analysis_dataset, "--filter", "COUNTRY= us , gb",
+        )
+        assert code == 0
+        assert lower == upper
+
+    @pytest.mark.parametrize(
         "flag", [("--filter", "country=US"), ("--output", "csv")], ids=["filter", "output"]
     )
     def test_filter_is_not_an_ingest_or_fetch_flag(self, capsys, tmp_path, flag):
@@ -546,6 +568,13 @@ class TestIndicatorsCommand:
         assert lines[1].startswith("| ---")
         assert len(lines) == 6
 
+    def test_markdown_title_with_line_breaks_stays_on_its_row(self, capsys, tmp_path):
+        path = tmp_path / "breaks.jsonl"
+        save_dataset(build_snapshot([BookRecord("r1", "Line one\nline two\r\nthree")], [], []), path)
+        code, out, _ = run_cli(capsys, "indicators", "--all-books", "--dataset", str(path))
+        assert code == 0
+        assert out.splitlines()[2:] == ["| r1 | Line one<br>line two<br>three | 0 |  |  |  |"]
+
     def test_filter_narrows_counts(self, capsys, analysis_dataset):
         code, out, _ = run_cli(
             capsys, "indicators", "--all-books", "--dataset", analysis_dataset,
@@ -672,6 +701,39 @@ class TestIndicatorsCommand:
         assert err == f"error: {flag} applies only with --unit\n"
         assert out == ""
 
+    def test_units_file_defining_an_id_twice_exits_one(
+        self, capsys, analysis_dataset, tmp_path
+    ):
+        units = tmp_path / "units.jsonl"
+        units.write_text(
+            '{"id": "u", "members": ["b1"]}\n'
+            '{"id": "other", "members": ["b2"]}\n'
+            '{"id": "u", "members": ["b3"]}\n'
+        )
+        code, out, err = run_cli(
+            capsys, "indicators", "--unit", "u", "--units", str(units),
+            "--dataset", analysis_dataset,
+        )
+        assert code == 1
+        assert err == f"error: units file {units} line 3: unit 'u' is already defined\n"
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "second", ["top", "top=b2", " top"], ids=["same-spec", "inline", "spaced"]
+    )
+    def test_unit_given_twice_is_a_usage_error(
+        self, capsys, analysis_dataset, tmp_path, second
+    ):
+        units = tmp_path / "units.jsonl"
+        units.write_text('{"id": "top", "members": ["b1"]}\n')
+        code, out, err = run_cli(
+            capsys, "indicators", "--unit", "top", "--unit", second,
+            "--units", str(units), "--dataset", analysis_dataset,
+        )
+        assert code == 64
+        assert err == "error: --unit 'top' is given twice\n"
+        assert out == ""
+
     def test_missing_units_file_exits_one(self, capsys, analysis_dataset, tmp_path):
         units = tmp_path / "absent.jsonl"
         code, _, err = run_cli(
@@ -768,14 +830,6 @@ class TestCorrelateCommand:
         assert code == 0
         assert out.strip() == "0.5000"
 
-    def test_metric_against_itself_is_one(self, capsys, analysis_dataset):
-        code, out, _ = run_cli(
-            capsys, "correlate", "--metrics", "libcitations,libcitations",
-            "--dataset", analysis_dataset,
-        )
-        assert code == 0
-        assert out.strip() == "1.0000"
-
     def test_order_does_not_matter(self, capsys, analysis_dataset):
         _, first, _ = run_cli(capsys, "correlate", "--dataset", analysis_dataset)
         _, second, _ = run_cli(
@@ -806,13 +860,15 @@ class TestCorrelateCommand:
         assert code == 0
         assert out.strip() == "0.8660"
 
-    def test_matrix_requires_distinct_metrics(self, capsys, analysis_dataset):
-        code, _, _ = run_cli(
-            capsys, "correlate", "--matrix",
-            "--metrics", "libcitations,libcitations",
+    @pytest.mark.parametrize("matrix", [(), ("--matrix",)], ids=["pair", "matrix"])
+    def test_repeated_metric_is_a_usage_error(self, capsys, analysis_dataset, matrix):
+        code, out, err = run_cli(
+            capsys, "correlate", *matrix, "--metrics", "libcitations,libcitations",
             "--dataset", analysis_dataset,
         )
         assert code == 64
+        assert err == "error: correlate metrics must be distinct\n"
+        assert out == ""
 
     def test_unknown_metric_is_a_usage_error(self, capsys, analysis_dataset):
         code, _, err = run_cli(
@@ -849,7 +905,7 @@ class TestCorrelateCommand:
         save_dataset(build_snapshot(records, libraries, holdings), path)
         code, _, err = run_cli(capsys, "correlate", "--dataset", str(path))
         assert code == 5
-        assert "constant" in err
+        assert err == "error: metric 'libcitations' is constant\n"
 
     def test_nan_citation_exits_one(self, capsys, tmp_path):
         path = tmp_path / "nan.jsonl"
@@ -874,8 +930,10 @@ class TestCorrelateCommand:
         ]
         path = tmp_path / "sparse.jsonl"
         save_dataset(build_snapshot(records, [], []), path)
-        code, _, err = run_cli(capsys, "correlate", "--dataset", str(path))
-        assert code == 2
+        for matrix in ((), ("--matrix",)):
+            code, _, err = run_cli(capsys, "correlate", *matrix, "--dataset", str(path))
+            assert code == 2
+            assert err == "error: need at least 2 complete rows, got 1\n"
 
 
 class TestReportCommand:

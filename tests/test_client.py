@@ -89,7 +89,7 @@ class ScriptedSession:
         self.script = script
         self.calls = []
 
-    def get(self, url, params=None, headers=None, timeout=None):
+    def get(self, url, headers=None, timeout=None):
         self.calls.append(url)
         outcome = self.script(url, len(self.calls))
         if isinstance(outcome, Exception):
@@ -438,7 +438,7 @@ class TestClientLookups:
     def test_xml_variant_parses_to_the_same_answer(self, server):
         client = make_client(server)
         plain = client.get_by_oclc_number(1001)
-        via_xml = client.get_by_oclc_number(1001, geo={"format": "xml"})
+        via_xml = client._lookup("/content/libraries/1001?format=xml")
         assert via_xml.locations == plain.locations
         assert via_xml.matched_record == plain.matched_record
 

@@ -17,6 +17,7 @@ from libcat.errors import (
 )
 from libcat.identifiers import cluster_works
 from libcat.indicators import (
+    CompositionRow,
     author_profile,
     author_profiles,
     catalog_inclusions,
@@ -31,6 +32,7 @@ from libcat.indicators import (
     unit_report,
 )
 from libcat.model import (
+    LIBRARY_KINDS,
     AggregateUnit,
     BookRecord,
     CatalogSnapshot,
@@ -561,17 +563,18 @@ class TestPopulationReports:
         report = composition_report(snap)
         assert [r.country for r in report.rows] == ["GB", "US"]
         us = report.rows[1]
-        assert (us.academic, us.public, us.other) == (2, 1, 0)
+        assert us.counts == (2, 1, 0)  # academic, public, other
         assert us.total == 3
-        assert report.total_academic == 2
-        assert report.total == 4
+        assert report.totals == CompositionRow("total", (2, 1, 1))
+        assert report.totals.total == 4
 
     def test_composition_fixture_share(self):
         report = composition_report(datasets.membership_composition())
         us = next(row for row in report.rows if row.country == "US")
-        assert us.academic == 2505
-        assert report.total_academic == 5804
-        assert oracles.percent_string(us.academic, report.total_academic) == "43.16"
+        academic = LIBRARY_KINDS.index("academic")
+        assert us.counts[academic] == 2505
+        assert report.totals.counts[academic] == 5804
+        assert oracles.percent_string(2505, 5804) == "43.16"
 
     def test_coverage_counts_nonzero_values(self):
         snap = counts_snapshot([2, 0, 1])

@@ -73,6 +73,14 @@ class TestRenderTable:
         got = render_table(["h"], [["a|b"]], "md")
         assert "a\\|b" in got
 
+    def test_markdown_writes_line_breaks_as_br(self):
+        got = render_table(["h"], [["one\r\ntwo\rthree\nfour|five"]], "md")
+        assert got.splitlines()[2] == "| one<br>two<br>three<br>four\\|five |"
+
+    def test_csv_and_jsonl_keep_line_breaks(self):
+        assert render_table(["h"], [["a\nb"]], "csv") == 'h\r\n"a\nb"'
+        assert json.loads(render_table(["h"], [["a\r\nb"]], "jsonl")) == {"h": "a\r\nb"}
+
     def test_csv_quoting(self):
         got = render_table(["name", "note"], [["a,b", 'say "hi"']], "csv")
         lines = got.split("\r\n")

@@ -170,19 +170,20 @@ class TestCorrelationMatrix:
         matrix = correlation_matrix([("a", [1, 5, 3]), ("b", [1, 5, 3])])
         assert matrix.cell("a", "b") == 1.0
 
-    def test_constant_column_is_undefined_everywhere(self):
-        matrix = correlation_matrix(
-            [("a", [1, 2, 3]), ("flat", [7, 7, 7]), ("c", [3, 1, 2])]
-        )
-        assert matrix.cell("flat", "flat") is None
-        assert matrix.cell("flat", "a") is None
-        assert matrix.cell("c", "flat") is None
-        assert matrix.cell("a", "c") is not None
-        assert matrix.notes == (("flat", "constant column"),)
+    def test_constant_column_raises_naming_the_first(self):
+        with pytest.raises(ConstantInputError, match="^metric 'flat' is constant$"):
+            correlation_matrix(
+                [("a", [1, 2, 3]), ("flat", [7, 7, 7]), ("c", [3, 1, 2]), ("also", [0, 0, 0])]
+            )
 
-    def test_accepts_dict_input(self):
-        matrix = correlation_matrix({"x": [1, 2], "y": [2, 1]})
-        assert matrix.cell("x", "y") == -1.0
+    def test_row_count_is_checked_before_constant_columns(self):
+        with pytest.raises(SampleSizeError, match="got 1"):
+            correlation_matrix([("a", [1]), ("flat", [7])])
+
+    def test_values_are_plain_floats(self):
+        matrix = correlation_matrix([("x", [1, 2]), ("y", [2, 1])])
+        assert matrix == CorrelationMatrix(("x", "y"), ((1.0, -1.0), (-1.0, 1.0)))
+        assert all(type(v) is float for row in matrix.values for v in row)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -193,6 +194,10 @@ class TestCorrelationMatrix:
             correlation_matrix([("a", [1, 2]), ("b", [1, 2, 3])])
         with pytest.raises(SampleSizeError):
             correlation_matrix([("a", [1]), ("b", [2])])
+        with pytest.raises(ValueError, match="finite"):
+            correlation_matrix([("a", [1, 2, float("nan")]), ("b", [1, 2, 3])])
+        with pytest.raises(ValueError, match="finite"):
+            correlation_matrix([("a", [1, 2, 3]), ("b", [1, float("inf"), 3])])
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**9), st.integers(3, 6), st.integers(3, 12))
@@ -202,12 +207,11 @@ class TestCorrelationMatrix:
             (f"m{i}", [rng.randint(0, 5) for _ in range(n_rows)])
             for i in range(n_cols)
         ]
+        if any(min(xs) == max(xs) for _, xs in columns):
+            with pytest.raises(ConstantInputError):
+                correlation_matrix(columns)
+            return
         matrix = correlation_matrix(columns)
         for i, (_, xs) in enumerate(columns):
             for j, (_, ys) in enumerate(columns):
-                got = matrix.values[i][j]
-                if min(xs) == max(xs) or min(ys) == max(ys):
-                    assert got is None
-                else:
-                    want = oracles.spearman(xs, ys)
-                    assert got is not None and abs(got - want) < 1e-12
+                assert abs(matrix.values[i][j] - oracles.spearman(xs, ys)) < 1e-12
