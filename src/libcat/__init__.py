@@ -81,9 +81,8 @@ from .model import (
     LibraryFilter,
     LibraryOrg,
     apply_filter,
-    build_snapshot,
 )
-from .stats import CorrelationMatrix, PairedSample, correlation_matrix, spearman
+from .stats import CorrelationMatrix, correlation_matrix, spearman
 
 # The network layer (requests, http.server, thread pools) loads on first
 # use, so commands that only read a dataset never import it.
@@ -97,7 +96,6 @@ _LAZY = {
     "QuotaStore": "client",
     "harvest": "client",
     "FixtureServer": "fixture",
-    "serve_fixture": "fixture",
 }
 
 __version__ = "0.1.0"

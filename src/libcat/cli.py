@@ -66,7 +66,6 @@ from .model import (
     AggregateUnit,
     CatalogSnapshot,
     LibraryFilter,
-    build_snapshot,
 )
 from .render import FORMATS, format_percent, format_rate, render_table
 from .stats import correlation_matrix
@@ -203,7 +202,7 @@ def cmd_ingest(args) -> int:
             records, report = parse(document)
         except ParseError as exc:
             raise _Failure(EXIT_UNREADABLE, f"{args.input}: {exc}") from exc
-        new = build_snapshot(records, (), ())
+        new = CatalogSnapshot(records, (), ())
     for locator, reason in report.rejections:
         print(f"rejected {locator}: {reason}", file=sys.stderr)
     print(f"accepted={report.accepted} rejected={report.rejected}")
@@ -278,8 +277,8 @@ def cmd_fetch(args) -> int:
         print(f"failed {record_id}: {message}", file=sys.stderr)
     print(
         f"fetched={len(result.queried)} skipped={len(result.skipped)} "
-        f"errors={len(result.errors)} holdings={len(result.holdings)} "
-        f"libraries={len(result.libraries)} quota_used={state.used}/{state.limit}"
+        f"errors={len(result.errors)} holdings={len(result.delta.holdings)} "
+        f"libraries={len(result.delta.libraries)} quota_used={state.used}/{state.limit}"
     )
     return EXIT_QUOTA if result.quota_exhausted else EXIT_OK
 

@@ -52,7 +52,7 @@ import requests
 from .errors import QuotaExceededError, QuotaStateError, TransportError
 from .identifiers import normalize_isbn
 from .ingest import _lock_sidecar, _write_atomic
-from .model import BookRecord, CatalogSnapshot, Holding, LibraryOrg, build_snapshot
+from .model import BookRecord, CatalogSnapshot, Holding, LibraryOrg
 from .model import _check_strings, _check_types
 
 DEFAULT_QUOTA_LIMIT = 50_000
@@ -380,8 +380,7 @@ class HarvestResult:
     """Outcome of harvesting holdings for a batch of records.
 
     `delta` bundles the completed records with the libraries and
-    holdings discovered for them, ready to merge into a dataset;
-    `libraries` and `holdings` read their sorted tuples from it. A
+    holdings discovered for them, ready to merge into a dataset. A
     record appears in `skipped` when it was never looked up (no usable
     identifier, or the budget ran out first) and in `errors` when its
     lookup failed after retries.
@@ -392,14 +391,6 @@ class HarvestResult:
     errors: tuple[tuple[str, str], ...]
     quota_exhausted: bool
     delta: CatalogSnapshot
-
-    @property
-    def libraries(self) -> tuple[LibraryOrg, ...]:
-        return self.delta.libraries
-
-    @property
-    def holdings(self) -> tuple[Holding, ...]:
-        return self.delta.holdings
 
 
 def _lookups(
@@ -469,5 +460,5 @@ def harvest(client: CatalogClient, records: Sequence[BookRecord]) -> HarvestResu
         skipped=tuple(skipped),
         errors=tuple(errors),
         quota_exhausted=quota_exhausted,
-        delta=build_snapshot(completed, libraries.values(), holdings),
+        delta=CatalogSnapshot(completed, libraries.values(), holdings),
     )

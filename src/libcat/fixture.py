@@ -183,10 +183,3 @@ class FixtureServer:
                 self.wfile.write(body)
 
         return Handler
-
-
-def serve_fixture(
-    snapshot: CatalogSnapshot, host: str = "127.0.0.1", port: int = 0
-) -> FixtureServer:
-    """Start a replay server bound to host:port (0 picks a free port)."""
-    return FixtureServer(snapshot, host, port)

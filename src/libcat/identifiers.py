@@ -56,9 +56,10 @@ def normalize_isbn(raw: str) -> Isbn:
     if len(compact) == 13:
         if not compact.isdigit():
             raise IsbnFormatError(f"ISBN-13 must be all digits: {raw!r}")
-        if compact[-1] != isbn13_check_digit(compact[:12]):
-            raise IsbnChecksumError(f"ISBN-13 check digit mismatch: {raw!r}")
-        return Isbn(compact, original_form=raw)
+        try:
+            return Isbn(compact, original_form=raw)
+        except ValueError:  # the shape is right, so only the check digit is wrong
+            raise IsbnChecksumError(f"ISBN-13 check digit mismatch: {raw!r}") from None
     if len(compact) == 10:
         body, check = compact[:9], compact[9]
         if not body.isdigit() or (check != "X" and not check.isdigit()):

@@ -352,7 +352,6 @@ class IndicatorReport:
     cir: float
     rcir: Optional[float]
     dr: float
-    per_book: tuple[BookIndicators, ...]
 
 
 def book_indicators(
@@ -374,11 +373,10 @@ def unit_report(
     library_filter: Optional[LibraryFilter] = None,
     benchmark: Optional[AggregateUnit] = None,
 ) -> IndicatorReport:
-    """All aggregate indicators for one unit, plus its per-book breakdown.
+    """All aggregate indicators for one unit; RCIR only with a benchmark.
 
-    Per-book CNLS and rank are left blank where undefined (no class, or
-    an all-zero class); the aggregate ratios raise instead, since a unit
-    with no titles or no catalogs has nothing to report.
+    The ratios raise where undefined, since a unit with no titles or no
+    catalogs has nothing to report. Per-book rows come from `book_indicators`.
     """
     view = _view(snapshot, library_filter)
     inclusions = _inclusions(unit, view)
@@ -395,7 +393,6 @@ def unit_report(
         cir=cir_value,
         rcir=rcir_value,
         dr=dr_value,
-        per_book=tuple(view.book(record_id) for record_id in sorted(inclusions.titles)),
     )
 
 

@@ -35,7 +35,6 @@ from .model import (
     Holding,
     Isbn,
     LibraryOrg,
-    build_snapshot,
 )
 
 _YEAR = re.compile(r"\d{4}")
@@ -465,8 +464,9 @@ _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 def _json_lines(path: "str | os.PathLike") -> Iterator[tuple[int, object]]:
     """Each non-blank line of a JSON-lines file as (line number from 1,
     value decoded by `_decode_line`), split as a text-mode read splits
-    lines. A byte that is not UTF-8 is a DatasetError naming its line."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    lines. A leading UTF-8 byte-order mark is skipped; a byte that is not
+    UTF-8 is a DatasetError naming its line."""
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for number, raw in enumerate(fh, start=1):
             if not raw.isascii() and (bad := _ESCAPED_BYTE.search(raw)) is not None:
                 byte = ord(bad.group()) - 0xDC00
@@ -512,7 +512,7 @@ def load_dataset(path: "str | os.PathLike") -> CatalogSnapshot:
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise DatasetError(f"line {number}: {exc}") from exc
-    return build_snapshot(records, libraries, holdings)
+    return CatalogSnapshot(records, libraries, holdings)
 
 
 def merge_snapshots(base: CatalogSnapshot, delta: CatalogSnapshot) -> CatalogSnapshot:
@@ -523,4 +523,4 @@ def merge_snapshots(base: CatalogSnapshot, delta: CatalogSnapshot) -> CatalogSna
     libraries.update({lib.library_id: lib for lib in base.libraries})
     holdings = {(h.record_id, h.library_id): h for h in delta.holdings}
     holdings.update({(h.record_id, h.library_id): h for h in base.holdings})
-    return build_snapshot(records.values(), libraries.values(), holdings.values())
+    return CatalogSnapshot(records.values(), libraries.values(), holdings.values())

@@ -195,6 +195,8 @@ class LibraryFilter:
 
     An absent (None) field means no restriction on that axis. Channel
     exclusion applies to holdings, not to the libraries themselves.
+    Countries, kinds and channels fold case, as their vocabularies do;
+    memberships are free-form tags and match exactly as stored.
     """
 
     countries: Optional[frozenset[str]] = None
@@ -208,7 +210,7 @@ class LibraryFilter:
                 self, "countries", frozenset(c.strip().upper() for c in self.countries)
             )
         if self.kinds is not None:
-            kinds = frozenset(self.kinds)
+            kinds = frozenset(k.lower() for k in self.kinds)
             bad = kinds.difference(LIBRARY_KINDS)
             if bad:
                 raise ValueError(f"unknown library kinds: {sorted(bad)}")
@@ -218,7 +220,7 @@ class LibraryFilter:
                 self, "required_memberships", frozenset(self.required_memberships)
             )
         if self.excluded_channels is not None:
-            channels = frozenset(self.excluded_channels)
+            channels = frozenset(c.lower() for c in self.excluded_channels)
             bad = channels - CHANNELS
             if bad:
                 raise ValueError(f"unknown acquisition channels: {sorted(bad)}")
@@ -352,15 +354,6 @@ class CatalogSnapshot:
 
     def get_library(self, library_id: str) -> Optional[LibraryOrg]:
         return self._libraries_by_id.get(library_id)
-
-
-def build_snapshot(
-    records: Iterable[BookRecord],
-    libraries: Iterable[LibraryOrg],
-    holdings: Iterable[Holding],
-) -> CatalogSnapshot:
-    """Validate and assemble a snapshot; see CatalogSnapshot for the rules."""
-    return CatalogSnapshot(records, libraries, holdings)
 
 
 def apply_filter(

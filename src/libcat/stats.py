@@ -6,8 +6,9 @@ ties, unlike the 6*sum(d^2) shortcut, and count data here is tied almost
 by construction. No p-values: only the coefficient is reported.
 
 `correlation_matrix` is the one computation: it ranks each column once
-and owns the input rules (at least two rows, then no constant column).
-`spearman` is its two-column case.
+and owns the input rules (equal lengths, at least two rows, finite
+values, then no constant column). `spearman(xs, ys)` is its two-column
+case and has no rules of its own.
 """
 
 from __future__ import annotations
@@ -17,38 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ConstantInputError, SampleSizeError
-
-
-@dataclass(frozen=True, slots=True)
-class PairedSample:
-    """Two paired real-valued observations per subject."""
-
-    pairs: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        pairs = tuple((float(x), float(y)) for x, y in self.pairs)
-        for x, y in pairs:
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ValueError("paired samples must be finite")
-        object.__setattr__(self, "pairs", pairs)
-        if len(pairs) < 2:
-            raise SampleSizeError(
-                f"need at least 2 paired observations, got {len(pairs)}"
-            )
-
-    @classmethod
-    def from_columns(cls, xs: Sequence[float], ys: Sequence[float]) -> "PairedSample":
-        if len(xs) != len(ys):
-            raise ValueError(f"column lengths differ: {len(xs)} vs {len(ys)}")
-        return cls(tuple(zip(xs, ys)))
-
-    @property
-    def xs(self) -> tuple[float, ...]:
-        return tuple(p[0] for p in self.pairs)
-
-    @property
-    def ys(self) -> tuple[float, ...]:
-        return tuple(p[1] for p in self.pairs)
 
 
 def average_ranks(values: Sequence[float]) -> list[float]:
@@ -74,12 +43,10 @@ def _centered(ranks: Sequence[float]) -> tuple[list[float], float]:
     return deviations, math.fsum(d ** 2 for d in deviations)
 
 
-def spearman(sample: "PairedSample | Sequence[tuple[float, float]]") -> float:
-    """Spearman rank correlation of the two coordinates, in [-1, 1]: the
+def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Spearman rank correlation of two paired columns, in [-1, 1]: the
     off-diagonal cell of their `correlation_matrix`, with its errors."""
-    if not isinstance(sample, PairedSample):
-        sample = PairedSample(tuple(sample))
-    return correlation_matrix([("x", sample.xs), ("y", sample.ys)]).values[0][1]
+    return correlation_matrix([("x", xs), ("y", ys)]).values[0][1]
 
 
 @dataclass(frozen=True, slots=True)

@@ -22,7 +22,6 @@ from libcat.model import (
     Isbn,
     LibraryFilter,
     LibraryOrg,
-    build_snapshot,
 )
 
 COUNTRIES = ("US", "GB", "DE", "NL", "ES")
@@ -75,7 +74,7 @@ def five_author_ranking() -> CatalogSnapshot:
             )
         )
         holdings.extend(Holding(record_id, f"l{i:05d}") for i in range(count))
-    return build_snapshot(records, libraries, holdings)
+    return CatalogSnapshot(records, libraries, holdings)
 
 
 # --- one author's editions ----------------------------------------------------
@@ -153,7 +152,7 @@ def single_author_editions() -> CatalogSnapshot:
             # union must not double count it
             if j % 11 == 0 and len(members) > 1:
                 holdings.append(Holding(members[(j + 1) % len(members)], library_id))
-    return build_snapshot(records, libraries, holdings)
+    return CatalogSnapshot(records, libraries, holdings)
 
 
 # --- diffusion study -----------------------------------------------------------
@@ -176,7 +175,7 @@ def diffusion_study(full_scale: bool = False) -> CatalogSnapshot:
         holdings.extend(
             Holding(record_id, f"l{(i + j) % 42:05d}") for j in range(spread)
         )
-    return build_snapshot(records, libraries, holdings)
+    return CatalogSnapshot(records, libraries, holdings)
 
 
 # --- population composition -----------------------------------------------------
@@ -198,7 +197,7 @@ def membership_composition() -> CatalogSnapshot:
         offset += count
     libraries.extend(simple_library(offset + i, "US", "other") for i in range(50))
     record = BookRecord("r0", "Placeholder study")
-    return build_snapshot([record], libraries, [Holding("r0", "l00000")])
+    return CatalogSnapshot([record], libraries, [Holding("r0", "l00000")])
 
 
 # --- metric coverage -------------------------------------------------------------
@@ -214,7 +213,7 @@ def holdings_coverage() -> CatalogSnapshot:
         records.append(BookRecord(record_id, f"Catalogued title {i}"))
         if i < 9781:
             holdings.append(Holding(record_id, f"l{i % 50:05d}"))
-    return build_snapshot(records, libraries, holdings)
+    return CatalogSnapshot(records, libraries, holdings)
 
 
 # --- randomized builders ----------------------------------------------------------
@@ -263,7 +262,7 @@ def random_snapshot(
         for library in libraries
         if rng.random() < holding_rate
     ]
-    return build_snapshot(records, libraries, holdings)
+    return CatalogSnapshot(records, libraries, holdings)
 
 
 def random_filter(rng: random.Random) -> LibraryFilter:
@@ -318,7 +317,7 @@ def harvestable_snapshot(rng: random.Random, max_records: int = 100) -> CatalogS
         for library in libraries
         if rng.random() < 0.25
     ]
-    return build_snapshot(records, libraries, holdings)
+    return CatalogSnapshot(records, libraries, holdings)
 
 
 def classed_snapshot(
@@ -352,7 +351,7 @@ def classed_snapshot(
             holdings.extend(
                 Holding(record_id, pool[m].library_id) for m in range(count)
             )
-    return build_snapshot(records, pool, holdings), labels
+    return CatalogSnapshot(records, pool, holdings), labels
 
 
 # --- ill-typed JSON values ------------------------------------------------

@@ -21,7 +21,7 @@ import oracles
 from libcat.cli import run
 from libcat.client import CatalogClient, QuotaStore, harvest
 from libcat.errors import IsbnChecksumError, QuotaExceededError
-from libcat.fixture import serve_fixture
+from libcat.fixture import FixtureServer
 from libcat.identifiers import isbn13_to_isbn10, normalize_isbn
 from libcat.indicators import (
     author_profile,
@@ -32,8 +32,8 @@ from libcat.indicators import (
     rcir,
 )
 from libcat.ingest import save_dataset
-from libcat.model import AggregateUnit, BookRecord, Holding, build_snapshot
-from libcat.stats import PairedSample, spearman
+from libcat.model import AggregateUnit, BookRecord, CatalogSnapshot, Holding
+from libcat.stats import spearman
 
 
 @contextlib.contextmanager
@@ -59,7 +59,7 @@ def test_c01_cnls_worked_example(capsys):
                 BookRecord("miss", "Rarely held study", lc_class="QA76"),
             ]
             holdings = [Holding("hit", f"l{i:05d}") for i in range(40)]
-            snapshot = build_snapshot(records, libraries, holdings)
+            snapshot = CatalogSnapshot(records, libraries, holdings)
             started = time.perf_counter()
             value = cnls("hit", snapshot)
             best = min(best, time.perf_counter() - started)
@@ -143,7 +143,7 @@ def test_c06_spearman_oracle_equivalence(capsys):
             for xs in sequences:
                 for ys in sequences:
                     expected = oracles.pearson(ranks[xs], ranks[ys])
-                    actual = spearman(PairedSample.from_columns(xs, ys))
+                    actual = spearman(xs, ys)
                     assert abs(actual - expected) <= 1e-12
 
         rng = random.Random(60)
@@ -154,12 +154,9 @@ def test_c06_spearman_oracle_equivalence(capsys):
             ys = [float(rng.randint(0, 9)) for _ in range(size)]
             if min(xs) == max(xs) or min(ys) == max(ys):
                 continue
-            base = spearman(PairedSample.from_columns(xs, ys))
+            base = spearman(xs, ys)
             stretched = spearman(
-                PairedSample.from_columns(
-                    [3.0 * x + 7.0 for x in xs],
-                    [math.exp(y / 10.0) for y in ys],
-                )
+                [3.0 * x + 7.0 for x in xs], [math.exp(y / 10.0) for y in ys]
             )
             assert abs(stretched - base) <= 1e-12
             checked += 1
@@ -230,12 +227,12 @@ def test_c10_client_quota_guard(capsys, tmp_path):
         day = dt.date(2026, 8, 17)
         state_path = tmp_path / "quota.json"
         state_path.write_text(json.dumps({"day": day.isoformat(), "used": 49_999}))
-        snapshot = build_snapshot(
+        snapshot = CatalogSnapshot(
             [BookRecord("g1", "Guarded title", oclc=42)],
             [datasets.simple_library(0)],
             [Holding("g1", "l00000")],
         )
-        with serve_fixture(snapshot) as server:
+        with FixtureServer(snapshot) as server:
             quota = QuotaStore(
                 limit=50_000, state_path=state_path, today=lambda: day
             )
@@ -265,7 +262,7 @@ def test_c11_harvest_round_trip(capsys):
         rng = random.Random(11)
         for _ in range(50):
             fixture = datasets.harvestable_snapshot(rng, max_records=100)
-            with serve_fixture(fixture) as server:
+            with FixtureServer(fixture) as server:
                 client = CatalogClient(
                     server.base_url,
                     quota=QuotaStore(limit=1_000_000),
@@ -277,7 +274,7 @@ def test_c11_harvest_round_trip(capsys):
             assert result.skipped == ()
             assert not result.quota_exhausted
             assert set(result.queried) == {r.record_id for r in fixture.records}
-            got = {(h.record_id, h.library_id) for h in result.holdings}
+            got = {(h.record_id, h.library_id) for h in result.delta.holdings}
             want = {(h.record_id, h.library_id) for h in fixture.holdings}
             assert got == want
 

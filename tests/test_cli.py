@@ -13,14 +13,14 @@ import pytest
 import oracles
 import libcat.client
 from libcat.cli import run
-from libcat.fixture import serve_fixture
+from libcat.fixture import FixtureServer
 from libcat.ingest import load_dataset, merge_snapshots, save_dataset
 from libcat.model import (
     BookRecord,
+    CatalogSnapshot,
     Holding,
     Isbn,
     LibraryOrg,
-    build_snapshot,
 )
 
 ISBN_F2 = "9780306406157"
@@ -80,7 +80,7 @@ def analysis_dataset(tmp_path):
         Holding("b3", "l4", "donation"),
     ]
     path = tmp_path / "analysis.jsonl"
-    save_dataset(build_snapshot(records, libraries, holdings), path)
+    save_dataset(CatalogSnapshot(records, libraries, holdings), path)
     return str(path)
 
 
@@ -98,8 +98,8 @@ def fetch_world(tmp_path):
     ]
     holdings = [Holding("f1", "la"), Holding("f1", "lb"), Holding("f2", "la")]
     dataset = tmp_path / "fetch.jsonl"
-    save_dataset(build_snapshot(records, (), ()), dataset)
-    server = serve_fixture(build_snapshot(records, libraries, holdings))
+    save_dataset(CatalogSnapshot(records, (), ()), dataset)
+    server = FixtureServer(CatalogSnapshot(records, libraries, holdings))
     yield str(dataset), server
     server.close()
 
@@ -166,15 +166,26 @@ class TestUsage:
         assert err.endswith(" is repeated\n")
         assert out == ""
 
-    def test_filter_values_are_normalized_by_the_model(self, capsys, analysis_dataset):
-        _, upper, _ = run_cli(
-            capsys, "report", "--dataset", analysis_dataset, "--filter", "country=US,GB",
+    @pytest.mark.parametrize(
+        "canonical, variant",
+        [
+            ("country=US,GB", "COUNTRY= us , gb"),
+            ("kind=academic", "kind=Academic"),
+            ("exclude-channel=donation", "exclude-channel=Donation"),
+        ],
+        ids=["country", "kind", "channel"],
+    )
+    def test_filter_values_are_normalized_by_the_model(
+        self, capsys, analysis_dataset, canonical, variant
+    ):
+        _, expected, _ = run_cli(
+            capsys, "report", "--dataset", analysis_dataset, "--filter", canonical,
         )
-        code, lower, _ = run_cli(
-            capsys, "report", "--dataset", analysis_dataset, "--filter", "COUNTRY= us , gb",
+        code, got, _ = run_cli(
+            capsys, "report", "--dataset", analysis_dataset, "--filter", variant,
         )
         assert code == 0
-        assert lower == upper
+        assert got == expected
 
     @pytest.mark.parametrize(
         "flag", [("--filter", "country=US"), ("--output", "csv")], ids=["filter", "output"]
@@ -288,12 +299,12 @@ class TestIngest:
 
     def test_concurrent_ingests_lose_no_record(self, tmp_path, subprocess_env):
         dataset = tmp_path / "shared.jsonl"
-        save_dataset(build_snapshot((), (), ()), dataset)
+        save_dataset(CatalogSnapshot((), (), ()), dataset)
         inputs = []
         for side in "ab":
             path = tmp_path / f"{side}.jsonl"
             records = [BookRecord(f"{side}{i:04d}", f"Title {side}{i}") for i in range(5000)]
-            save_dataset(build_snapshot(records, (), ()), path)
+            save_dataset(CatalogSnapshot(records, (), ()), path)
             inputs.append(path)
         child = (
             "import sys\n"
@@ -434,7 +445,7 @@ class TestFetch:
         def harvest_while_another_ingest_lands(client, records):
             result = harvest(client, records)
             before = load_dataset(dataset)
-            extra = build_snapshot([BookRecord("x1", "Ingested meanwhile")], (), ())
+            extra = CatalogSnapshot([BookRecord("x1", "Ingested meanwhile")], (), ())
             save_dataset(merge_snapshots(before, extra), dataset)
             return result
 
@@ -570,7 +581,7 @@ class TestIndicatorsCommand:
 
     def test_markdown_title_with_line_breaks_stays_on_its_row(self, capsys, tmp_path):
         path = tmp_path / "breaks.jsonl"
-        save_dataset(build_snapshot([BookRecord("r1", "Line one\nline two\r\nthree")], [], []), path)
+        save_dataset(CatalogSnapshot([BookRecord("r1", "Line one\nline two\r\nthree")], [], []), path)
         code, out, _ = run_cli(capsys, "indicators", "--all-books", "--dataset", str(path))
         assert code == 0
         assert out.splitlines()[2:] == ["| r1 | Line one<br>line two<br>three | 0 |  |  |  |"]
@@ -644,11 +655,13 @@ class TestIndicatorsCommand:
             "dr": "0.5000",
         }
 
-    def test_units_file_and_ordering(self, capsys, analysis_dataset, tmp_path):
+    @pytest.mark.parametrize("mark", ["", "\ufeff"], ids=["plain", "byte-order-mark"])
+    def test_units_file_and_ordering(self, capsys, analysis_dataset, tmp_path, mark):
         units = tmp_path / "units.jsonl"
         units.write_text(
-            '{"id": "top", "label": "Top pair", "members": ["b1", "b3"]}\n'
-            '{"id": "rest", "label": "The rest", "members": ["b2", "b4"]}\n'
+            mark + '{"id": "top", "label": "Top pair", "members": ["b1", "b3"]}\n'
+            '{"id": "rest", "label": "The rest", "members": ["b2", "b4"]}\n',
+            encoding="utf-8",
         )
         code, out, _ = run_cli(
             capsys, "indicators", "--unit", "top", "--unit", "rest",
@@ -902,7 +915,7 @@ class TestCorrelateCommand:
         libraries = [LibraryOrg("l1", "Lib", "US")]
         holdings = [Holding(r.record_id, "l1") for r in records]
         path = tmp_path / "flat.jsonl"
-        save_dataset(build_snapshot(records, libraries, holdings), path)
+        save_dataset(CatalogSnapshot(records, libraries, holdings), path)
         code, _, err = run_cli(capsys, "correlate", "--dataset", str(path))
         assert code == 5
         assert err == "error: metric 'libcitations' is constant\n"
@@ -929,7 +942,7 @@ class TestCorrelateCommand:
             BookRecord("c3", "Also uncited"),
         ]
         path = tmp_path / "sparse.jsonl"
-        save_dataset(build_snapshot(records, [], []), path)
+        save_dataset(CatalogSnapshot(records, [], []), path)
         for matrix in ((), ("--matrix",)):
             code, _, err = run_cli(capsys, "correlate", *matrix, "--dataset", str(path))
             assert code == 2

@@ -33,8 +33,8 @@ from libcat.errors import (
     QuotaStateError,
     TransportError,
 )
-from libcat.fixture import serve_fixture
-from libcat.model import BookRecord, Holding, Isbn, LibraryOrg, build_snapshot
+from libcat.fixture import FixtureServer
+from libcat.model import BookRecord, CatalogSnapshot, Holding, Isbn, LibraryOrg
 
 ISBN_A = "9780306406157"
 ISBN_B = "9780231085625"
@@ -60,12 +60,12 @@ def corpus():
         Holding("r2", "aaa"),
         Holding("r3", "bbb"),
     ]
-    return build_snapshot(records, libraries, holdings)
+    return CatalogSnapshot(records, libraries, holdings)
 
 
 @pytest.fixture()
 def server(corpus):
-    with serve_fixture(corpus) as fixture:
+    with FixtureServer(corpus) as fixture:
         yield fixture
 
 
@@ -586,17 +586,17 @@ class TestHarvest:
         assert result.skipped == (("r3", "no OCLC number or ISBN"),)
         assert result.errors == ()
         assert not result.quota_exhausted
-        pairs = {(h.record_id, h.library_id) for h in result.holdings}
+        pairs = {(h.record_id, h.library_id) for h in result.delta.holdings}
         assert pairs == {("r1", "aaa"), ("r1", "bbb"), ("r1", "ccc"), ("r2", "aaa")}
-        assert [lib.library_id for lib in result.libraries] == ["aaa", "bbb", "ccc"]
+        assert [lib.library_id for lib in result.delta.libraries] == ["aaa", "bbb", "ccc"]
         assert result.delta.n_records == 3
         assert oracles.distinct_holders_bruteforce(result.delta.holdings, "r4") == 0
 
     def test_harvested_entities_carry_neutral_defaults(self, corpus, server):
         client = make_client(server)
         result = harvest(client, corpus.records[:1])
-        assert all(lib.kind == "other" for lib in result.libraries)
-        assert all(h.channel == "unspecified" for h in result.holdings)
+        assert all(lib.kind == "other" for lib in result.delta.libraries)
+        assert all(h.channel == "unspecified" for h in result.delta.holdings)
 
     def test_quota_exhaustion_keeps_partial_results(self, corpus, server):
         client = make_client(server, limit=2)
@@ -674,7 +674,7 @@ class TestHarvest:
     def test_round_trip_reconstructs_known_holdings(self, seed):
         rng = random.Random(seed)
         snap = datasets.harvestable_snapshot(rng, max_records=25)
-        with serve_fixture(snap) as fixture:
+        with FixtureServer(snap) as fixture:
             client = CatalogClient(
                 fixture.base_url, quota=QuotaStore(10_000), sleep=lambda _: None
             )

@@ -1,6 +1,6 @@
 """Source hygiene that needs no linter: no module imports a name it never
-uses, and no private name, at module level or in a class, goes unused by
-the package."""
+uses, no private name, at module level or in a class, goes unused by the
+package, and no public function only forwards to another name."""
 
 import ast
 import functools
@@ -130,3 +130,33 @@ def test_every_private_member_is_read(path):
     class reading `self._holders` covers a stale `_holders` slot in another."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert sorted(_private_members(tree) - _attribute_reads()) == []
+
+
+def _forwarders(tree: ast.Module) -> set[str]:
+    """The public module-level functions whose whole body, after an
+    optional docstring, is `return Name(<their own parameters, in order>)`."""
+    names = set()
+    for node in tree.body:
+        if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+            continue
+        body = node.body
+        if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+            body = body[1:]
+        if len(body) != 1 or not isinstance(body[0], ast.Return):
+            continue
+        call = body[0].value
+        if not isinstance(call, ast.Call) or not isinstance(call.func, ast.Name) or call.keywords:
+            continue
+        arguments = node.args
+        params = [a.arg for a in (*arguments.posonlyargs, *arguments.args, *arguments.kwonlyargs)]
+        if [a.id if isinstance(a, ast.Name) else None for a in call.args] == params:
+            names.add(node.name)
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_public_function_only_forwards(path):
+    """A public function that passes its parameters straight to another
+    name is a second name for one job; callers should use the real one."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert sorted(_forwarders(tree)) == []

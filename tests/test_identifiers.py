@@ -24,7 +24,7 @@ from libcat.identifiers import (
     parse_oclc,
     work_key,
 )
-from libcat.model import BookRecord, Contributor, Isbn, build_snapshot
+from libcat.model import BookRecord, CatalogSnapshot, Contributor, Isbn
 
 
 def hyphenate(rng, digits):
@@ -179,7 +179,7 @@ class TestClustering:
             BookRecord("r1", "Alpha", contributors=(("A",),)),
             BookRecord("r2", "Beta", contributors=(("B",),)),
         ]
-        snap = build_snapshot(records, [], [])
+        snap = CatalogSnapshot(records, [], [])
         clusters = cluster_works(snap)
         assert [sorted(c.member_record_ids) for c in clusters] == [["r1"], ["r2"]]
 
@@ -192,7 +192,7 @@ class TestClustering:
             BookRecord("r3", "Third form", oclc=77),
             BookRecord("r4", "Third form"),
         ]
-        snap = build_snapshot(records, [], [])
+        snap = CatalogSnapshot(records, [], [])
         clusters = cluster_works(snap)
         assert len(clusters) == 1
         assert clusters[0].member_record_ids == frozenset({"r1", "r2", "r3", "r4"})
@@ -204,7 +204,7 @@ class TestClustering:
             BookRecord("r3", "Shared evidence title", contributors=(("A",),),
                        isbns=(Isbn("9780306406157"),)),
         ]
-        snap = build_snapshot(records, [], [])
+        snap = CatalogSnapshot(records, [], [])
         (cluster,) = cluster_works(snap)
         # r1 is the smallest member but its title folds away, so the label
         # degrades to the empty key rather than borrowing another member's
@@ -216,12 +216,12 @@ class TestClustering:
             BookRecord("r2", "---", oclc=5),
             BookRecord("r3", "!!!"),
         ]
-        snap = build_snapshot(records, [], [])
+        snap = CatalogSnapshot(records, [], [])
         clusters = cluster_works(snap)
         assert [sorted(c.member_record_ids) for c in clusters] == [["r1", "r2"], ["r3"]]
 
     def test_result_is_cached_on_the_snapshot(self):
-        snap = build_snapshot([BookRecord("r1", "T")], [], [])
+        snap = CatalogSnapshot([BookRecord("r1", "T")], [], [])
         assert cluster_works(snap) is cluster_works(snap)
 
     @settings(max_examples=80, deadline=None)
@@ -240,7 +240,7 @@ class TestClustering:
         snap = datasets.random_snapshot(rng, max_records=15)
         records = list(snap.records)
         rng.shuffle(records)
-        reordered = build_snapshot(records, snap.libraries, snap.holdings)
+        reordered = CatalogSnapshot(records, snap.libraries, snap.holdings)
         as_sets = lambda clusters: sorted(
             sorted(c.member_record_ids) for c in clusters
         )

@@ -20,6 +20,7 @@ from libcat.indicators import (
     CompositionRow,
     author_profile,
     author_profiles,
+    book_indicators,
     catalog_inclusions,
     cir,
     cnls,
@@ -41,7 +42,6 @@ from libcat.model import (
     LibraryFilter,
     LibraryOrg,
     apply_filter,
-    build_snapshot,
 )
 
 
@@ -55,7 +55,7 @@ def counts_snapshot(counts, lc_class="QA76"):
         record_id = f"r{index}"
         records.append(BookRecord(record_id, f"Book {index}", lc_class=lc_class))
         holdings.extend(Holding(record_id, f"l{i:05d}") for i in range(count))
-    return build_snapshot(records, libraries, holdings)
+    return CatalogSnapshot(records, libraries, holdings)
 
 
 def whole_unit(snapshot, unit_id="u"):
@@ -82,7 +82,7 @@ class TestLibcitations:
             Holding("r2", "l00001"),
             Holding("r2", "l00002"),
         ]
-        snap = build_snapshot(records, libraries, holdings)
+        snap = CatalogSnapshot(records, libraries, holdings)
         (cluster,) = cluster_works(snap)
         assert libcitations(cluster, snap) == 3
 
@@ -99,7 +99,7 @@ class TestLibcitations:
             LibraryOrg("l2", "B", "GB", "academic"),
         ]
         records = [BookRecord("r1", "T")]
-        snap = build_snapshot(
+        snap = CatalogSnapshot(
             records, libraries, [Holding("r1", "l1"), Holding("r1", "l2")]
         )
         us_only = LibraryFilter(countries=frozenset({"US"}))
@@ -157,7 +157,7 @@ class TestAggregates:
         libraries = [datasets.simple_library(0)]
         records = [BookRecord("r0", "A"), BookRecord("r1", "B")]
         holdings = [Holding("r0", "l00000"), Holding("r1", "l00000")]
-        snap = build_snapshot(records, libraries, holdings)
+        snap = CatalogSnapshot(records, libraries, holdings)
         unit = whole_unit(snap)
         assert catalog_inclusions(unit, snap) == 2
         assert libcitations(unit.member_record_ids, snap) == 1
@@ -188,8 +188,8 @@ class TestAggregates:
             for r in records
             for lib in libraries
         ]
-        full = build_snapshot(records, libraries, everywhere)
-        empty = build_snapshot(records, libraries, [])
+        full = CatalogSnapshot(records, libraries, everywhere)
+        empty = CatalogSnapshot(records, libraries, [])
         assert diffusion_rate(whole_unit(full), full) == 1.0
         assert diffusion_rate(whole_unit(empty), empty) == 0.0
 
@@ -248,7 +248,7 @@ class TestAggregates:
             for h in snap.holdings
             for copy in range(k)
         ]
-        scaled = build_snapshot(snap.records, libraries, holdings)
+        scaled = CatalogSnapshot(snap.records, libraries, holdings)
         cut = len(ids) // 2
         a = AggregateUnit("a", "A", frozenset(ids[:cut]))
         b = AggregateUnit("b", "B", frozenset(ids[cut:]))
@@ -279,7 +279,7 @@ class TestClassRelative:
         assert cnls("r1", snap) == 1.5
 
     def test_unclassified_record_has_no_score(self):
-        snap = build_snapshot([BookRecord("r0", "T")], [], [])
+        snap = CatalogSnapshot([BookRecord("r0", "T")], [], [])
         with pytest.raises(NoClassError):
             cnls("r0", snap)
         with pytest.raises(NoClassError):
@@ -329,7 +329,7 @@ class TestClassRelative:
         holdings = [Holding("r0", f"l{i:05d}") for i in range(4)] + [
             Holding("r1", "l00000")
         ]
-        snap = build_snapshot(records, libraries, holdings)
+        snap = CatalogSnapshot(records, libraries, holdings)
         assert cnls("r0", snap) == 1.0
         assert cnls("r1", snap) == 1.0
         assert rank_in_class("r0", snap) == (1, 1)
@@ -339,7 +339,7 @@ class TestAuthorProfiles:
     def test_single_record_author(self):
         records = [BookRecord("r0", "Solo study", contributors=(("Hart, Ada",),))]
         libraries = [datasets.simple_library(0)]
-        snap = build_snapshot(records, libraries, [Holding("r0", "l00000")])
+        snap = CatalogSnapshot(records, libraries, [Holding("r0", "l00000")])
         profile = author_profile("Hart, Ada", snap)
         assert (profile.works, profile.publications, profile.library_holdings) == (
             1,
@@ -352,13 +352,13 @@ class TestAuthorProfiles:
             BookRecord("r0", "First", contributors=(("HART, ADA", "editor"),)),
             BookRecord("r1", "Second", contributors=(("hart ada", "author"),)),
         ]
-        snap = build_snapshot(records, [], [])
+        snap = CatalogSnapshot(records, [], [])
         profile = author_profile("Hart, Ada", snap)
         assert profile.works == 2
         assert profile.publications == 2
 
     def test_unknown_heading_raises(self):
-        snap = build_snapshot([BookRecord("r0", "T")], [], [])
+        snap = CatalogSnapshot([BookRecord("r0", "T")], [], [])
         with pytest.raises(AuthorNotFoundError):
             author_profile("Nobody, Known", snap)
         with pytest.raises(AuthorNotFoundError):
@@ -380,7 +380,7 @@ class TestAuthorProfiles:
         ]
         libraries = [datasets.simple_library(i) for i in range(2)]
         holdings = [Holding("r0", "l00000"), Holding("r1", "l00001")]
-        snap = build_snapshot(records, libraries, holdings)
+        snap = CatalogSnapshot(records, libraries, holdings)
         profile = author_profile("Hart, Ada", snap)
         assert profile.works == 1
         assert profile.publications == 2
@@ -398,7 +398,7 @@ class TestAuthorProfiles:
             BookRecord("r0", "One", contributors=(("hart, ada",),)),
             BookRecord("r1", "Two", contributors=(("Hart, Ada",),)),
         ]
-        snap = build_snapshot(records, [], [])
+        snap = CatalogSnapshot(records, [], [])
         (profile,) = author_profiles(snap)
         assert profile.heading == "Hart, Ada"
 
@@ -409,7 +409,7 @@ class TestAuthorProfiles:
             LibraryOrg("l2", "B", "GB", "academic"),
         ]
         holdings = [Holding("r0", "l1"), Holding("r0", "l2")]
-        snap = build_snapshot(records, libraries, holdings)
+        snap = CatalogSnapshot(records, libraries, holdings)
         profile = author_profile(
             "Hart, Ada", snap, LibraryFilter(countries=frozenset({"US"}))
         )
@@ -429,7 +429,7 @@ def tied_class_snapshot(rng, size):
             holdings.append(
                 Holding(record_id, library.library_id, rng.choice(datasets.CHANNELS))
             )
-    return build_snapshot(records, libraries, holdings)
+    return CatalogSnapshot(records, libraries, holdings)
 
 
 VARIANT_NAMES = (
@@ -461,7 +461,7 @@ def variant_author_snapshot(rng, n_records):
         for library in libraries
         if rng.random() < 0.4
     ]
-    return build_snapshot(records, libraries, holdings)
+    return CatalogSnapshot(records, libraries, holdings)
 
 
 class TestCompiledView:
@@ -494,7 +494,7 @@ class TestCompiledView:
         library_filter = datasets.random_filter(rng) if filtered else None
         profiles = author_profiles(snap, library_filter)
         headings = [p.heading for p in profiles]
-        fresh = build_snapshot(snap.records, snap.libraries, snap.holdings)
+        fresh = CatalogSnapshot(snap.records, snap.libraries, snap.holdings)
         assert profiles == [author_profile(h, fresh, library_filter) for h in headings]
         assert profiles == sorted(profiles, key=lambda p: (-p.library_holdings, p.heading))
 
@@ -534,8 +534,9 @@ class TestUnitReport:
         assert report.cir == pytest.approx(7 / 3)
         assert report.rcir == 1.0
         assert report.dr == pytest.approx(7 / 12)
-        assert [b.libcitations for b in report.per_book] == [3, 4, 0]
-        assert report.ci == sum(b.libcitations for b in report.per_book)
+        books = book_indicators(snap)
+        assert [b.libcitations for b in books] == [3, 4, 0]
+        assert report.ci == sum(b.libcitations for b in books)
 
     def test_report_without_benchmark_leaves_rcir_unset(self):
         snap = counts_snapshot([2])
@@ -545,10 +546,11 @@ class TestUnitReport:
     def test_per_book_blanks_where_undefined(self):
         records = [BookRecord("r0", "No class")]
         libraries = [datasets.simple_library(0)]
-        snap = build_snapshot(records, libraries, [Holding("r0", "l00000")])
-        report = unit_report(whole_unit(snap), snap)
-        assert report.per_book[0].cnls is None
-        assert report.per_book[0].rank_in_class is None
+        snap = CatalogSnapshot(records, libraries, [Holding("r0", "l00000")])
+        assert unit_report(whole_unit(snap), snap).ci == 1
+        (book,) = book_indicators(snap)
+        assert book.cnls is None
+        assert book.rank_in_class is None
 
 
 class TestPopulationReports:
@@ -559,7 +561,7 @@ class TestPopulationReports:
             LibraryOrg("l3", "C", "US", "public"),
             LibraryOrg("l4", "D", "GB", "other"),
         ]
-        snap = build_snapshot([], libraries, [])
+        snap = CatalogSnapshot([], libraries, [])
         report = composition_report(snap)
         assert [r.country for r in report.rows] == ["GB", "US"]
         us = report.rows[1]
@@ -591,6 +593,6 @@ class TestPopulationReports:
         assert oracles.percent_string(held.covered, held.total) == "97.81"
 
     def test_coverage_undefined_over_no_records(self):
-        snap = build_snapshot([], [], [])
+        snap = CatalogSnapshot([], [], [])
         with pytest.raises(UndefinedRateError):
             coverage_report(snap)

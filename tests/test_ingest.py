@@ -22,9 +22,9 @@ from libcat.ingest import (
 )
 from libcat.model import (
     BookRecord,
+    CatalogSnapshot,
     Holding,
     LibraryOrg,
-    build_snapshot,
 )
 
 DC_DOC = """<?xml version="1.0"?>
@@ -281,7 +281,7 @@ class TestPersistence:
         assert a.read_bytes() == b.read_bytes()
 
     def test_absent_optionals_are_omitted(self, tmp_path):
-        snap = build_snapshot([BookRecord("r1", "T")], [], [])
+        snap = CatalogSnapshot([BookRecord("r1", "T")], [], [])
         path = tmp_path / "data.jsonl"
         save_dataset(snap, path)
         (line,) = path.read_text().splitlines()
@@ -290,7 +290,7 @@ class TestPersistence:
         assert "null" not in line
 
     def test_unicode_survives_unescaped(self, tmp_path):
-        snap = build_snapshot([BookRecord("r1", "Öl und Wasser")], [], [])
+        snap = CatalogSnapshot([BookRecord("r1", "Öl und Wasser")], [], [])
         path = tmp_path / "data.jsonl"
         save_dataset(snap, path)
         assert "Öl und Wasser" in path.read_text(encoding="utf-8")
@@ -376,6 +376,15 @@ class TestPersistence:
         with pytest.raises(DatasetError, match="^line 2: not valid JSON"):
             load_dataset(path)
 
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        plain, marked = tmp_path / "plain.jsonl", tmp_path / "marked.jsonl"
+        plain.write_bytes(RECORD_LINE.encode() + b"\n")
+        marked.write_bytes(b"\xef\xbb\xbf" + RECORD_LINE.encode() + b"\n")
+        assert load_dataset(marked) == load_dataset(plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + RECORD_LINE.encode() + b"\n{oops\n")
+        with pytest.raises(DatasetError, match="^line 2: not valid JSON"):
+            load_dataset(marked)
+
     def test_referential_integrity_checked_on_load(self, tmp_path):
         path = tmp_path / "data.jsonl"
         path.write_text('{"t":"H","record":"r1","library":"l1","channel":"pda"}\n')
@@ -384,8 +393,8 @@ class TestPersistence:
 
     def test_save_overwrites_atomically(self, tmp_path):
         path = tmp_path / "data.jsonl"
-        first = build_snapshot([BookRecord("r1", "Old")], [], [])
-        second = build_snapshot([BookRecord("r2", "New")], [], [])
+        first = CatalogSnapshot([BookRecord("r1", "Old")], [], [])
+        second = CatalogSnapshot([BookRecord("r2", "New")], [], [])
         save_dataset(first, path)
         save_dataset(second, path)
         assert load_dataset(path) == second
@@ -393,7 +402,7 @@ class TestPersistence:
 
     def test_failed_rename_keeps_the_old_file_and_no_temp_file(self, tmp_path, monkeypatch):
         path = tmp_path / "data.jsonl"
-        old = build_snapshot([BookRecord("r1", "Old")], [], [])
+        old = CatalogSnapshot([BookRecord("r1", "Old")], [], [])
         save_dataset(old, path)
 
         def refuse(src, dst):
@@ -401,14 +410,14 @@ class TestPersistence:
 
         monkeypatch.setattr(os, "replace", refuse)
         with pytest.raises(OSError, match="rename refused"):
-            save_dataset(build_snapshot([BookRecord("r2", "New")], [], []), path)
+            save_dataset(CatalogSnapshot([BookRecord("r2", "New")], [], []), path)
         monkeypatch.undo()
         assert load_dataset(path) == old
         assert [p.name for p in tmp_path.iterdir()] == ["data.jsonl"]
 
     def test_save_gives_the_mode_a_plain_open_gives(self, tmp_path):
         path = tmp_path / "data.jsonl"
-        save_dataset(build_snapshot([BookRecord("r1", "T")], [], []), path)
+        save_dataset(CatalogSnapshot([BookRecord("r1", "T")], [], []), path)
         plain = tmp_path / "plain"
         plain.write_text("")
         assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
@@ -416,12 +425,12 @@ class TestPersistence:
 
 class TestMerge:
     def test_union_with_base_precedence(self):
-        base = build_snapshot(
+        base = CatalogSnapshot(
             [BookRecord("r1", "Base title")],
             [LibraryOrg("l1", "Base lib", "US")],
             [Holding("r1", "l1", "pda")],
         )
-        delta = build_snapshot(
+        delta = CatalogSnapshot(
             [BookRecord("r1", "Delta title"), BookRecord("r2", "Only delta")],
             [LibraryOrg("l1", "Delta lib", "GB"), LibraryOrg("l2", "L2", "DE")],
             [Holding("r1", "l1", "donation"), Holding("r2", "l2")],
@@ -436,7 +445,7 @@ class TestMerge:
     def test_merge_with_empty_is_identity(self):
         rng = random.Random(44)
         snap = datasets.random_snapshot(rng)
-        empty = build_snapshot([], [], [])
+        empty = CatalogSnapshot([], [], [])
         assert merge_snapshots(snap, empty) == snap
         assert merge_snapshots(empty, snap) == snap
 

@@ -12,13 +12,13 @@ from libcat.errors import IntegrityError
 from libcat.model import (
     AggregateUnit,
     BookRecord,
+    CatalogSnapshot,
     Contributor,
     Holding,
     Isbn,
     LibraryFilter,
     LibraryOrg,
     apply_filter,
-    build_snapshot,
     isbn13_check_digit,
 )
 
@@ -40,7 +40,7 @@ def make_snapshot(holding_pairs, channels=None, countries=None, kinds=None):
         Holding(r, l, (channels or {}).get((r, l), "unspecified"))
         for r, l in holding_pairs
     ]
-    return build_snapshot(records, libraries, holdings)
+    return CatalogSnapshot(records, libraries, holdings)
 
 
 class TestValues:
@@ -139,7 +139,7 @@ class TestValues:
 
 class TestSnapshot:
     def test_empty_snapshot(self):
-        snap = build_snapshot([], [], [])
+        snap = CatalogSnapshot([], [], [])
         assert snap.n_records == 0
         assert snap.n_libraries == 0
         assert snap.n_holdings == 0
@@ -147,25 +147,25 @@ class TestSnapshot:
     def test_duplicate_record_id_rejected(self):
         recs = [BookRecord("r1", "A"), BookRecord("r1", "B")]
         with pytest.raises(IntegrityError):
-            build_snapshot(recs, [], [])
+            CatalogSnapshot(recs, [], [])
 
     def test_duplicate_library_id_rejected(self):
         libs = [LibraryOrg("l1", "A", "US"), LibraryOrg("l1", "B", "GB")]
         with pytest.raises(IntegrityError):
-            build_snapshot([], libs, [])
+            CatalogSnapshot([], libs, [])
 
     def test_dangling_holding_rejected(self):
         rec = BookRecord("r1", "T")
         lib = LibraryOrg("l1", "Lib", "US")
         with pytest.raises(IntegrityError):
-            build_snapshot([rec], [lib], [Holding("r2", "l1")])
+            CatalogSnapshot([rec], [lib], [Holding("r2", "l1")])
         with pytest.raises(IntegrityError):
-            build_snapshot([rec], [lib], [Holding("r1", "l2")])
+            CatalogSnapshot([rec], [lib], [Holding("r1", "l2")])
 
     def test_duplicate_holdings_collapse_keeping_first(self):
         rec = BookRecord("r1", "T")
         lib = LibraryOrg("l1", "Lib", "US")
-        snap = build_snapshot(
+        snap = CatalogSnapshot(
             [rec],
             [lib],
             [Holding("r1", "l1", "donation"), Holding("r1", "l1", "pda")],
@@ -213,6 +213,16 @@ class TestFilter:
         with pytest.raises(ValueError):
             LibraryFilter(excluded_channels=frozenset({"gift"}))
 
+    def test_kinds_and_channels_fold_case_but_memberships_do_not(self):
+        library_filter = LibraryFilter(
+            kinds=frozenset({"Academic", "PUBLIC"}),
+            required_memberships=frozenset({"Arl"}),
+            excluded_channels=frozenset({"Donation"}),
+        )
+        assert library_filter.kinds == {"academic", "public"}
+        assert library_filter.required_memberships == {"Arl"}
+        assert library_filter.excluded_channels == {"donation"}
+
     def test_country_filter_drops_libraries_and_their_holdings(self):
         snap = make_snapshot(
             [("r1", "l1"), ("r1", "l2")], countries={"l1": "US", "l2": "GB"}
@@ -235,7 +245,7 @@ class TestFilter:
             LibraryOrg("l2", "B", "US", "academic", frozenset({"GLOBAL"})),
             LibraryOrg("l3", "C", "US", "academic"),
         ]
-        snap = build_snapshot([], libs, [])
+        snap = CatalogSnapshot([], libs, [])
         narrowed = apply_filter(
             snap, LibraryFilter(required_memberships=frozenset({"ARL"}))
         )

@@ -8,7 +8,7 @@ import pytest
 
 import libcat
 from libcat.ingest import save_dataset
-from libcat.model import BookRecord, Holding, LibraryOrg, build_snapshot
+from libcat.model import BookRecord, CatalogSnapshot, Holding, LibraryOrg
 
 NETWORK_MODULES = ("requests", "urllib3", "http.client", "http.server", "concurrent.futures")
 
@@ -42,7 +42,7 @@ def small_dataset(tmp_path):
     libraries = [LibraryOrg("l1", "One", "US", "academic"), LibraryOrg("l2", "Two", "GB")]
     holdings = [Holding("b1", "l1"), Holding("b1", "l2"), Holding("b2", "l1")]
     path = tmp_path / "small.jsonl"
-    save_dataset(build_snapshot(records, libraries, holdings), path)
+    save_dataset(CatalogSnapshot(records, libraries, holdings), path)
     return str(path)
 
 
@@ -70,21 +70,21 @@ def test_read_commands_never_load_the_network_layer(small_dataset, subprocess_en
 
 def test_the_network_names_still_resolve_from_the_package():
     from libcat.client import CatalogClient, harvest
-    from libcat.fixture import serve_fixture
+    from libcat.fixture import FixtureServer
 
     assert libcat.CatalogClient is CatalogClient
     assert libcat.harvest is harvest
-    assert libcat.serve_fixture is serve_fixture
+    assert libcat.FixtureServer is FixtureServer
     lazy = {"CatalogClient", "HarvestResult", "Location", "LocationResponse",
             "MatchedRecord", "QuotaState", "QuotaStore", "harvest",
-            "FixtureServer", "serve_fixture"}
+            "FixtureServer"}
     assert lazy <= set(libcat.__all__)
     assert lazy <= set(dir(libcat))
     namespace = {}
     exec("from libcat import *", namespace)
     assert namespace["CatalogClient"] is CatalogClient
     assert namespace["harvest"] is harvest
-    assert namespace["serve_fixture"] is serve_fixture
+    assert namespace["FixtureServer"] is FixtureServer
     assert set(libcat.__all__) <= set(namespace)
 
 

@@ -11,7 +11,6 @@ import oracles
 from libcat.errors import ConstantInputError, SampleSizeError
 from libcat.stats import (
     CorrelationMatrix,
-    PairedSample,
     average_ranks,
     correlation_matrix,
     spearman,
@@ -22,25 +21,22 @@ finite_floats = st.floats(
 )
 
 
-class TestPairedSample:
-    def test_requires_two_pairs(self):
+class TestSpearmanInputs:
+    def test_requires_two_rows(self):
         with pytest.raises(SampleSizeError):
-            PairedSample(((1.0, 2.0),))
+            spearman([1.0], [2.0])
         with pytest.raises(SampleSizeError):
-            PairedSample(())
+            spearman([], [])
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            PairedSample(((1.0, float("nan")), (2.0, 3.0)))
+            spearman([1.0, 2.0], [float("nan"), 3.0])
         with pytest.raises(ValueError):
-            PairedSample(((float("inf"), 1.0), (2.0, 3.0)))
+            spearman([float("inf"), 2.0], [1.0, 3.0])
 
-    def test_from_columns_zips(self):
-        sample = PairedSample.from_columns([1, 2, 3], [4, 5, 6])
-        assert sample.xs == (1.0, 2.0, 3.0)
-        assert sample.ys == (4.0, 5.0, 6.0)
+    def test_rejects_unequal_lengths(self):
         with pytest.raises(ValueError):
-            PairedSample.from_columns([1, 2], [1])
+            spearman([1, 2], [1])
 
 
 class TestAverageRanks:
@@ -65,26 +61,24 @@ class TestAverageRanks:
 
 class TestSpearman:
     def test_perfect_monotone(self):
-        increasing = [(1, 10), (2, 40), (3, 90), (4, 160)]
-        decreasing = [(1, 160), (2, 90), (3, 40), (4, 10)]
-        assert spearman(increasing) == 1.0
-        assert spearman(decreasing) == -1.0
+        assert spearman([1, 2, 3, 4], [10, 40, 90, 160]) == 1.0
+        assert spearman([1, 2, 3, 4], [160, 90, 40, 10]) == -1.0
 
     def test_tied_example(self):
-        sample = PairedSample(((1, 10), (2, 20), (2, 30), (4, 40)))
-        got = spearman(sample)
-        assert abs(got - oracles.spearman(sample.xs, sample.ys)) < 1e-12
+        xs, ys = [1, 2, 2, 4], [10, 20, 30, 40]
+        got = spearman(xs, ys)
+        assert abs(got - oracles.spearman(xs, ys)) < 1e-12
         assert abs(got - 0.9486832980505138) < 1e-12
 
     def test_constant_inputs_raise(self):
         with pytest.raises(ConstantInputError):
-            spearman(((1, 1), (1, 2), (1, 3)))
+            spearman([1, 1, 1], [1, 2, 3])
         with pytest.raises(ConstantInputError):
-            spearman(((1, 7), (2, 7), (3, 7)))
+            spearman([1, 2, 3], [7, 7, 7])
 
     def test_small_samples_raise(self):
         with pytest.raises(SampleSizeError):
-            spearman(((1, 2),))
+            spearman([1], [2])
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -97,9 +91,9 @@ class TestSpearman:
         ys = [p[1] for p in pairs]
         if min(xs) == max(xs) or min(ys) == max(ys):
             with pytest.raises(ConstantInputError):
-                spearman(pairs)
+                spearman(xs, ys)
             return
-        assert abs(spearman(pairs) - oracles.spearman(xs, ys)) < 1e-12
+        assert abs(spearman(xs, ys) - oracles.spearman(xs, ys)) < 1e-12
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -112,9 +106,9 @@ class TestSpearman:
         ys = [p[1] for p in pairs]
         if min(xs) == max(xs) or min(ys) == max(ys):
             return
-        rho = spearman(pairs)
+        rho = spearman(xs, ys)
         assert -1.0 <= rho <= 1.0
-        flipped = spearman([(y, x) for x, y in pairs])
+        flipped = spearman(ys, xs)
         assert abs(rho - flipped) < 1e-12
 
     @settings(max_examples=100, deadline=None)
@@ -139,16 +133,16 @@ class TestSpearman:
             ranks = oracles.average_ranks(xs)
             lookup = dict(zip(xs, ranks))
             g = lambda v: lookup[v]
-        transformed = [(g(x), y) for x, y in pairs]
-        assert abs(spearman(pairs) - spearman(transformed)) < 1e-9
+        assert abs(spearman(xs, ys) - spearman([g(x) for x in xs], ys)) < 1e-9
 
     def test_antisymmetry_under_negation(self):
         rng = random.Random(12)
         pairs = [(rng.randint(0, 20), rng.randint(0, 20)) for _ in range(30)]
         pairs[0] = (0, 0)
         pairs[1] = (1, 1)
-        negated = [(-x, y) for x, y in pairs]
-        assert abs(spearman(pairs) + spearman(negated)) < 1e-12
+        xs = [x for x, _ in pairs]
+        ys = [y for _, y in pairs]
+        assert abs(spearman(xs, ys) + spearman([-x for x in xs], ys)) < 1e-12
 
 
 class TestCorrelationMatrix:
