@@ -277,7 +277,7 @@ def cmd_fetch(args) -> int:
         print(f"failed {record_id}: {message}", file=sys.stderr)
     print(
         f"fetched={len(result.queried)} skipped={len(result.skipped)} "
-        f"errors={len(result.errors)} holdings={len(result.delta.holdings)} "
+        f"errors={len(result.errors)} holdings={result.delta.n_holdings} "
         f"libraries={len(result.delta.libraries)} quota_used={state.used}/{state.limit}"
     )
     return EXIT_QUOTA if result.quota_exhausted else EXIT_OK

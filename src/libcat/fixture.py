@@ -65,14 +65,15 @@ class FixtureServer:
         self._snapshot = snapshot
         self._by_oclc: dict[int, list[str]] = {}
         self._by_isbn: dict[str, list[str]] = {}
-        self._holders: dict[str, list[str]] = {}
+        # record id -> indexes into snapshot.libraries, which sort as the ids do
+        self._holders: dict[str, list[int]] = {}
         for record in snapshot.records:
             if record.oclc is not None:
                 self._by_oclc.setdefault(record.oclc, []).append(record.record_id)
             for isbn in record.isbns:
                 self._by_isbn.setdefault(isbn.digits, []).append(record.record_id)
-        for holding in snapshot.holdings:
-            self._holders.setdefault(holding.record_id, []).append(holding.library_id)
+        for ri, li in zip(snapshot.holding_records, snapshot.holding_libraries):
+            self._holders.setdefault(snapshot.records[ri].record_id, []).append(li)
         self._count_lock = threading.Lock()
         self._request_count = 0
         self._server = ThreadingHTTPServer((host, port), self._handler_class())
@@ -125,10 +126,10 @@ class FixtureServer:
             return 404, None, []
         ordered = sorted(record_ids)
         fragment = _record_fragment(self._snapshot.get_record(ordered[0]))
-        holder_ids = set().union(*(self._holders.get(rid, ()) for rid in ordered))
+        holders = set().union(*(self._holders.get(rid, ()) for rid in ordered))
         locations = []
-        for library_id in sorted(holder_ids):
-            library = self._snapshot.get_library(library_id)
+        for index in sorted(holders):
+            library = self._snapshot.libraries[index]
             locations.append(
                 {
                     "name": library.name,

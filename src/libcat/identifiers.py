@@ -57,7 +57,7 @@ def normalize_isbn(raw: str) -> Isbn:
         if not compact.isdigit():
             raise IsbnFormatError(f"ISBN-13 must be all digits: {raw!r}")
         try:
-            return Isbn(compact, original_form=raw)
+            return Isbn(compact)
         except ValueError:  # the shape is right, so only the check digit is wrong
             raise IsbnChecksumError(f"ISBN-13 check digit mismatch: {raw!r}") from None
     if len(compact) == 10:
@@ -67,7 +67,7 @@ def normalize_isbn(raw: str) -> Isbn:
         if check != isbn10_check_char(body):
             raise IsbnChecksumError(f"ISBN-10 check character mismatch: {raw!r}")
         body13 = "978" + body
-        return Isbn(body13 + isbn13_check_digit(body13), original_form=raw)
+        return Isbn(body13 + isbn13_check_digit(body13))
     raise IsbnFormatError(f"ISBN must have 10 or 13 significant characters: {raw!r}")
 
 

@@ -20,15 +20,17 @@ editions of those clusters, holdings sums the clusters' libcitations.
 Every indicator reads from one compiled view per (snapshot, filter)
 pair, memoized on the snapshot: the filtered snapshot (filtered once),
 a holder count per record, and per class the sorted counts and their
-sum, so rank is a binary search and CNLS a division. Distinct holders
+sum, so rank is a binary search and CNLS a division. The counts come
+from the snapshot's record-index column in one pass. Distinct holders
 of a record set, which libcitations of a set and every author's work
-clusters count, come from one method over one record -> holders table,
-built on the first set or author query; the first author query also
-adds a folded-heading index and the work clusters. Building a view
-costs O(records + holdings), plus a sort per class; every indicator
-after that is a lookup or a sum over its own members. Every function
-here is pure: it reads, counts, and returns. Rendering and rounding
-live elsewhere.
+clusters count, come from one method: holdings are sorted by record,
+so a record's holders are one slice of the library-index column, found
+from a start offset per record built on the first set or author query;
+the first author query also adds a folded-heading index and the work
+clusters. Building a view costs O(records + holdings), plus a sort per
+class; every indicator after that is a lookup or a sum over its own
+members. Every function here is pure: it reads, counts, and returns.
+Rendering and rounding live elsewhere.
 
 The composition report counts libraries per country in LIBRARY_KINDS
 order, with its totals as one more row of the same type. For
@@ -40,6 +42,7 @@ to `stats.correlation_matrix`.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -84,14 +87,14 @@ class _View:
     """One (snapshot, filter) pair, compiled once for every indicator.
 
     `filtered` is the filtered snapshot and `counts` its libcitations per
-    record. `holders` counts distinct holders of a record set, from one
-    record -> holders table built on the first set or author query. The
-    author tables are built on the first author query; work clusters
-    always come from the unfiltered snapshot, since filtering keeps
-    every record.
+    record. `holders` counts distinct holders of a record set, from the
+    start offset of each record's run of holdings, built on the first set
+    or author query. The author tables are built on the first author
+    query; work clusters always come from the unfiltered snapshot, since
+    filtering keeps every record.
     """
 
-    __slots__ = ("source", "filtered", "counts", "_classes", "_holders", "_headings", "_clusters")
+    __slots__ = ("source", "filtered", "counts", "_classes", "_starts", "_headings", "_clusters")
 
     def __init__(
         self, snapshot: CatalogSnapshot, library_filter: Optional[LibraryFilter]
@@ -99,10 +102,10 @@ class _View:
         self.source = snapshot
         self.filtered = filtered = apply_filter(snapshot, library_filter)
         # holdings are unique per (record, library), so counting them counts holders
-        counts = dict.fromkeys((r.record_id for r in filtered.records), 0)
-        for holding in filtered.holdings:
-            counts[holding.record_id] += 1
-        self.counts = counts
+        held = Counter(filtered.holding_records)
+        self.counts = counts = {
+            record.record_id: held[index] for index, record in enumerate(filtered.records)
+        }
         by_class: dict[str, list[int]] = {}
         for record in filtered.records:
             if record.lc_class is not None:
@@ -111,7 +114,7 @@ class _View:
             lc_class: (sorted(class_counts), sum(class_counts))
             for lc_class, class_counts in by_class.items()
         }
-        self._holders: Optional[dict[str, list[str]]] = None
+        self._starts: Optional[dict[str, int]] = None
         self._headings: Optional[dict[str, tuple[str, set[str]]]] = None
         self._clusters: Optional[tuple[dict[str, int], list[WorkCluster], list[int]]] = None
 
@@ -176,13 +179,20 @@ class _View:
         if len(record_ids) == 1:
             (record_id,) = record_ids
             return self.counts[record_id]
-        if self._holders is None:
-            table: dict[str, list[str]] = {}
-            for holding in self.filtered.holdings:
-                table.setdefault(holding.record_id, []).append(holding.library_id)
-            self._holders = table
-        table = self._holders
-        return len(set().union(*(table.get(record_id, ()) for record_id in record_ids)))
+        counts = self.counts
+        if self._starts is None:
+            # `counts` and the columns both run in record order, so a record's
+            # holdings are the `counts[record_id]` entries from its start
+            starts: dict[str, int] = {}
+            start = 0
+            for record_id, count in counts.items():
+                starts[record_id] = start
+                start += count
+            self._starts = starts
+        starts, column = self._starts, self.filtered.holding_libraries
+        return len(
+            set().union(*(column[starts[r]:starts[r] + counts[r]] for r in record_ids))
+        )
 
     def headings(self) -> dict[str, tuple[str, set[str]]]:
         """Folded heading -> (smallest display variant, ids of records naming it)."""

@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import contextlib
 import fcntl
+import gc
 import hashlib
 import itertools
 import json
 import os
 import re
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
@@ -32,10 +34,11 @@ from .model import (
     BookRecord,
     CatalogSnapshot,
     Contributor,
-    Holding,
     Isbn,
     LibraryOrg,
+    _check_holding,
 )
+from .render import _JSON_LINE
 
 _YEAR = re.compile(r"\d{4}")
 _ISBD_TRAIL = " /:;,.="
@@ -350,9 +353,7 @@ def save_dataset(snapshot: CatalogSnapshot, path: "str | os.PathLike") -> None:
     Output order is records, libraries, holdings, each sorted by id, so
     equal snapshots produce byte-identical files.
     """
-    lines = []
-    for record in snapshot.records:
-        lines.append(_record_line(record))
+    lines = [_record_line(record) for record in snapshot.records]
     for library in snapshot.libraries:
         obj: dict = {
             "t": "L",
@@ -364,20 +365,12 @@ def save_dataset(snapshot: CatalogSnapshot, path: "str | os.PathLike") -> None:
         if library.memberships:
             obj["memberships"] = sorted(library.memberships)
         lines.append(obj)
-    for holding in snapshot.holdings:
+    for record_id, library_id, channel in snapshot.holding_triples():
         lines.append(
-            {
-                "t": "H",
-                "record": holding.record_id,
-                "library": holding.library_id,
-                "channel": holding.channel,
-            }
+            {"t": "H", "record": record_id, "library": library_id, "channel": channel}
         )
-    text = "".join(
-        json.dumps(line, ensure_ascii=False, separators=(",", ":")) + "\n"
-        for line in lines
-    )
-    _write_atomic(os.fspath(path), text)
+    encode = _JSON_LINE.encode
+    _write_atomic(os.fspath(path), "".join(encode(line) + "\n" for line in lines))
 
 
 _temp_ids = itertools.count()
@@ -476,51 +469,80 @@ def _json_lines(path: "str | os.PathLike") -> Iterator[tuple[int, object]]:
                 yield number, _decode_line(stripped, number)
 
 
+@contextlib.contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Keep the cyclic collector off for the with-block, then restore the
+    caller's setting, enabled or disabled, however the block ends."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def load_dataset(path: "str | os.PathLike") -> CatalogSnapshot:
-    """Load a canonical dataset file; malformed lines name their line number."""
+    """Load a canonical dataset file; malformed lines name their line number.
+
+    A holding line is checked as a Holding would check it, and its three
+    strings are interned into three lists, which the snapshot reads as
+    triples: ids and channels repeat across lines, so each distinct
+    string is held once until the snapshot has built its columns.
+    The collector is paused while lines decode and the snapshot is built:
+    loading makes many objects and no reference cycles, so every
+    collection it would set off walks a growing heap for nothing.
+    """
     records: list[BookRecord] = []
     libraries: list[LibraryOrg] = []
-    holdings: list[Holding] = []
-    for number, obj in _json_lines(path):
-        if not isinstance(obj, dict) or "t" not in obj:
-            raise DatasetError(f"line {number}: expected an object with a 't' tag")
-        tag = obj["t"]
-        try:
-            if tag == "R":
-                records.append(_parse_record_line(obj))
-            elif tag == "L":
-                libraries.append(
-                    LibraryOrg(
-                        library_id=obj["id"],
-                        name=obj["name"],
-                        country=obj["country"],
-                        kind=obj.get("kind", DEFAULT_KIND),
-                        memberships=obj.get("memberships", frozenset()),
+    holding_records: list[str] = []
+    holding_libraries: list[str] = []
+    holding_channels: list[str] = []
+    with _collector_paused():
+        for number, obj in _json_lines(path):
+            if not isinstance(obj, dict) or "t" not in obj:
+                raise DatasetError(f"line {number}: expected an object with a 't' tag")
+            tag = obj["t"]
+            try:
+                if tag == "R":
+                    records.append(_parse_record_line(obj))
+                elif tag == "L":
+                    libraries.append(
+                        LibraryOrg(
+                            library_id=obj["id"],
+                            name=obj["name"],
+                            country=obj["country"],
+                            kind=obj.get("kind", DEFAULT_KIND),
+                            memberships=obj.get("memberships", frozenset()),
+                        )
                     )
-                )
-            elif tag == "H":
-                holdings.append(
-                    Holding(
-                        record_id=obj["record"],
-                        library_id=obj["library"],
-                        channel=obj.get("channel", "unspecified"),
-                    )
-                )
-            else:
-                raise DatasetError(f"line {number}: unknown entity tag {tag!r}")
-        except DatasetError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DatasetError(f"line {number}: {exc}") from exc
-    return CatalogSnapshot(records, libraries, holdings)
+                elif tag == "H":
+                    record_id, library_id = obj["record"], obj["library"]
+                    channel = obj.get("channel", "unspecified")
+                    _check_holding(record_id, library_id, channel)
+                    holding_records.append(sys.intern(record_id))
+                    holding_libraries.append(sys.intern(library_id))
+                    holding_channels.append(sys.intern(channel))
+                else:
+                    raise DatasetError(f"line {number}: unknown entity tag {tag!r}")
+            except DatasetError:
+                raise
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DatasetError(f"line {number}: {exc}") from exc
+        holdings = zip(holding_records, holding_libraries, holding_channels)
+        return CatalogSnapshot(records, libraries, holdings)
 
 
 def merge_snapshots(base: CatalogSnapshot, delta: CatalogSnapshot) -> CatalogSnapshot:
-    """Union of two snapshots; on id collisions the base entity wins."""
+    """Union of two snapshots; on id collisions the base entity wins.
+
+    A snapshot keeps the first holding given for a (record, library)
+    pair, so passing the base's holdings first lets them win too.
+    Holdings pass as triples, so no Holding object is built.
+    """
     records = {r.record_id: r for r in delta.records}
     records.update({r.record_id: r for r in base.records})
     libraries = {lib.library_id: lib for lib in delta.libraries}
     libraries.update({lib.library_id: lib for lib in base.libraries})
-    holdings = {(h.record_id, h.library_id): h for h in delta.holdings}
-    holdings.update({(h.record_id, h.library_id): h for h in base.holdings})
-    return CatalogSnapshot(records.values(), libraries.values(), holdings.values())
+    holdings = itertools.chain(base.holding_triples(), delta.holding_triples())
+    return CatalogSnapshot(records.values(), libraries.values(), holdings)

@@ -4,15 +4,20 @@ The unit of analysis is a catalog snapshot: book records, holding
 libraries, and the inclusion relation between them. A holding means
 "this library's catalog includes this record"; physical copy counts are
 deliberately out of scope, so the (record, library) pair is unique.
-Snapshots hold their entities and id lookups only and are immutable once
-built; every count over them is derived downstream, as a pure function of
-(snapshot, filter), which keeps batch runs reproducible.
+Snapshots hold records and libraries as entity tuples with id lookups,
+and holdings as three parallel integer columns (record index, library
+index, channel code) sorted by (record, library); a Holding object is
+built only where a caller asks for one. Snapshots are immutable once
+built; every count over them is derived downstream, as a pure function
+of (snapshot, filter), which keeps batch runs reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from array import array
+from dataclasses import dataclass
+from itertools import compress
+from typing import Iterable, Iterator, Optional, Union
 
 from .errors import IntegrityError
 
@@ -21,9 +26,9 @@ ROLES = frozenset({"author", "editor", "other", "creator"})
 LIBRARY_KINDS = ("academic", "public", "other")
 DEFAULT_KIND = "other"
 FORMATS = frozenset({"print", "ebook", "unknown"})
-CHANNELS = frozenset(
-    {"librarian_order", "approval_plan", "pda", "donation", "package", "unspecified"}
-)
+# In code order: a snapshot's channel column holds a channel's index here.
+CHANNELS = ("librarian_order", "approval_plan", "pda", "donation", "package", "unspecified")
+_CHANNEL_CODES = {channel: code for code, channel in enumerate(CHANNELS)}
 
 
 def _check_types(entity: object, kind: type, *names: str) -> None:
@@ -59,20 +64,14 @@ def isbn13_check_digit(first12: str) -> str:
     """Modulus-10 check digit for a 12-digit ISBN-13 body (weights 1,3,1,3...)."""
     if len(first12) != 12 or not first12.isdigit():
         raise ValueError("expected 12 digits")
-    total = sum(int(c) * (1 if i % 2 == 0 else 3) for i, c in enumerate(first12))
-    return str((10 - total % 10) % 10)
+    return str(-(sum(map(int, first12[0::2])) + 3 * sum(map(int, first12[1::2]))) % 10)
 
 
 @dataclass(frozen=True, slots=True, order=True)
 class Isbn:
-    """A canonical 13-digit ISBN.
-
-    Equality and ordering use the canonical digits only; the as-ingested
-    form is kept for provenance but never compared.
-    """
+    """A canonical 13-digit ISBN; equality and ordering use its digits."""
 
     digits: str
-    original_form: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
         _check_types(self, str, "digits")
@@ -80,8 +79,6 @@ class Isbn:
             raise ValueError(f"canonical ISBN must be 13 digits: {self.digits!r}")
         if self.digits[-1] != isbn13_check_digit(self.digits[:12]):
             raise ValueError(f"invalid ISBN-13 check digit: {self.digits!r}")
-        if not self.original_form:
-            object.__setattr__(self, "original_form", self.digits)
 
     def __str__(self) -> str:
         return self.digits
@@ -173,6 +170,19 @@ class LibraryOrg:
         _check_strings(self, "memberships", frozenset)
 
 
+def _check_holding(record_id: object, library_id: object, channel: object) -> None:
+    """Raise TypeError or ValueError, with Holding's messages, unless the
+    three fields make a valid holding."""
+    fields = (("record_id", record_id), ("library_id", library_id), ("channel", channel))
+    for name, value in fields:
+        if not isinstance(value, str):
+            raise TypeError(f"Holding {name} must be str, not {value!r}")
+    if not record_id or not library_id:
+        raise ValueError("holding needs both record_id and library_id")
+    if channel not in _CHANNEL_CODES:
+        raise ValueError(f"unknown acquisition channel: {channel!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class Holding:
     """One (record, library) inclusion event."""
@@ -182,11 +192,7 @@ class Holding:
     channel: str = "unspecified"
 
     def __post_init__(self) -> None:
-        _check_types(self, str, "record_id", "library_id", "channel")
-        if not self.record_id or not self.library_id:
-            raise ValueError("holding needs both record_id and library_id")
-        if self.channel not in CHANNELS:
-            raise ValueError(f"unknown acquisition channel: {self.channel!r}")
+        _check_holding(self.record_id, self.library_id, self.channel)
 
 
 @dataclass(frozen=True, slots=True)
@@ -221,7 +227,7 @@ class LibraryFilter:
             )
         if self.excluded_channels is not None:
             channels = frozenset(c.lower() for c in self.excluded_channels)
-            bad = channels - CHANNELS
+            bad = channels.difference(CHANNELS)
             if bad:
                 raise ValueError(f"unknown acquisition channels: {sorted(bad)}")
             object.__setattr__(self, "excluded_channels", channels)
@@ -269,18 +275,27 @@ class CatalogSnapshot:
     """Immutable dataset of records + libraries + holdings.
 
     Referential integrity is checked at construction and duplicate
-    (record, library) holdings collapse to one. A snapshot holds its
-    entity tuples, sorted by id, and the id lookups behind `get_record`
-    and `get_library`; every count over them is derived elsewhere.
-    `memo` is scratch space for such derived artifacts (compiled views,
-    work clusters): safe because nothing is ever mutated after
-    construction, so concurrent builders of one entry compute equal values.
+    (record, library) holdings collapse to the first given. Records and
+    libraries are entity tuples sorted by id, with the id lookups behind
+    `get_record` and `get_library`. Holdings are three parallel columns
+    sorted by (record, library): `holding_records` indexes `records`,
+    `holding_libraries` indexes `libraries` and `holding_channels`
+    indexes CHANNELS. A holding may be given as a Holding or as a plain
+    (record_id, library_id, channel) triple; `holding_triples` and
+    `holdings` give them back in those two forms, built from the columns
+    on each call. Every count over a snapshot is
+    derived elsewhere. `memo` is scratch space for such derived artifacts
+    (compiled views, work clusters): safe because nothing is ever mutated
+    after construction, so concurrent builders of one entry compute equal
+    values.
     """
 
     __slots__ = (
         "records",
         "libraries",
-        "holdings",
+        "holding_records",
+        "holding_libraries",
+        "holding_channels",
         "memo",
         "_records_by_id",
         "_libraries_by_id",
@@ -290,7 +305,7 @@ class CatalogSnapshot:
         self,
         records: Iterable[BookRecord],
         libraries: Iterable[LibraryOrg],
-        holdings: Iterable[Holding],
+        holdings: Iterable[Union[Holding, tuple[str, str, str]]],
     ) -> None:
         records_by_id: dict[str, BookRecord] = {}
         for rec in records:
@@ -302,21 +317,35 @@ class CatalogSnapshot:
             if lib.library_id in libraries_by_id:
                 raise IntegrityError(f"duplicate library id: {lib.library_id}")
             libraries_by_id[lib.library_id] = lib
-        deduped: dict[tuple[str, str], Holding] = {}
-        for h in holdings:
-            if h.record_id not in records_by_id:
-                raise IntegrityError(f"holding references unknown record: {h.record_id}")
-            if h.library_id not in libraries_by_id:
-                raise IntegrityError(f"holding references unknown library: {h.library_id}")
-            deduped.setdefault((h.record_id, h.library_id), h)
-
         self.records: tuple[BookRecord, ...] = tuple(
             records_by_id[k] for k in sorted(records_by_id)
         )
         self.libraries: tuple[LibraryOrg, ...] = tuple(
             libraries_by_id[k] for k in sorted(libraries_by_id)
         )
-        self.holdings: tuple[Holding, ...] = tuple(deduped[k] for k in sorted(deduped))
+        record_index = {rec.record_id: i for i, rec in enumerate(self.records)}
+        library_index = {lib.library_id: i for i, lib in enumerate(self.libraries)}
+        # the key record index * width + library index sorts as (record_id, library_id)
+        width = len(self.libraries)
+        codes: dict[int, int] = {}
+        for holding in holdings:
+            if isinstance(holding, Holding):
+                holding = (holding.record_id, holding.library_id, holding.channel)
+            record_id, library_id, channel = holding
+            ri = record_index.get(record_id)
+            if ri is None:
+                raise IntegrityError(f"holding references unknown record: {record_id}")
+            li = library_index.get(library_id)
+            if li is None:
+                raise IntegrityError(f"holding references unknown library: {library_id}")
+            code = _CHANNEL_CODES.get(channel)
+            if code is None:
+                raise ValueError(f"unknown acquisition channel: {channel!r}")
+            codes.setdefault(ri * width + li, code)
+        keys = sorted(codes)
+        self.holding_records = array("I", (key // width for key in keys))
+        self.holding_libraries = array("I", (key % width for key in keys))
+        self.holding_channels = array("B", (codes[key] for key in keys))
         self.memo: dict = {}
         self._records_by_id = records_by_id
         self._libraries_by_id = libraries_by_id
@@ -328,14 +357,31 @@ class CatalogSnapshot:
         return (
             self.records == other.records
             and self.libraries == other.libraries
-            and self.holdings == other.holdings
+            and self.holding_records == other.holding_records
+            and self.holding_libraries == other.holding_libraries
+            and self.holding_channels == other.holding_channels
         )
 
     def __repr__(self) -> str:
         return (
             f"CatalogSnapshot(records={len(self.records)}, "
-            f"libraries={len(self.libraries)}, holdings={len(self.holdings)})"
+            f"libraries={len(self.libraries)}, holdings={self.n_holdings})"
         )
+
+    def holding_triples(self) -> Iterator[tuple[str, str, str]]:
+        """Every holding as a (record_id, library_id, channel) triple, in
+        (record_id, library_id) order."""
+        record_ids = [record.record_id for record in self.records]
+        library_ids = [library.library_id for library in self.libraries]
+        for ri, li, code in zip(
+            self.holding_records, self.holding_libraries, self.holding_channels
+        ):
+            yield record_ids[ri], library_ids[li], CHANNELS[code]
+
+    @property
+    def holdings(self) -> tuple[Holding, ...]:
+        """Every holding as a Holding, in (record_id, library_id) order."""
+        return tuple(Holding(*triple) for triple in self.holding_triples())
 
     @property
     def n_records(self) -> int:
@@ -347,7 +393,7 @@ class CatalogSnapshot:
 
     @property
     def n_holdings(self) -> int:
-        return len(self.holdings)
+        return len(self.holding_records)
 
     def get_record(self, record_id: str) -> Optional[BookRecord]:
         return self._records_by_id.get(record_id)
@@ -366,16 +412,37 @@ def apply_filter(
     same snapshot object, so its memoized views and work clusters stay
     warm. Filtering is idempotent and two filters commute, since every
     clause is a pure predicate on the library or the holding.
+
+    The filtered snapshot shares the parent's records and record lookup.
+    Its holdings are the parent's columns under a library mask and a
+    channel mask, with library indexes renumbered over the kept
+    libraries; the (record, library) order survives, since the kept
+    libraries keep their relative order.
     """
     if library_filter is None or library_filter.is_empty:
         return snapshot
-    kept_libraries = [
-        lib for lib in snapshot.libraries if library_filter.admits_library(lib)
+    kept: list[LibraryOrg] = []
+    renumbered: list[Optional[int]] = []
+    for library in snapshot.libraries:
+        if library_filter.admits_library(library):
+            renumbered.append(len(kept))
+            kept.append(library)
+        else:
+            renumbered.append(None)
+    channel_kept = [library_filter.admits_channel(channel) for channel in CHANNELS]
+    mask = [
+        renumbered[li] is not None and channel_kept[code]
+        for li, code in zip(snapshot.holding_libraries, snapshot.holding_channels)
     ]
-    kept_ids = {lib.library_id for lib in kept_libraries}
-    kept_holdings = [
-        h
-        for h in snapshot.holdings
-        if h.library_id in kept_ids and library_filter.admits_channel(h.channel)
-    ]
-    return CatalogSnapshot(snapshot.records, kept_libraries, kept_holdings)
+    filtered = CatalogSnapshot.__new__(CatalogSnapshot)
+    filtered.records = snapshot.records
+    filtered.libraries = tuple(kept)
+    filtered.holding_records = array("I", compress(snapshot.holding_records, mask))
+    filtered.holding_libraries = array(
+        "I", [renumbered[li] for li in compress(snapshot.holding_libraries, mask)]
+    )
+    filtered.holding_channels = array("B", compress(snapshot.holding_channels, mask))
+    filtered.memo = {}
+    filtered._records_by_id = snapshot._records_by_id
+    filtered._libraries_by_id = {library.library_id: library for library in kept}
+    return filtered

@@ -23,6 +23,9 @@ FORMATS = ("csv", "md", "jsonl")
 
 # A line break inside a cell; a Markdown row must stay on one line.
 _LINE_BREAK = re.compile("\r\n|\r|\n")
+# Compact UTF-8 JSON, one encoder for every JSON line libcat writes: the
+# jsonl tables here and the dataset lines of `ingest.save_dataset`.
+_JSON_LINE = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
 
 
 def format_percent(count: int, total: int) -> str:
@@ -65,11 +68,7 @@ def _render_md(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 
 
 def _render_jsonl(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    lines = [
-        json.dumps(dict(zip(headers, row)), ensure_ascii=False, separators=(",", ":"))
-        for row in rows
-    ]
-    return "\n".join(lines)
+    return "\n".join(_JSON_LINE.encode(dict(zip(headers, row))) for row in rows)
 
 
 def render_table(

@@ -62,10 +62,8 @@ class TestIsbn:
         )
         assert normalize_isbn(ten.lower()).digits == oracles.isbn10_to_13(ten)
 
-    def test_normalize_keeps_original_form(self):
-        isbn = normalize_isbn("0-306-40615-2")
-        assert isbn.original_form == "0-306-40615-2"
-        assert isbn.digits == "9780306406157"
+    def test_normalize_gives_the_canonical_isbn(self):
+        assert normalize_isbn("0-306-40615-2") == Isbn("9780306406157")
 
     def test_normalize_rejects_wrong_shape(self):
         for raw in ("", "123", "978030640615", "03064061",

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import datasets
 import oracles
+from libcat import indicators
 from libcat.errors import (
     AuthorNotFoundError,
     NoClassError,
@@ -506,22 +507,22 @@ class TestCompiledView:
         library_filter = LibraryFilter(
             countries=frozenset({"US"}), excluded_channels=frozenset({"donation"})
         )
-        built = []
-        original = CatalogSnapshot.__init__
+        passes = []
+        original = indicators.apply_filter
 
-        def counting_init(self, *args, **kwargs):
-            built.append(self)
-            original(self, *args, **kwargs)
+        def counting_filter(snapshot, given_filter):
+            passes.append(given_filter)
+            return original(snapshot, given_filter)
 
-        CatalogSnapshot.__init__ = counting_init
+        indicators.apply_filter = counting_filter
         try:
             profiles = author_profiles(snap, library_filter)
             for profile in profiles:
                 author_profile(profile.heading, snap, library_filter)
             author_profiles(snap, library_filter)
         finally:
-            CatalogSnapshot.__init__ = original
-        assert len(built) == 1
+            indicators.apply_filter = original
+        assert passes == [library_filter]
 
 
 class TestUnitReport:

@@ -47,7 +47,6 @@ class TestValues:
     def test_isbn_accepts_valid_digits(self):
         isbn = Isbn("9780306406157")
         assert str(isbn) == "9780306406157"
-        assert isbn.original_form == "9780306406157"
 
     def test_isbn_rejects_bad_check_digit(self):
         with pytest.raises(ValueError):
@@ -59,11 +58,12 @@ class TestValues:
         with pytest.raises(ValueError):
             Isbn("97803064061X7")
 
-    def test_isbn_equality_ignores_original_form(self):
-        a = Isbn("9780306406157", original_form="0-306-40615-2")
+    def test_isbn_equality_uses_the_digits(self):
+        a = Isbn("9780306406157")
         b = Isbn("9780306406157")
         assert a == b
         assert hash(a) == hash(b)
+        assert a < Isbn("9780306406164")
 
     def test_check_digit_helper_matches_oracle(self):
         rng = random.Random(7)
@@ -76,6 +76,11 @@ class TestValues:
         weighted = sum(int(d) * (3 if i % 2 else 1) for i, d in enumerate(body))
         assert isbn13_check_digit(body) == str((10 - weighted % 10) % 10)
         assert oracles.isbn13_is_valid(body + isbn13_check_digit(body))
+
+    @given(st.text("0123456789", min_size=12, max_size=12))
+    def test_check_digit_is_the_one_digit_the_oracle_accepts(self, body):
+        accepted = [d for d in "0123456789" if oracles.isbn13_is_valid(body + d)]
+        assert accepted == [isbn13_check_digit(body)]
 
     @given(
         st.text("0123456789", max_size=20).filter(lambda s: len(s) != 12)
@@ -114,7 +119,7 @@ class TestValues:
     def test_record_dedupes_and_sorts_isbns(self):
         rng = random.Random(11)
         a, b = sorted(oracles.make_isbn13(rng) for _ in range(2))
-        rec = BookRecord("r1", "T", isbns=(Isbn(b), Isbn(a), Isbn(b, original_form="x")))
+        rec = BookRecord("r1", "T", isbns=(Isbn(b), Isbn(a), b))
         assert [i.digits for i in rec.isbns] == [a, b]
 
     def test_record_coerces_contributor_pairs(self):
@@ -172,6 +177,15 @@ class TestSnapshot:
         )
         assert snap.n_holdings == 1
         assert snap.holdings[0].channel == "donation"
+
+    def test_holdings_may_be_given_as_triples(self):
+        snap = make_snapshot([("r1", "l1"), ("r1", "l2"), ("r2", "l1")], {("r2", "l1"): "pda"})
+        triples = [(h.record_id, h.library_id, h.channel) for h in reversed(snap.holdings)]
+        assert CatalogSnapshot(snap.records, snap.libraries, triples) == snap
+        with pytest.raises(ValueError, match="unknown acquisition channel: 'gift'"):
+            CatalogSnapshot(snap.records, snap.libraries, [("r1", "l1", "gift")])
+        with pytest.raises(IntegrityError, match="unknown record: r9"):
+            CatalogSnapshot(snap.records, snap.libraries, [("r9", "l1", "pda")])
 
     def test_holder_lookup_and_counts(self):
         snap = make_snapshot([("r1", "l1"), ("r1", "l2"), ("r2", "l1")])
@@ -300,3 +314,23 @@ class TestFilter:
         assert set(narrowed.libraries) <= set(snap.libraries)
         assert set(narrowed.holdings) <= set(snap.holdings)
         assert narrowed.records == snap.records
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_filter_equals_building_from_the_admitted_entities(self, seed):
+        rng = random.Random(seed)
+        snap = datasets.random_snapshot(rng)
+        library_filter = datasets.random_filter(rng)
+        libraries = [lib for lib in snap.libraries if library_filter.admits_library(lib)]
+        kept = {lib.library_id for lib in libraries}
+        holdings = [
+            h
+            for h in snap.holdings
+            if h.library_id in kept and library_filter.admits_channel(h.channel)
+        ]
+        narrowed = apply_filter(snap, library_filter)
+        assert narrowed == CatalogSnapshot(snap.records, libraries, holdings)
+        assert narrowed.holdings == tuple(holdings)
+        for lib in snap.libraries:
+            want = lib if lib.library_id in kept else None
+            assert narrowed.get_library(lib.library_id) == want
