@@ -110,7 +110,7 @@ class FixtureServer:
         """Map path segments under /content/libraries to (status, record, locations)."""
         if len(segments) == 1:
             value = segments[0]
-            if not value.isdigit() or int(value) <= 0:
+            if not (value.isascii() and value.isdigit()) or int(value) <= 0:
                 return 400, None, []
             return self._match(self._by_oclc.get(int(value), []))
         if len(segments) == 2 and segments[0] == "isbn":

@@ -1,6 +1,7 @@
 """Identifier normalization and edition-to-work clustering.
 
-Canonical ISBN form is the 13-digit string. Ten-digit inputs are
+Canonical ISBN form is the string of 13 ASCII digits; a digit of another
+script, or a superscript, is no ISBN digit. Ten-digit inputs are
 validated against their own modulus-11 check character first and only
 then promoted to the 978 range, so a typo is reported as a checksum
 problem rather than silently laundered into a different book.
@@ -18,7 +19,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import (
     IsbnChecksumError,
@@ -29,13 +30,13 @@ from .errors import (
 from .model import BookRecord, CatalogSnapshot, Isbn, isbn13_check_digit
 
 _SEPARATORS = re.compile(r"[-\s‐-―]+")
-_OCLC_PREFIX = re.compile(r"^\(OCoLC\)\D*(\d+)$")
+_OCLC_PREFIX = re.compile(r"^\(OCoLC\)\D*(\d+)$", re.ASCII)
 _NON_ALNUM = re.compile(r"[^0-9a-z]+")
 
 
 def isbn10_check_char(first9: str) -> str:
     """Modulus-11 check character: positions 1..9 weighted by their position."""
-    if len(first9) != 9 or not first9.isdigit():
+    if len(first9) != 9 or not first9.isascii() or not first9.isdigit():
         raise ValueError("expected 9 digits")
     total = sum((i + 1) * int(c) for i, c in enumerate(first9))
     remainder = total % 11
@@ -53,6 +54,8 @@ def normalize_isbn(raw: str) -> Isbn:
     compact = _SEPARATORS.sub("", raw.strip()).upper()
     if not compact:
         raise IsbnFormatError("empty ISBN")
+    if not compact.isascii():
+        raise IsbnFormatError(f"ISBN must be written in ASCII: {raw!r}")
     if len(compact) == 13:
         if not compact.isdigit():
             raise IsbnFormatError(f"ISBN-13 must be all digits: {raw!r}")
@@ -78,7 +81,7 @@ def isbn13_to_isbn10(isbn: "Isbn | str") -> str:
     raise IsbnConversionError.
     """
     digits = isbn.digits if isinstance(isbn, Isbn) else str(isbn)
-    if len(digits) != 13 or not digits.isdigit():
+    if len(digits) != 13 or not digits.isascii() or not digits.isdigit():
         raise IsbnConversionError(f"not a canonical ISBN-13: {digits!r}")
     if not digits.startswith("978"):
         raise IsbnConversionError(f"no ISBN-10 form outside the 978 range: {digits!r}")
@@ -90,15 +93,15 @@ def parse_oclc(raw: str) -> Optional[int]:
     """Extract an OCLC control number from a prefixed field value.
 
     Accepts "(OCoLC)123" and "(OCoLC)ocm00123" style values; for bare
-    inputs, a pure digit string. Returns None when the value is not an
-    OCLC number.
+    inputs, a pure digit string. Digits are ASCII, as for ISBNs. Returns
+    None when the value is not an OCLC number.
     """
     text = raw.strip()
     match = _OCLC_PREFIX.match(text)
     if match:
         number = int(match.group(1))
         return number if number > 0 else None
-    if text.isdigit() and int(text) > 0:
+    if text.isascii() and text.isdigit() and int(text) > 0:
         return int(text)
     return None
 
@@ -106,11 +109,32 @@ def parse_oclc(raw: str) -> Optional[int]:
 # --- work clustering --------------------------------------------------------
 
 def fold_text(text: str) -> str:
-    """Casefold, strip diacritics, turn punctuation runs into single spaces."""
-    decomposed = unicodedata.normalize("NFKD", text)
-    stripped = "".join(c for c in decomposed if not unicodedata.combining(c))
-    folded = stripped.casefold()
-    return _NON_ALNUM.sub(" ", folded).strip()
+    """Casefold, strip diacritics, turn punctuation runs into single spaces.
+
+    ASCII text has no compatibility forms and no combining marks, so it
+    skips the decomposition and strip, which would return it unchanged.
+    """
+    if not text.isascii():
+        decomposed = unicodedata.normalize("NFKD", text)
+        text = "".join(c for c in decomposed if not unicodedata.combining(c))
+    return _NON_ALNUM.sub(" ", text.casefold()).strip()
+
+
+def _snapshot_fold(snapshot: CatalogSnapshot) -> Callable[[str], str]:
+    """`fold_text` that folds each distinct string once per snapshot.
+
+    The folds live in `snapshot.memo`, so the work keys and an author
+    view's headings, which fold the same titles and names, share them.
+    """
+    folded: dict[str, str] = snapshot.memo.setdefault("folded_text", {})
+
+    def fold(text: str) -> str:
+        result = folded.get(text)
+        if result is None:
+            result = folded[text] = fold_text(text)
+        return result
+
+    return fold
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,14 +163,15 @@ class WorkCluster:
         object.__setattr__(self, "member_record_ids", frozenset(self.member_record_ids))
 
 
-def work_key(record: BookRecord) -> WorkKey:
+def work_key(record: BookRecord, fold: Callable[[str], str] = fold_text) -> WorkKey:
     """Deterministic edition-insensitive key for a record.
 
     Case, punctuation, diacritics, and surrounding whitespace are folded
     away; publication year and format never enter the key, because those
-    vary between editions of one work.
+    vary between editions of one work. `fold` is `fold_text` or a
+    memoized equivalent of it.
     """
-    title = fold_text(record.title)
+    title = fold(record.title)
     if not title:
         raise WorkKeyError(
             f"record {record.record_id}: title has no letters or digits to key on"
@@ -154,11 +179,11 @@ def work_key(record: BookRecord) -> WorkKey:
     primary = ""
     for contributor in record.contributors:
         if contributor.role == "author":
-            primary = fold_text(contributor.name)
+            primary = fold(contributor.name)
             break
     else:
         if record.contributors:
-            primary = fold_text(record.contributors[0].name)
+            primary = fold(record.contributors[0].name)
     return WorkKey(title, primary)
 
 
@@ -199,6 +224,7 @@ def cluster_works(snapshot: CatalogSnapshot) -> list[WorkCluster]:
     by_isbn: dict[str, str] = {}
     by_key: dict[WorkKey, str] = {}
     keys: dict[str, WorkKey] = {}
+    fold = _snapshot_fold(snapshot)
     for record in snapshot.records:
         rid = record.record_id
         if record.oclc is not None:
@@ -208,7 +234,7 @@ def cluster_works(snapshot: CatalogSnapshot) -> list[WorkCluster]:
             anchor = by_isbn.setdefault(isbn.digits, rid)
             uf.union(anchor, rid)
         try:
-            key = work_key(record)
+            key = work_key(record, fold)
         except WorkKeyError:
             continue
         keys[rid] = key

@@ -27,10 +27,11 @@ clusters count, come from one method: holdings are sorted by record,
 so a record's holders are one slice of the library-index column, found
 from a start offset per record built on the first set or author query;
 the first author query also adds a folded-heading index and the work
-clusters. Building a view costs O(records + holdings), plus a sort per
-class; every indicator after that is a lookup or a sum over its own
-members. Every function here is pure: it reads, counts, and returns.
-Rendering and rounding live elsewhere.
+clusters, which fold each distinct name once per snapshot between them.
+Building a view costs O(records + holdings), plus a sort per class;
+every indicator after that is a lookup or a sum over its own members.
+Every function here is pure: it reads, counts, and returns. Rendering
+and rounding live elsewhere.
 
 The composition report counts libraries per country in LIBRARY_KINDS
 order, with its totals as one more row of the same type. For
@@ -52,7 +53,7 @@ from .errors import (
     UndefinedRateError,
     UnknownTargetError,
 )
-from .identifiers import WorkCluster, cluster_works, fold_text
+from .identifiers import WorkCluster, _snapshot_fold, cluster_works, fold_text
 from .model import (
     AggregateUnit,
     BookRecord,
@@ -198,9 +199,10 @@ class _View:
         """Folded heading -> (smallest display variant, ids of records naming it)."""
         if self._headings is None:
             headings: dict[str, tuple[str, set[str]]] = {}
+            fold = _snapshot_fold(self.source)
             for record in self.filtered.records:
                 for contributor in record.contributors:
-                    folded = fold_text(contributor.name)
+                    folded = fold(contributor.name)
                     if not folded:
                         continue
                     display, record_ids = headings.setdefault(folded, (contributor.name, set()))

@@ -36,6 +36,7 @@ from .model import (
     Contributor,
     Isbn,
     LibraryOrg,
+    _CHANNEL_CODES,
     _check_holding,
 )
 from .render import _JSON_LINE
@@ -274,7 +275,7 @@ def _read_marc(node: ET.Element) -> Optional[BookRecord]:
     year: Optional[int] = None
     for value in fields.get("008", []):
         chunk = value[7:11]
-        if len(chunk) == 4 and chunk.isdigit():
+        if len(chunk) == 4 and chunk.isascii() and chunk.isdigit():
             year = int(chunk)
             break
 
@@ -326,19 +327,29 @@ def _array(obj: dict, key: str) -> list:
     return value
 
 
-def _contributor(pair: object) -> Contributor:
+def _contributor(pair: object, shared: dict[tuple[str, str], Contributor]) -> Contributor:
+    """The Contributor a [name, role] array names, taken from `shared`
+    when an earlier line named the same pair (a Contributor is frozen, so
+    records may share one), else built and, if valid, added to it."""
     if type(pair) is not list or len(pair) != 2:
         raise TypeError("each contributor must be a [name, role] array")
-    return Contributor(*pair)
+    name, role = pair
+    if type(name) is not str or type(role) is not str:
+        return Contributor(name, role)  # raises the type error
+    key = (name, role)
+    contributor = shared.get(key)
+    if contributor is None:
+        contributor = shared[key] = Contributor(name, role)
+    return contributor
 
 
-def _parse_record_line(obj: dict) -> BookRecord:
+def _parse_record_line(obj: dict, shared: dict[tuple[str, str], Contributor]) -> BookRecord:
     return BookRecord(
         record_id=obj["id"],
         title=obj["title"],
         oclc=obj.get("oclc"),
         isbns=tuple(Isbn(d) for d in _array(obj, "isbns")),
-        contributors=tuple(_contributor(pair) for pair in _array(obj, "contributors")),
+        contributors=tuple(_contributor(pair, shared) for pair in _array(obj, "contributors")),
         year=obj.get("year"),
         language=obj.get("lang"),
         lc_class=obj.get("lc"),
@@ -485,27 +496,47 @@ def _collector_paused() -> Iterator[None]:
 def load_dataset(path: "str | os.PathLike") -> CatalogSnapshot:
     """Load a canonical dataset file; malformed lines name their line number.
 
-    A holding line is checked as a Holding would check it, and its three
-    strings are interned into three lists, which the snapshot reads as
-    triples: ids and channels repeat across lines, so each distinct
-    string is held once until the snapshot has built its columns.
-    The collector is paused while lines decode and the snapshot is built:
-    loading makes many objects and no reference cycles, so every
-    collection it would set off walks a growing heap for nothing.
+    Holding lines are most lines, so their tag is tested first. Each is
+    checked as a Holding would check it, with `_check_holding` called
+    only to raise its message, and its three strings are interned into
+    three lists, which the snapshot reads as triples: ids and channels
+    repeat across lines, so each distinct string is held once until the
+    snapshot has built its columns. Record lines share one Contributor
+    per distinct (name, role) pair within this load. The collector is
+    paused while lines decode and the snapshot is built: loading makes
+    many objects and no reference cycles, so every collection it would
+    set off walks a growing heap for nothing.
     """
     records: list[BookRecord] = []
     libraries: list[LibraryOrg] = []
     holding_records: list[str] = []
     holding_libraries: list[str] = []
     holding_channels: list[str] = []
+    contributors: dict[tuple[str, str], Contributor] = {}
+    intern = sys.intern
     with _collector_paused():
         for number, obj in _json_lines(path):
             if not isinstance(obj, dict) or "t" not in obj:
                 raise DatasetError(f"line {number}: expected an object with a 't' tag")
             tag = obj["t"]
             try:
-                if tag == "R":
-                    records.append(_parse_record_line(obj))
+                if tag == "H":
+                    record_id, library_id = obj["record"], obj["library"]
+                    channel = obj.get("channel", "unspecified")
+                    if not (
+                        type(record_id) is str
+                        and type(library_id) is str
+                        and type(channel) is str
+                        and record_id
+                        and library_id
+                        and channel in _CHANNEL_CODES
+                    ):
+                        _check_holding(record_id, library_id, channel)
+                    holding_records.append(intern(record_id))
+                    holding_libraries.append(intern(library_id))
+                    holding_channels.append(intern(channel))
+                elif tag == "R":
+                    records.append(_parse_record_line(obj, contributors))
                 elif tag == "L":
                     libraries.append(
                         LibraryOrg(
@@ -516,13 +547,6 @@ def load_dataset(path: "str | os.PathLike") -> CatalogSnapshot:
                             memberships=obj.get("memberships", frozenset()),
                         )
                     )
-                elif tag == "H":
-                    record_id, library_id = obj["record"], obj["library"]
-                    channel = obj.get("channel", "unspecified")
-                    _check_holding(record_id, library_id, channel)
-                    holding_records.append(sys.intern(record_id))
-                    holding_libraries.append(sys.intern(library_id))
-                    holding_channels.append(sys.intern(channel))
                 else:
                     raise DatasetError(f"line {number}: unknown entity tag {tag!r}")
             except DatasetError:

@@ -10,6 +10,13 @@ index, channel code) sorted by (record, library); a Holding object is
 built only where a caller asks for one. Snapshots are immutable once
 built; every count over them is derived downstream, as a pure function
 of (snapshot, filter), which keeps batch runs reproducible.
+
+Every entity checks its fields when it is built. The common case costs
+one direct `type(value) is T` test per field; only a value that fails
+it goes through `_check_types`, which builds the error message, so the
+messages are the same whichever path finds the fault. Entities are
+frozen and hashable, so equal ones may be shared: the dataset loader
+builds one Contributor per distinct (name, role) pair in a file.
 """
 
 from __future__ import annotations
@@ -29,6 +36,9 @@ FORMATS = frozenset({"print", "ebook", "unknown"})
 # In code order: a snapshot's channel column holds a channel's index here.
 CHANNELS = ("librarian_order", "approval_plan", "pda", "donation", "package", "unspecified")
 _CHANNEL_CODES = {channel: code for code, channel in enumerate(CHANNELS)}
+# The field types a BookRecord checks directly before any message is built.
+_STR_OR_NONE = frozenset({str, type(None)})
+_INT_OR_NONE = frozenset({int, type(None)})
 
 
 def _check_types(entity: object, kind: type, *names: str) -> None:
@@ -61,10 +71,17 @@ def _check_strings(entity: object, name: str, kind: type) -> None:
 
 
 def isbn13_check_digit(first12: str) -> str:
-    """Modulus-10 check digit for a 12-digit ISBN-13 body (weights 1,3,1,3...)."""
-    if len(first12) != 12 or not first12.isdigit():
+    """Modulus-10 check digit for a 12-digit ISBN-13 body (weights 1,3,1,3...).
+
+    Digits are ASCII only: another script's digit, or a superscript, is
+    no ISBN digit. The sums run over the ASCII codes, each a digit plus
+    48 ("0"), so they carry 6 * 48 + 3 * 6 * 48 = 1152 on top of the
+    weighted digit sum.
+    """
+    if len(first12) != 12 or not first12.isascii() or not first12.isdigit():
         raise ValueError("expected 12 digits")
-    return str(-(sum(map(int, first12[0::2])) + 3 * sum(map(int, first12[1::2]))) % 10)
+    codes = first12.encode("ascii")
+    return str((1152 - sum(codes[0::2]) - 3 * sum(codes[1::2])) % 10)
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -74,11 +91,13 @@ class Isbn:
     digits: str
 
     def __post_init__(self) -> None:
-        _check_types(self, str, "digits")
-        if len(self.digits) != 13 or not self.digits.isdigit():
-            raise ValueError(f"canonical ISBN must be 13 digits: {self.digits!r}")
-        if self.digits[-1] != isbn13_check_digit(self.digits[:12]):
-            raise ValueError(f"invalid ISBN-13 check digit: {self.digits!r}")
+        digits = self.digits
+        if type(digits) is not str:
+            _check_types(self, str, "digits")
+        if len(digits) != 13 or not digits.isascii() or not digits.isdigit():
+            raise ValueError(f"canonical ISBN must be 13 digits: {digits!r}")
+        if digits[-1] != isbn13_check_digit(digits[:12]):
+            raise ValueError(f"invalid ISBN-13 check digit: {digits!r}")
 
     def __str__(self) -> str:
         return self.digits
@@ -90,7 +109,8 @@ class Contributor:
     role: str = "author"
 
     def __post_init__(self) -> None:
-        _check_types(self, str, "name", "role")
+        if type(self.name) is not str or type(self.role) is not str:
+            _check_types(self, str, "name", "role")
         if not self.name.strip():
             raise ValueError("contributor name must be non-empty")
         if self.role not in ROLES:
@@ -117,8 +137,17 @@ class BookRecord:
     citations: Optional[int] = None
 
     def __post_init__(self) -> None:
-        _check_types(self, str, "record_id", "title", "language", "lc_class")
-        _check_types(self, int, "oclc", "year", "citations")
+        if not (
+            type(self.record_id) is str
+            and type(self.title) is str
+            and type(self.language) in _STR_OR_NONE
+            and type(self.lc_class) in _STR_OR_NONE
+            and type(self.oclc) in _INT_OR_NONE
+            and type(self.year) in _INT_OR_NONE
+            and type(self.citations) in _INT_OR_NONE
+        ):
+            _check_types(self, str, "record_id", "title", "language", "lc_class")
+            _check_types(self, int, "oclc", "year", "citations")
         if not self.record_id:
             raise ValueError("record_id must be non-empty")
         if not self.title or not self.title.strip():
@@ -128,15 +157,21 @@ class BookRecord:
         isbns = self.isbns
         if not isinstance(isbns, tuple) or any(not isinstance(i, Isbn) for i in isbns):
             isbns = tuple(i if isinstance(i, Isbn) else Isbn(str(i)) for i in isbns)
-        # dedupe by canonical digits, keep a stable sorted order
-        seen: dict[str, Isbn] = {}
-        for i in isbns:
-            seen.setdefault(i.digits, i)
-        object.__setattr__(self, "isbns", tuple(seen[d] for d in sorted(seen)))
-        contribs = tuple(
-            c if isinstance(c, Contributor) else Contributor(*c) for c in self.contributors
-        )
-        object.__setattr__(self, "contributors", contribs)
+            object.__setattr__(self, "isbns", isbns)
+        if len(isbns) > 1:
+            # dedupe by canonical digits, keep a stable sorted order
+            seen: dict[str, Isbn] = {}
+            for i in isbns:
+                seen.setdefault(i.digits, i)
+            object.__setattr__(self, "isbns", tuple(seen[d] for d in sorted(seen)))
+        contribs = self.contributors
+        if not isinstance(contribs, tuple) or any(
+            not isinstance(c, Contributor) for c in contribs
+        ):
+            contribs = tuple(
+                c if isinstance(c, Contributor) else Contributor(*c) for c in contribs
+            )
+            object.__setattr__(self, "contributors", contribs)
         if self.lc_class is not None:
             trimmed = self.lc_class.strip()
             if not trimmed:
@@ -343,9 +378,9 @@ class CatalogSnapshot:
                 raise ValueError(f"unknown acquisition channel: {channel!r}")
             codes.setdefault(ri * width + li, code)
         keys = sorted(codes)
-        self.holding_records = array("I", (key // width for key in keys))
-        self.holding_libraries = array("I", (key % width for key in keys))
-        self.holding_channels = array("B", (codes[key] for key in keys))
+        self.holding_records = array("I", [key // width for key in keys])
+        self.holding_libraries = array("I", [key % width for key in keys])
+        self.holding_channels = array("B", [codes[key] for key in keys])
         self.memo: dict = {}
         self._records_by_id = records_by_id
         self._libraries_by_id = libraries_by_id

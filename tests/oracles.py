@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 def isbn13_is_valid(digits: str) -> bool:
     """Whole-string test: weighted sum of all 13 digits divisible by 10."""
-    if len(digits) != 13 or not digits.isdigit():
+    if len(digits) != 13 or not digits.isascii() or not digits.isdigit():
         return False
     total = 0
     for i, ch in enumerate(digits):
@@ -38,7 +38,7 @@ def isbn10_is_valid(chars: str) -> bool:
         return False
     total = 0
     for i, ch in enumerate(chars):
-        if ch.isdigit():
+        if ch.isascii() and ch.isdigit():
             value = int(ch)
         elif ch in ("X", "x") and i == 9:
             value = 10

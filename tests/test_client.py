@@ -454,6 +454,7 @@ class TestClientLookups:
         "path, status",
         [
             ("/content/libraries/0", 400),
+            ("/content/libraries/%C2%B2", 400),  # a superscript 2
             ("/content/libraries/isbn/123", 400),
             ("/content/libraries/issn/0138-9130", 404),
             ("/content/libraries/sn/1001", 404),

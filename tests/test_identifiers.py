@@ -1,6 +1,8 @@
 """Identifier handling and work clustering."""
 
 import random
+import re
+import unicodedata
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,19 @@ from libcat.identifiers import (
     work_key,
 )
 from libcat.model import BookRecord, CatalogSnapshot, Contributor, Isbn
+
+
+# Digits that pass `str.isdigit` but are not ASCII, in value order.
+NON_ASCII_DIGITS = {
+    "arabic-indic": "٠١٢٣٤٥٦٧٨٩",
+    "fullwidth": "０１２３４５６７８９",
+    "superscript": "⁰¹²³⁴⁵⁶⁷⁸⁹",
+}
+
+
+def in_digits(text, digits):
+    """`text` with each ASCII digit replaced by the same value in `digits`."""
+    return text.translate(str.maketrans("0123456789", digits))
 
 
 def hyphenate(rng, digits):
@@ -119,8 +134,34 @@ class TestIsbn:
             body = "".join(rng.choice("0123456789") for _ in range(9))
             assert oracles.isbn10_is_valid(body + isbn10_check_char(body))
 
+    @pytest.mark.parametrize("digits", NON_ASCII_DIGITS.values(), ids=NON_ASCII_DIGITS)
+    def test_only_ascii_digits_are_isbn_digits(self, digits):
+        """An ISBN with any digit written in another script, or as a
+        superscript, is refused, never read as some other ISBN."""
+        for ascii_form in ("9780306406157", "0306406152", "030640615X"):
+            foreign = in_digits(ascii_form, digits)
+            for position in range(len(ascii_form) - 1):
+                raw = ascii_form[:position] + foreign[position] + ascii_form[position + 1:]
+                with pytest.raises(IsbnFormatError):
+                    normalize_isbn(raw)
+                assert not oracles.isbn13_is_valid(raw)
+                assert not oracles.isbn10_is_valid(raw)
+        foreign = in_digits("9780306406157", digits)
+        with pytest.raises(IsbnFormatError):
+            normalize_isbn(foreign)
+        with pytest.raises(ValueError, match="expected 9 digits"):
+            isbn10_check_char(foreign[:9])
+        with pytest.raises(IsbnConversionError):
+            isbn13_to_isbn10(foreign)
+
 
 class TestOclc:
+    @pytest.mark.parametrize("digits", NON_ASCII_DIGITS.values(), ids=NON_ASCII_DIGITS)
+    def test_non_ascii_digits_are_not_a_number(self, digits):
+        assert parse_oclc(in_digits("31156", digits)) is None
+        assert parse_oclc(in_digits("(OCoLC)31156", digits)) is None
+        assert parse_oclc(in_digits("(OCoLC)ocm31156", digits)) is None
+
     def test_prefixed_forms(self):
         assert parse_oclc("(OCoLC)44959645") == 44959645
         assert parse_oclc("(OCoLC)ocm00044959") == 44959
@@ -169,6 +210,15 @@ class TestWorkKey:
     def test_unkeyable_title_raises(self):
         with pytest.raises(WorkKeyError):
             work_key(BookRecord("r1", "!!! ---"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text() | st.text(st.characters(max_codepoint=127)))
+    def test_fold_text_equals_the_full_fold_on_any_text(self, text):
+        """The ASCII shortcut changes nothing: fold_text equals the
+        decompose, strip-marks, casefold, collapse path on every text."""
+        decomposed = unicodedata.normalize("NFKD", text)
+        stripped = "".join(c for c in decomposed if not unicodedata.combining(c))
+        assert fold_text(text) == re.sub("[^0-9a-z]+", " ", stripped.casefold()).strip()
 
 
 class TestClustering:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import datasets
 import oracles
-from libcat import indicators
+from libcat import identifiers, indicators
 from libcat.errors import (
     AuthorNotFoundError,
     NoClassError,
@@ -523,6 +523,22 @@ class TestCompiledView:
         finally:
             indicators.apply_filter = original
         assert passes == [library_filter]
+
+    def test_each_distinct_string_folds_once_per_snapshot(self, monkeypatch):
+        snap = variant_author_snapshot(random.Random(3), 40)
+        folded = []
+        original = identifiers.fold_text
+
+        def counting_fold(text):
+            folded.append(text)
+            return original(text)
+
+        monkeypatch.setattr(identifiers, "fold_text", counting_fold)
+        cluster_works(snap)
+        author_profiles(snap)
+        author_profiles(snap, LibraryFilter(countries=frozenset({"US"})))
+        names = {c.name for record in snap.records for c in record.contributors}
+        assert sorted(folded) == sorted(names | {record.title for record in snap.records})
 
 
 class TestUnitReport:

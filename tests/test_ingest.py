@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import datasets
 import oracles
+from libcat import ingest
 from libcat.errors import DatasetError, IntegrityError, ParseError
 from libcat.ingest import (
     load_dataset,
@@ -23,6 +24,7 @@ from libcat.ingest import (
 from libcat.model import (
     BookRecord,
     CatalogSnapshot,
+    Contributor,
     Holding,
     LibraryOrg,
 )
@@ -235,6 +237,23 @@ class TestParserRobustness:
                 continue
             assert report.accepted == len(records)
 
+    def test_superscript_digits_are_noise_not_a_crash(self):
+        """A superscript passes `str.isdigit` and fails `int()`: an OCLC
+        number, ISBN or MARC 008 year written with one is skipped."""
+        dc = (
+            "<record><title>T</title><identifier>OCLC \u00b2</identifier>"
+            "<identifier>ISBN 03064061\u00b252</identifier></record>"
+        )
+        marc = (
+            '<record><datafield tag="245"><subfield code="a">T</subfield></datafield>'
+            '<controlfield tag="008">950413s\u00b2\u00b2\u00b2\u00b2</controlfield>'
+            "</record>"
+        )
+        (dc_record,), _ = parse_dublin_core(dc)
+        assert dc_record.oclc is None and dc_record.isbns == ()
+        (marc_record,), _ = parse_marc_xml(marc)
+        assert marc_record.year is None
+
     def test_megabyte_of_junk(self):
         rng = random.Random(0)
         blob = bytes(rng.randrange(256) for _ in range(1 << 20))
@@ -314,28 +333,60 @@ class TestPersistence:
             load_dataset(path)
 
     @pytest.mark.parametrize(
-        "line",
+        ("line", "message"),
         [
-            '{"t":"R","id":"r1","title":"T","format":"vinyl"}',
-            '{"t":"R","id":"r1","title":"T","citations":NaN}',
-            '{"t":"R","id":"r1","title":"T","citations":1.5}',
-            '{"t":"R","id":"r1","title":"T","oclc":true}',
-            '{"t":"R","id":"r1","title":"T","year":"soon"}',
-            '{"t":"R","id":"r1","title":"T","lc":5}',
-            '{"t":"R","id":"r1","title":7}',
-            '{"t":"R","id":5,"title":"T"}',
-            '{"t":"R","id":"r1","title":"T","contributors":[[5,"author"]]}',
-            '{"t":"L","id":"l1","name":"Lib","country":5}',
-            '{"t":"L","id":"l1","name":null,"country":"US"}',
-            '{"t":"H","record":["r1"],"library":"l1"}',
-            '{"t":"H","record":"r1","library":7}',
-            '{"t":"H","record":"r1","library":"l1","channel":null}',
-            '{"t":"L","id":"l1","name":"Lib","country":"US","memberships":[1,"a"]}',
-            '{"t":"L","id":"l1","name":"Lib","country":"US","memberships":"ARL"}',
-            '{"t":"R","id":"r1","title":"T","isbns":{"9780306406157":0}}',
-            '{"t":"R","id":"r1","title":"T","contributors":[{"Smith":1,"author":2}]}',
-            '{"t":"R","id":"r1","title":"T","contributors":{"ab":1}}',
-            '{"t":"R","id":"r1","title":"T","contributors":["ab"]}',
+            ('{"t":"R","id":"r1","title":"T","format":"vinyl"}',
+             "record r1: unknown format 'vinyl'"),
+            ('{"t":"R","id":"r1","title":"T","citations":NaN}',
+             "BookRecord citations must be int, not nan"),
+            ('{"t":"R","id":"r1","title":"T","citations":1.5}',
+             "BookRecord citations must be int, not 1.5"),
+            ('{"t":"R","id":"r1","title":"T","oclc":true}',
+             "BookRecord oclc must be int, not True"),
+            ('{"t":"R","id":"r1","title":"T","year":"soon"}',
+             "BookRecord year must be int, not 'soon'"),
+            ('{"t":"R","id":"r1","title":"T","lc":5}',
+             "BookRecord lc_class must be str, not 5"),
+            ('{"t":"R","id":"r1","title":7}',
+             "BookRecord title must be str, not 7"),
+            ('{"t":"R","id":5,"title":"T"}',
+             "BookRecord record_id must be str, not 5"),
+            ('{"t":"R","id":"r1","title":"T","contributors":[[5,"author"]]}',
+             "Contributor name must be str, not 5"),
+            ('{"t":"L","id":"l1","name":"Lib","country":5}',
+             "LibraryOrg country must be str, not 5"),
+            ('{"t":"L","id":"l1","name":null,"country":"US"}',
+             "LibraryOrg name must be str, not None"),
+            ('{"t":"H","record":["r1"],"library":"l1"}',
+             "Holding record_id must be str, not ['r1']"),
+            ('{"t":"H","record":"r1","library":7}',
+             "Holding library_id must be str, not 7"),
+            ('{"t":"H","record":"r1","library":"l1","channel":null}',
+             "Holding channel must be str, not None"),
+            ('{"t":"L","id":"l1","name":"Lib","country":"US","memberships":[1,"a"]}',
+             "LibraryOrg memberships must be a collection of str, not [1, 'a']"),
+            ('{"t":"L","id":"l1","name":"Lib","country":"US","memberships":"ARL"}',
+             "LibraryOrg memberships must be a collection of str, not 'ARL'"),
+            ('{"t":"R","id":"r1","title":"T","isbns":{"9780306406157":0}}',
+             "isbns must be an array, not dict"),
+            ('{"t":"R","id":"r1","title":"T","contributors":[{"Smith":1,"author":2}]}',
+             "each contributor must be a [name, role] array"),
+            ('{"t":"R","id":"r1","title":"T","contributors":{"ab":1}}',
+             "contributors must be an array, not dict"),
+            ('{"t":"R","id":"r1","title":"T","contributors":["ab"]}',
+             "each contributor must be a [name, role] array"),
+            ('{"t":"R","id":5,"title":7,"year":"x"}',
+             "BookRecord record_id must be str, not 5"),
+            ('{"t":"R","id":"r1","title":"T","year":"x","lc":5}',
+             "BookRecord lc_class must be str, not 5"),
+            ('{"t":"R","id":"r1","title":"T","contributors":[["A","boss"]]}',
+             "unknown contributor role: 'boss'"),
+            ('{"t":"H","record":"","library":"l1"}',
+             "holding needs both record_id and library_id"),
+            ('{"t":"H","record":"r1","library":"l1","channel":"gift"}',
+             "unknown acquisition channel: 'gift'"),
+            ('{"t":"H","record":"r1","library":"l1","channel":["x"]}',
+             "Holding channel must be str, not ['x']"),
         ],
         ids=[
             "format-vinyl", "citations-nan", "citations-float", "oclc-bool", "year-text",
@@ -343,13 +394,16 @@ class TestPersistence:
             "name-null", "holding-record-list", "holding-library-int", "holding-channel-null",
             "memberships-int-item", "memberships-str", "isbns-object",
             "contributor-object", "contributors-object", "contributor-str",
+            "first-of-three-faults", "str-field-before-int-field", "contributor-role",
+            "holding-record-empty", "holding-channel-unknown", "holding-channel-list",
         ],
     )
-    def test_constructor_errors_name_the_line(self, tmp_path, line):
+    def test_constructor_errors_name_the_line(self, tmp_path, line, message):
         path = tmp_path / "data.jsonl"
         path.write_text(line + "\n")
-        with pytest.raises(DatasetError, match="line 1"):
+        with pytest.raises(DatasetError) as caught:
             load_dataset(path)
+        assert str(caught.value) == "line 1: " + message
 
     @pytest.mark.parametrize(
         "value",
@@ -384,6 +438,30 @@ class TestPersistence:
         marked.write_bytes(b"\xef\xbb\xbf" + RECORD_LINE.encode() + b"\n{oops\n")
         with pytest.raises(DatasetError, match="^line 2: not valid JSON"):
             load_dataset(marked)
+
+    def test_records_naming_one_author_share_one_contributor(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.jsonl"
+        path.write_text("".join(
+            json.dumps({"t": "R", "id": f"r{n}", "title": f"T{n}",
+                        "contributors": [["Doe, Jane", "author"]]}) + "\n"
+            for n in range(50)
+        ))
+        built = []
+
+        def counting_contributor(name, role="author"):
+            built.append((name, role))
+            return Contributor(name, role)
+
+        monkeypatch.setattr(ingest, "Contributor", counting_contributor)
+        first = load_dataset(path)
+        assert built == [("Doe, Jane", "author")]
+        second = load_dataset(path)
+        assert len(built) == 2
+        # both snapshots are alive, so equal ids mean one shared object
+        firsts = {id(record.contributors[0]) for record in first.records}
+        seconds = {id(record.contributors[0]) for record in second.records}
+        assert len(firsts) == len(seconds) == 1 and firsts.isdisjoint(seconds)
+        assert first == second
 
     def test_referential_integrity_checked_on_load(self, tmp_path):
         path = tmp_path / "data.jsonl"

@@ -58,6 +58,20 @@ class TestValues:
         with pytest.raises(ValueError):
             Isbn("97803064061X7")
 
+    @pytest.mark.parametrize(
+        "digits",
+        ["٩٧٨٠٣٠٦٤٠٦١٥٧",
+         "٩٧٨٠٣٠٦٤٠٦١٥7",
+         "９７８０３０６４０６１５７",
+         "97803064061²7"],
+        ids=["arabic-indic", "arabic-indic-ascii-check", "fullwidth", "superscript"],
+    )
+    def test_isbn_digits_are_ascii(self, digits):
+        with pytest.raises(ValueError, match="^canonical ISBN must be 13 digits"):
+            Isbn(digits)
+        with pytest.raises(ValueError, match="^expected 12 digits$"):
+            isbn13_check_digit(digits[:12])
+
     def test_isbn_equality_uses_the_digits(self):
         a = Isbn("9780306406157")
         b = Isbn("9780306406157")
@@ -84,7 +98,7 @@ class TestValues:
 
     @given(
         st.text("0123456789", max_size=20).filter(lambda s: len(s) != 12)
-        | st.text(min_size=12, max_size=12).filter(lambda s: not s.isdigit())
+        | st.text(min_size=12, max_size=12).filter(lambda s: not (s.isascii() and s.isdigit()))
     )
     def test_check_digit_rejects_a_body_that_is_not_12_digits(self, body):
         with pytest.raises(ValueError):

@@ -3,8 +3,11 @@ and renderer composed through `cli.run`, on generated catalogs."""
 
 import contextlib
 import gc
+import importlib.util
 import io
+import json
 import random
+import sys
 import tempfile
 from pathlib import Path
 
@@ -15,7 +18,8 @@ from hypothesis import strategies as st
 import datasets
 from libcat.cli import run
 from libcat.errors import DatasetError, IntegrityError
-from libcat.ingest import load_dataset, save_dataset
+from libcat.ingest import load_dataset, merge_snapshots, save_dataset
+from libcat.model import CatalogSnapshot, LibraryOrg
 
 FILTER = "country=US,GB;kind=academic;exclude-channel=donation"
 ANALYSES = (
@@ -30,16 +34,21 @@ ANALYSES = (
 )
 
 
-def outputs(path: Path) -> list[tuple[int, str]]:
-    """Exit code and standard output of every analysis command in every format."""
-    results = []
-    for analysis in ANALYSES:
-        for fmt in ("csv", "md", "jsonl"):
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                code = run([*analysis, "--dataset", str(path), "--output", fmt])
-            results.append((code, out.getvalue()))
-    return results
+def command(*argv: str) -> tuple[int, str]:
+    """Exit code and standard output of one `lca` command."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = run(list(argv))
+    return code, out.getvalue()
+
+
+def outputs(path: Path, analyses=ANALYSES) -> list[tuple[int, str]]:
+    """Exit code and standard output of each analysis command in every format."""
+    return [
+        command(*analysis, "--dataset", str(path), "--output", fmt)
+        for analysis in analyses
+        for fmt in ("csv", "md", "jsonl")
+    ]
 
 
 def check_line_order_and_round_trip(snapshot, rng: random.Random) -> None:
@@ -69,6 +78,118 @@ def test_line_order_and_round_trip_on_fixed_catalogs(build):
 @given(st.randoms(use_true_random=False))
 def test_line_order_and_round_trip_on_random_catalogs(rng):
     check_line_order_and_round_trip(datasets.random_snapshot(rng), rng)
+
+
+def overlapping_halves(snapshot, rng: random.Random) -> list[CatalogSnapshot]:
+    """Two snapshots, sharing some entities, whose union is `snapshot`.
+    Each entity goes to one half or both; a holding takes its record and
+    library with it."""
+    records = {record.record_id: record for record in snapshot.records}
+    libraries = {library.library_id: library for library in snapshot.libraries}
+    halves = [(set(), set(), []), (set(), set(), [])]
+
+    def sides():
+        return rng.choice((halves[:1], halves[1:], halves))
+
+    for record_id in records:
+        for record_ids, _, _ in sides():
+            record_ids.add(record_id)
+    for library_id in libraries:
+        for _, library_ids, _ in sides():
+            library_ids.add(library_id)
+    for triple in snapshot.holding_triples():
+        for record_ids, library_ids, holdings in sides():
+            record_ids.add(triple[0])
+            library_ids.add(triple[1])
+            holdings.append(triple)
+    return [
+        CatalogSnapshot(
+            [records[i] for i in record_ids], [libraries[i] for i in library_ids], holdings
+        )
+        for record_ids, library_ids, holdings in halves
+    ]
+
+
+def check_merge_of_halves(snapshot, rng: random.Random) -> None:
+    """Merging two overlapping halves, in either order or through `lca
+    ingest`, gives back the whole."""
+    first, second = overlapping_halves(snapshot, rng)
+    assert merge_snapshots(first, second) == snapshot
+    assert merge_snapshots(second, first) == snapshot
+    with tempfile.TemporaryDirectory() as tmp:
+        whole, dataset, delta = (Path(tmp) / name for name in ("whole", "dataset", "delta"))
+        for half, path in ((snapshot, whole), (first, dataset), (second, delta)):
+            save_dataset(half, path)
+        code, _ = command(
+            "ingest", "--format", "jsonl", "--input", str(delta), "--dataset", str(dataset)
+        )
+        if second.n_records:  # a delta without records is refused
+            assert code == 0
+            assert dataset.read_bytes() == whole.read_bytes()
+
+
+IDLE_SAFE = ANALYSES[:4] + ANALYSES[5:7]  # every analysis but units and report
+
+
+def check_idle_library(snapshot) -> None:
+    """A library with no holdings leaves libcitations, CNLS, ranks,
+    author rows and correlations as they were, and scales DR by n/(n+1)."""
+    idle = LibraryOrg("idle-library", "Idle", "US", "academic")  # FILTER admits it
+    assert snapshot.get_library(idle.library_id) is None
+    with_idle = CatalogSnapshot(
+        snapshot.records, (*snapshot.libraries, idle), snapshot.holding_triples()
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        before, after = Path(tmp) / "before", Path(tmp) / "after"
+        save_dataset(snapshot, before)
+        save_dataset(with_idle, after)
+        assert outputs(after, IDLE_SAFE) == outputs(before, IDLE_SAFE)
+        if not (snapshot.n_records and snapshot.n_libraries):
+            return  # DR is undefined before, so there is nothing to scale
+        units = ("indicators", "--unit", "@all", "--benchmark", "@all", "--output", "jsonl")
+        (code, old), (new_code, new) = (
+            command(*units, "--dataset", str(path)) for path in (before, after)
+        )
+    assert new_code == code
+    if code != 0:  # no holdings: a zero benchmark CIR, before and after
+        assert new == old
+        return
+    old_row, new_row = json.loads(old), json.loads(new)
+    n = snapshot.n_libraries
+    # DR prints 4 places, so each side is off by at most 0.00005
+    assert abs(float(new_row.pop("dr")) - float(old_row.pop("dr")) * n / (n + 1)) <= 1.0001e-4
+    assert new_row == old_row
+
+
+def bench_tiny_catalog() -> CatalogSnapshot:
+    """The benchmark's seeded `tiny` analysis catalog (bench/catalog.py)."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_catalog", Path(__file__).resolve().parent.parent / "bench" / "catalog.py"
+    )
+    catalog = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(catalog)  # its dataclasses look the module up by name
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "catalog.jsonl"
+        catalog.analyze_catalog(1, "tiny").write(path)
+        return load_dataset(path)
+
+
+@pytest.mark.parametrize(
+    "build", [datasets.single_author_editions, datasets.diffusion_study, bench_tiny_catalog],
+    ids=lambda build: build.__name__,
+)
+def test_merge_and_idle_library_on_fixed_catalogs(build):
+    snapshot = build()
+    check_merge_of_halves(snapshot, random.Random(12))
+    check_idle_library(snapshot)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_merge_and_idle_library_on_random_catalogs(rng):
+    snapshot = datasets.random_snapshot(rng)
+    check_merge_of_halves(snapshot, rng)
+    check_idle_library(snapshot)
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
