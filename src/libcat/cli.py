@@ -16,9 +16,10 @@ Client settings for fetch come from flags or environment variables
 
 Exit codes: 0 success; 1 unreadable input (a dataset, units file,
 quota state file or export) or a dataset that cannot be written; 2
-nothing to work on (zero accepted records, empty dataset, or too little
-data to correlate); 3 quota exhausted mid-fetch after a partial merge;
-4 unresolved unit or author; 5 constant metric column; 64 usage error.
+nothing to work on (an ingest input with no record, library or
+holding, an empty dataset, or too little data to correlate); 3 quota
+exhausted mid-fetch after a partial merge; 4 unresolved unit or author;
+5 constant metric column; 64 usage error.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from .indicators import (
     unit_report,
 )
 from .ingest import (
-    ParseReport,
     _json_lines,
     _lock_sidecar,
     load_dataset,
@@ -185,10 +185,9 @@ def _emit(headers: Sequence[str], rows: Sequence[Sequence[str]], fmt: str) -> No
 # --- ingest -------------------------------------------------------------------
 
 def cmd_ingest(args) -> int:
+    rejections: list[tuple[str, str]] = []
     if args.format == "jsonl":
-        parsed = _load_dataset_file(args.input)
-        report = ParseReport(accepted=parsed.n_records)
-        new = parsed
+        new = _load_dataset_file(args.input)
     else:
         try:
             with open(args.input, "rb") as fh:
@@ -203,10 +202,11 @@ def cmd_ingest(args) -> int:
         except ParseError as exc:
             raise _Failure(EXIT_UNREADABLE, f"{args.input}: {exc}") from exc
         new = CatalogSnapshot(records, (), ())
-    for locator, reason in report.rejections:
+        rejections = report.rejections
+    for locator, reason in rejections:
         print(f"rejected {locator}: {reason}", file=sys.stderr)
-    print(f"accepted={report.accepted} rejected={report.rejected}")
-    if report.accepted == 0:
+    print(f"accepted={new.n_records} rejected={len(rejections)}")
+    if not (new.n_records or new.n_libraries or new.n_holdings):
         return EXIT_EMPTY
     _merge_into_dataset(args.dataset, new)
     return EXIT_OK

@@ -36,7 +36,6 @@ from .model import (
     Contributor,
     Isbn,
     LibraryOrg,
-    _CHANNEL_CODES,
     _check_holding,
 )
 from .render import _JSON_LINE
@@ -362,9 +361,11 @@ def save_dataset(snapshot: CatalogSnapshot, path: "str | os.PathLike") -> None:
     """Write the snapshot to one JSON object per line, atomically.
 
     Output order is records, libraries, holdings, each sorted by id, so
-    equal snapshots produce byte-identical files.
+    equal snapshots produce byte-identical files. Each line is encoded as
+    it is built, so no more than one line's dict is alive at a time.
     """
-    lines = [_record_line(record) for record in snapshot.records]
+    encode = _JSON_LINE.encode
+    lines = [encode(_record_line(record)) + "\n" for record in snapshot.records]
     for library in snapshot.libraries:
         obj: dict = {
             "t": "L",
@@ -375,13 +376,11 @@ def save_dataset(snapshot: CatalogSnapshot, path: "str | os.PathLike") -> None:
         }
         if library.memberships:
             obj["memberships"] = sorted(library.memberships)
-        lines.append(obj)
-    for record_id, library_id, channel in snapshot.holding_triples():
-        lines.append(
-            {"t": "H", "record": record_id, "library": library_id, "channel": channel}
-        )
-    encode = _JSON_LINE.encode
-    _write_atomic(os.fspath(path), "".join(encode(line) + "\n" for line in lines))
+        lines.append(encode(obj) + "\n")
+    for record_id, library_id, channel in snapshot.holdings():
+        obj = {"t": "H", "record": record_id, "library": library_id, "channel": channel}
+        lines.append(encode(obj) + "\n")
+    _write_atomic(os.fspath(path), "".join(lines))
 
 
 _temp_ids = itertools.count()
@@ -497,8 +496,7 @@ def load_dataset(path: "str | os.PathLike") -> CatalogSnapshot:
     """Load a canonical dataset file; malformed lines name their line number.
 
     Holding lines are most lines, so their tag is tested first. Each is
-    checked as a Holding would check it, with `_check_holding` called
-    only to raise its message, and its three strings are interned into
+    checked by `_check_holding`, and its three strings are interned into
     three lists, which the snapshot reads as triples: ids and channels
     repeat across lines, so each distinct string is held once until the
     snapshot has built its columns. Record lines share one Contributor
@@ -523,15 +521,7 @@ def load_dataset(path: "str | os.PathLike") -> CatalogSnapshot:
                 if tag == "H":
                     record_id, library_id = obj["record"], obj["library"]
                     channel = obj.get("channel", "unspecified")
-                    if not (
-                        type(record_id) is str
-                        and type(library_id) is str
-                        and type(channel) is str
-                        and record_id
-                        and library_id
-                        and channel in _CHANNEL_CODES
-                    ):
-                        _check_holding(record_id, library_id, channel)
+                    _check_holding(record_id, library_id, channel)
                     holding_records.append(intern(record_id))
                     holding_libraries.append(intern(library_id))
                     holding_channels.append(intern(channel))
@@ -562,11 +552,10 @@ def merge_snapshots(base: CatalogSnapshot, delta: CatalogSnapshot) -> CatalogSna
 
     A snapshot keeps the first holding given for a (record, library)
     pair, so passing the base's holdings first lets them win too.
-    Holdings pass as triples, so no Holding object is built.
     """
     records = {r.record_id: r for r in delta.records}
     records.update({r.record_id: r for r in base.records})
     libraries = {lib.library_id: lib for lib in delta.libraries}
     libraries.update({lib.library_id: lib for lib in base.libraries})
-    holdings = itertools.chain(base.holding_triples(), delta.holding_triples())
+    holdings = itertools.chain(base.holdings(), delta.holdings())
     return CatalogSnapshot(records.values(), libraries.values(), holdings)

@@ -6,16 +6,18 @@ libraries, and the inclusion relation between them. A holding means
 deliberately out of scope, so the (record, library) pair is unique.
 Snapshots hold records and libraries as entity tuples with id lookups,
 and holdings as three parallel integer columns (record index, library
-index, channel code) sorted by (record, library); a Holding object is
-built only where a caller asks for one. Snapshots are immutable once
-built; every count over them is derived downstream, as a pure function
-of (snapshot, filter), which keeps batch runs reproducible.
+index, channel code) sorted by (record, library). A holding goes in and
+comes out as one form, the (record_id, library_id, channel) triple
+`Holding`. Snapshots are immutable once built; every count over them is
+derived downstream, as a pure function of (snapshot, filter), which
+keeps batch runs reproducible.
 
-Every entity checks its fields when it is built. The common case costs
-one direct `type(value) is T` test per field; only a value that fails
-it goes through `_check_types`, which builds the error message, so the
-messages are the same whichever path finds the fault. Entities are
-frozen and hashable, so equal ones may be shared: the dataset loader
+Every entity checks its fields when it is built; `_check_holding` is
+the one holding rule. The common case costs one direct
+`type(value) is T` test per field; only a value that fails it goes
+through `_check_types`, which builds the error message, so the messages
+are the same whichever path finds the fault. Entities are frozen and
+hashable, so equal ones may be shared: the dataset loader
 builds one Contributor per distinct (name, role) pair in a file.
 """
 
@@ -24,7 +26,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import IntegrityError
 
@@ -206,28 +208,33 @@ class LibraryOrg:
 
 
 def _check_holding(record_id: object, library_id: object, channel: object) -> None:
-    """Raise TypeError or ValueError, with Holding's messages, unless the
-    three fields make a valid holding."""
+    """Raise TypeError or ValueError unless the three fields make a valid
+    holding: three str, non-empty ids and a known channel."""
+    if (
+        type(record_id) is str
+        and type(library_id) is str
+        and type(channel) is str
+        and record_id
+        and library_id
+        and channel in _CHANNEL_CODES
+    ):
+        return
     fields = (("record_id", record_id), ("library_id", library_id), ("channel", channel))
     for name, value in fields:
-        if not isinstance(value, str):
+        if type(value) is not str:
             raise TypeError(f"Holding {name} must be str, not {value!r}")
     if not record_id or not library_id:
         raise ValueError("holding needs both record_id and library_id")
-    if channel not in _CHANNEL_CODES:
-        raise ValueError(f"unknown acquisition channel: {channel!r}")
+    raise ValueError(f"unknown acquisition channel: {channel!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class Holding:
-    """One (record, library) inclusion event."""
+class Holding(NamedTuple):
+    """One (record, library) inclusion event, the triple a snapshot takes
+    and gives back; `CatalogSnapshot` checks it."""
 
     record_id: str
     library_id: str
     channel: str = "unspecified"
-
-    def __post_init__(self) -> None:
-        _check_holding(self.record_id, self.library_id, self.channel)
 
 
 @dataclass(frozen=True, slots=True)
@@ -236,8 +243,10 @@ class LibraryFilter:
 
     An absent (None) field means no restriction on that axis. Channel
     exclusion applies to holdings, not to the libraries themselves.
-    Countries, kinds and channels fold case, as their vocabularies do;
-    memberships are free-form tags and match exactly as stored.
+    Each given field is a collection of str, as `_check_strings` rules (a
+    bare str is not one). Countries, kinds and channels fold case, as
+    their vocabularies do; memberships are free-form tags and match
+    exactly as stored.
     """
 
     countries: Optional[frozenset[str]] = None
@@ -246,6 +255,9 @@ class LibraryFilter:
     excluded_channels: Optional[frozenset[str]] = None
 
     def __post_init__(self) -> None:
+        for name in self.__dataclass_fields__:
+            if getattr(self, name) is not None:
+                _check_strings(self, name, frozenset)
         if self.countries is not None:
             object.__setattr__(
                 self, "countries", frozenset(c.strip().upper() for c in self.countries)
@@ -256,10 +268,6 @@ class LibraryFilter:
             if bad:
                 raise ValueError(f"unknown library kinds: {sorted(bad)}")
             object.__setattr__(self, "kinds", kinds)
-        if self.required_memberships is not None:
-            object.__setattr__(
-                self, "required_memberships", frozenset(self.required_memberships)
-            )
         if self.excluded_channels is not None:
             channels = frozenset(c.lower() for c in self.excluded_channels)
             bad = channels.difference(CHANNELS)
@@ -315,14 +323,15 @@ class CatalogSnapshot:
     `get_record` and `get_library`. Holdings are three parallel columns
     sorted by (record, library): `holding_records` indexes `records`,
     `holding_libraries` indexes `libraries` and `holding_channels`
-    indexes CHANNELS. A holding may be given as a Holding or as a plain
-    (record_id, library_id, channel) triple; `holding_triples` and
-    `holdings` give them back in those two forms, built from the columns
-    on each call. Every count over a snapshot is
-    derived elsewhere. `memo` is scratch space for such derived artifacts
-    (compiled views, work clusters): safe because nothing is ever mutated
-    after construction, so concurrent builders of one entry compute equal
-    values.
+    indexes CHANNELS. Holdings go in as (record_id, library_id, channel)
+    triples; a triple whose ids or channel do not resolve is checked
+    against the holding rule before the IntegrityError for a dangling id
+    is raised, so a malformed holding fails with the rule's message.
+    `holdings()` gives them back as `Holding`s, built from the columns.
+    Every count over a snapshot is derived elsewhere. `memo` is scratch
+    space for such derived artifacts (compiled views, work clusters):
+    safe because nothing is ever mutated after construction, so
+    concurrent builders of one entry compute equal values.
     """
 
     __slots__ = (
@@ -340,7 +349,7 @@ class CatalogSnapshot:
         self,
         records: Iterable[BookRecord],
         libraries: Iterable[LibraryOrg],
-        holdings: Iterable[Union[Holding, tuple[str, str, str]]],
+        holdings: Iterable[tuple[str, str, str]],
     ) -> None:
         records_by_id: dict[str, BookRecord] = {}
         for rec in records:
@@ -363,20 +372,16 @@ class CatalogSnapshot:
         # the key record index * width + library index sorts as (record_id, library_id)
         width = len(self.libraries)
         codes: dict[int, int] = {}
-        for holding in holdings:
-            if isinstance(holding, Holding):
-                holding = (holding.record_id, holding.library_id, holding.channel)
-            record_id, library_id, channel = holding
-            ri = record_index.get(record_id)
-            if ri is None:
-                raise IntegrityError(f"holding references unknown record: {record_id}")
-            li = library_index.get(library_id)
-            if li is None:
+        for record_id, library_id, channel in holdings:
+            try:
+                key = record_index[record_id] * width + library_index[library_id]
+                code = _CHANNEL_CODES[channel]
+            except (KeyError, TypeError):
+                _check_holding(record_id, library_id, channel)
+                if record_id not in record_index:
+                    raise IntegrityError(f"holding references unknown record: {record_id}")
                 raise IntegrityError(f"holding references unknown library: {library_id}")
-            code = _CHANNEL_CODES.get(channel)
-            if code is None:
-                raise ValueError(f"unknown acquisition channel: {channel!r}")
-            codes.setdefault(ri * width + li, code)
+            codes.setdefault(key, code)
         keys = sorted(codes)
         self.holding_records = array("I", [key // width for key in keys])
         self.holding_libraries = array("I", [key % width for key in keys])
@@ -403,20 +408,15 @@ class CatalogSnapshot:
             f"libraries={len(self.libraries)}, holdings={self.n_holdings})"
         )
 
-    def holding_triples(self) -> Iterator[tuple[str, str, str]]:
-        """Every holding as a (record_id, library_id, channel) triple, in
-        (record_id, library_id) order."""
+    def holdings(self) -> Iterator[Holding]:
+        """Every holding, in (record_id, library_id) order, built from the
+        columns as the iteration reaches it."""
         record_ids = [record.record_id for record in self.records]
         library_ids = [library.library_id for library in self.libraries]
         for ri, li, code in zip(
             self.holding_records, self.holding_libraries, self.holding_channels
         ):
-            yield record_ids[ri], library_ids[li], CHANNELS[code]
-
-    @property
-    def holdings(self) -> tuple[Holding, ...]:
-        """Every holding as a Holding, in (record_id, library_id) order."""
-        return tuple(Holding(*triple) for triple in self.holding_triples())
+            yield Holding(record_ids[ri], library_ids[li], CHANNELS[code])
 
     @property
     def n_records(self) -> int:

@@ -171,7 +171,7 @@ def test_c07_rcir_self_benchmark(capsys):
             snapshot = datasets.random_snapshot(
                 rng, max_records=10, max_libraries=6, holding_rate=0.5
             )
-            counts = oracles.holder_counts(snapshot.holdings)
+            counts = oracles.holder_counts(snapshot.holdings())
             held = [
                 record.record_id for record in snapshot.records if counts[record.record_id] > 0
             ]
@@ -193,7 +193,7 @@ def test_c08_competition_rank_oracle(capsys):
             rng, 1000, large_classes=5, max_small=50
         )
         by_class = oracles.records_by_class(snapshot.records)
-        holders = oracles.holder_counts(snapshot.holdings)
+        holders = oracles.holder_counts(snapshot.holdings())
         for label in labels:
             members = by_class[label]
             counts = [holders[record.record_id] for record in members]
@@ -274,8 +274,8 @@ def test_c11_harvest_round_trip(capsys):
             assert result.skipped == ()
             assert not result.quota_exhausted
             assert set(result.queried) == {r.record_id for r in fixture.records}
-            got = {(h.record_id, h.library_id) for h in result.delta.holdings}
-            want = {(h.record_id, h.library_id) for h in fixture.holdings}
+            got = {(h.record_id, h.library_id) for h in result.delta.holdings()}
+            want = {(h.record_id, h.library_id) for h in fixture.holdings()}
             assert got == want
 
 

@@ -242,6 +242,32 @@ class TestIngest:
         assert out.strip() == "accepted=0 rejected=1"
         assert not dataset.exists()
 
+    def test_jsonl_delta_without_records_is_merged(self, capsys, tmp_path):
+        dataset, source = tmp_path / "cat.jsonl", tmp_path / "libraries.jsonl"
+        save_dataset(CatalogSnapshot([BookRecord("r1", "Only")], (), ()), dataset)
+        source.write_text('{"t":"L","id":"l1","name":"Lib","country":"US"}\n')
+        code, out, _ = run_cli(
+            capsys, "ingest", "--input", str(source), "--format", "jsonl",
+            "--dataset", str(dataset),
+        )
+        assert code == 0
+        assert out.strip() == "accepted=0 rejected=0"
+        merged = load_dataset(dataset)
+        assert merged.n_records == 1
+        assert merged.get_library("l1").name == "Lib"
+
+    def test_empty_jsonl_delta_exits_two_and_writes_nothing(self, capsys, tmp_path):
+        source = tmp_path / "empty.jsonl"
+        source.write_text("\n")
+        dataset = tmp_path / "cat.jsonl"
+        code, out, _ = run_cli(
+            capsys, "ingest", "--input", str(source), "--format", "jsonl",
+            "--dataset", str(dataset),
+        )
+        assert code == 2
+        assert out.strip() == "accepted=0 rejected=0"
+        assert not dataset.exists()
+
     def test_missing_input_exits_one(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "ingest", "--input", str(tmp_path / "nope.xml"),
@@ -346,7 +372,7 @@ class TestFetch:
         assert "skipped f3: no OCLC number or ISBN" in err
         merged = load_dataset(dataset)
         assert merged.n_holdings == 3
-        assert oracles.distinct_holders_bruteforce(merged.holdings, "f1") == 2
+        assert oracles.distinct_holders_bruteforce(merged.holdings(), "f1") == 2
         assert merged.get_library("la").name == "Server Lib A"
 
     def test_fetch_by_isbn_selects_one_record(self, capsys, fetch_world):
@@ -377,8 +403,8 @@ class TestFetch:
         assert code == 3
         assert "quota exhausted" in err
         merged = load_dataset(dataset)
-        assert oracles.distinct_holders_bruteforce(merged.holdings, "f1") == 2
-        assert oracles.distinct_holders_bruteforce(merged.holdings, "f2") == 0
+        assert oracles.distinct_holders_bruteforce(merged.holdings(), "f1") == 2
+        assert oracles.distinct_holders_bruteforce(merged.holdings(), "f2") == 0
 
     def test_base_url_can_come_from_the_environment(self, capsys, fetch_world, monkeypatch):
         dataset, server = fetch_world

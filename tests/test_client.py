@@ -587,17 +587,17 @@ class TestHarvest:
         assert result.skipped == (("r3", "no OCLC number or ISBN"),)
         assert result.errors == ()
         assert not result.quota_exhausted
-        pairs = {(h.record_id, h.library_id) for h in result.delta.holdings}
+        pairs = {(h.record_id, h.library_id) for h in result.delta.holdings()}
         assert pairs == {("r1", "aaa"), ("r1", "bbb"), ("r1", "ccc"), ("r2", "aaa")}
         assert [lib.library_id for lib in result.delta.libraries] == ["aaa", "bbb", "ccc"]
         assert result.delta.n_records == 3
-        assert oracles.distinct_holders_bruteforce(result.delta.holdings, "r4") == 0
+        assert oracles.distinct_holders_bruteforce(result.delta.holdings(), "r4") == 0
 
     def test_harvested_entities_carry_neutral_defaults(self, corpus, server):
         client = make_client(server)
         result = harvest(client, corpus.records[:1])
         assert all(lib.kind == "other" for lib in result.delta.libraries)
-        assert all(h.channel == "unspecified" for h in result.delta.holdings)
+        assert all(h.channel == "unspecified" for h in result.delta.holdings())
 
     def test_quota_exhaustion_keeps_partial_results(self, corpus, server):
         client = make_client(server, limit=2)
@@ -686,8 +686,8 @@ class TestHarvest:
         assert set(result.queried) == identified
         expected = {
             (h.record_id, h.library_id)
-            for h in snap.holdings
+            for h in snap.holdings()
             if h.record_id in identified
         }
-        got = {(h.record_id, h.library_id) for h in result.delta.holdings}
+        got = {(h.record_id, h.library_id) for h in result.delta.holdings()}
         assert got == expected

@@ -288,7 +288,7 @@ class TestClustering:
         snap = datasets.random_snapshot(rng, max_records=15)
         records = list(snap.records)
         rng.shuffle(records)
-        reordered = CatalogSnapshot(records, snap.libraries, snap.holdings)
+        reordered = CatalogSnapshot(records, snap.libraries, snap.holdings())
         as_sets = lambda clusters: sorted(
             sorted(c.member_record_ids) for c in clusters
         )

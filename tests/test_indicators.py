@@ -113,7 +113,7 @@ class TestLibcitations:
         rng = random.Random(seed)
         snap = datasets.random_snapshot(rng)
         for record in snap.records:
-            want = oracles.distinct_holders_bruteforce(snap.holdings, record.record_id)
+            want = oracles.distinct_holders_bruteforce(snap.holdings(), record.record_id)
             assert libcitations(record, snap) == want
 
     @settings(max_examples=60, deadline=None)
@@ -246,7 +246,7 @@ class TestAggregates:
         ]
         holdings = [
             Holding(h.record_id, f"{h.library_id}x{copy}", h.channel)
-            for h in snap.holdings
+            for h in snap.holdings()
             for copy in range(k)
         ]
         scaled = CatalogSnapshot(snap.records, libraries, holdings)
@@ -473,7 +473,7 @@ class TestCompiledView:
         excluded = frozenset({"donation", "pda"})
         library_filter = LibraryFilter(excluded_channels=excluded) if exclude else None
         holders = {record.record_id: set() for record in snap.records}
-        for holding in snap.holdings:
+        for holding in snap.holdings():
             if not (exclude and holding.channel in excluded):
                 holders[holding.record_id].add(holding.library_id)
         counts = [len(holders[record.record_id]) for record in snap.records]
@@ -495,7 +495,7 @@ class TestCompiledView:
         library_filter = datasets.random_filter(rng) if filtered else None
         profiles = author_profiles(snap, library_filter)
         headings = [p.heading for p in profiles]
-        fresh = CatalogSnapshot(snap.records, snap.libraries, snap.holdings)
+        fresh = CatalogSnapshot(snap.records, snap.libraries, snap.holdings())
         assert profiles == [author_profile(h, fresh, library_filter) for h in headings]
         assert profiles == sorted(profiles, key=lambda p: (-p.library_holdings, p.heading))
 

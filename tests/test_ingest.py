@@ -518,7 +518,7 @@ class TestMerge:
         assert merged.get_record("r2").title == "Only delta"
         assert merged.get_library("l1").country == "US"
         assert merged.n_holdings == 2
-        assert merged.holdings[0].channel == "pda"
+        assert next(merged.holdings()).channel == "pda"
 
     def test_merge_with_empty_is_identity(self):
         rng = random.Random(44)

@@ -146,8 +146,9 @@ class TestValues:
             LibraryOrg("l1", "Lib", "US", kind="museum")
 
     def test_holding_channel_vocabulary(self):
+        rec, lib = BookRecord("r1", "T"), LibraryOrg("l1", "Lib", "US")
         with pytest.raises(ValueError):
-            Holding("r1", "l1", channel="gift")
+            CatalogSnapshot([rec], [lib], [Holding("r1", "l1", channel="gift")])
 
     def test_unit_requires_members(self):
         with pytest.raises(ValueError):
@@ -190,22 +191,39 @@ class TestSnapshot:
             [Holding("r1", "l1", "donation"), Holding("r1", "l1", "pda")],
         )
         assert snap.n_holdings == 1
-        assert snap.holdings[0].channel == "donation"
+        assert next(snap.holdings()).channel == "donation"
 
     def test_holdings_may_be_given_as_triples(self):
         snap = make_snapshot([("r1", "l1"), ("r1", "l2"), ("r2", "l1")], {("r2", "l1"): "pda"})
-        triples = [(h.record_id, h.library_id, h.channel) for h in reversed(snap.holdings)]
+        triples = [tuple(h) for h in reversed(list(snap.holdings()))]
         assert CatalogSnapshot(snap.records, snap.libraries, triples) == snap
         with pytest.raises(ValueError, match="unknown acquisition channel: 'gift'"):
             CatalogSnapshot(snap.records, snap.libraries, [("r1", "l1", "gift")])
         with pytest.raises(IntegrityError, match="unknown record: r9"):
             CatalogSnapshot(snap.records, snap.libraries, [("r9", "l1", "pda")])
 
+    @pytest.mark.parametrize(
+        "holding, error, message",
+        [
+            ((["r1"], "l1", "pda"), TypeError, "Holding record_id must be str, not ['r1']"),
+            (("", "l1", "pda"), ValueError, "holding needs both record_id and library_id"),
+            ((5, "l1", "pda"), TypeError, "Holding record_id must be str, not 5"),
+            (("r1", "l1", "gift"), ValueError, "unknown acquisition channel: 'gift'"),
+            (("r1", "l1", ["pda"]), TypeError, "Holding channel must be str, not ['pda']"),
+        ],
+    )
+    def test_a_malformed_holding_fails_by_the_holding_rule(self, holding, error, message):
+        rec, lib = BookRecord("r1", "T"), LibraryOrg("l1", "Lib", "US")
+        with pytest.raises(error) as caught:
+            CatalogSnapshot([rec], [lib], [holding])
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+
     def test_holder_lookup_and_counts(self):
         snap = make_snapshot([("r1", "l1"), ("r1", "l2"), ("r2", "l1")])
-        assert {h.library_id for h in snap.holdings if h.record_id == "r1"} == {"l1", "l2"}
-        assert oracles.distinct_holders_bruteforce(snap.holdings, "r2") == 1
-        assert oracles.distinct_holders_bruteforce(snap.holdings, "r9") == 0
+        assert {h.library_id for h in snap.holdings() if h.record_id == "r1"} == {"l1", "l2"}
+        assert oracles.distinct_holders_bruteforce(snap.holdings(), "r2") == 1
+        assert oracles.distinct_holders_bruteforce(snap.holdings(), "r9") == 0
         assert snap.get_record("r1").title == "Title r1"
         assert snap.get_library("l2").name == "Library l2"
         assert snap.get_record("r9") is None
@@ -223,7 +241,7 @@ class TestSnapshot:
         snap = make_snapshot([("r2", "l2"), ("r1", "l1")])
         assert [r.record_id for r in snap.records] == ["r1", "r2"]
         assert [l.library_id for l in snap.libraries] == ["l1", "l2"]
-        assert [(h.record_id, h.library_id) for h in snap.holdings] == [
+        assert [(h.record_id, h.library_id) for h in snap.holdings()] == [
             ("r1", "l1"),
             ("r2", "l2"),
         ]
@@ -241,6 +259,20 @@ class TestFilter:
         with pytest.raises(ValueError):
             LibraryFilter(excluded_channels=frozenset({"gift"}))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("countries", "US"),
+            ("kinds", "academic"),
+            ("required_memberships", "ARL"),
+            ("excluded_channels", "pda"),
+        ],
+    )
+    def test_filter_refuses_a_bare_string(self, field, value):
+        with pytest.raises(TypeError, match=f"LibraryFilter {field} must be a collection of str"):
+            LibraryFilter(**{field: value})
+        assert getattr(LibraryFilter(**{field: [value]}), field) == frozenset({value})
+
     def test_kinds_and_channels_fold_case_but_memberships_do_not(self):
         library_filter = LibraryFilter(
             kinds=frozenset({"Academic", "PUBLIC"}),
@@ -257,7 +289,7 @@ class TestFilter:
         )
         narrowed = apply_filter(snap, LibraryFilter(countries=frozenset({"us"})))
         assert [l.library_id for l in narrowed.libraries] == ["l1"]
-        assert oracles.distinct_holders_bruteforce(narrowed.holdings, "r1") == 1
+        assert oracles.distinct_holders_bruteforce(narrowed.holdings(), "r1") == 1
         assert narrowed.n_records == snap.n_records
 
     def test_kind_filter(self):
@@ -295,7 +327,7 @@ class TestFilter:
         )
         narrowed = apply_filter(snap, LibraryFilter(countries=frozenset({"US"})))
         assert narrowed.get_record("r2") is not None
-        assert oracles.distinct_holders_bruteforce(narrowed.holdings, "r2") == 0
+        assert oracles.distinct_holders_bruteforce(narrowed.holdings(), "r2") == 0
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**9))
@@ -326,7 +358,7 @@ class TestFilter:
         library_filter = datasets.random_filter(rng)
         narrowed = apply_filter(snap, library_filter)
         assert set(narrowed.libraries) <= set(snap.libraries)
-        assert set(narrowed.holdings) <= set(snap.holdings)
+        assert set(narrowed.holdings()) <= set(snap.holdings())
         assert narrowed.records == snap.records
 
     @settings(max_examples=60, deadline=None)
@@ -339,12 +371,12 @@ class TestFilter:
         kept = {lib.library_id for lib in libraries}
         holdings = [
             h
-            for h in snap.holdings
+            for h in snap.holdings()
             if h.library_id in kept and library_filter.admits_channel(h.channel)
         ]
         narrowed = apply_filter(snap, library_filter)
         assert narrowed == CatalogSnapshot(snap.records, libraries, holdings)
-        assert narrowed.holdings == tuple(holdings)
+        assert list(narrowed.holdings()) == holdings
         for lib in snap.libraries:
             want = lib if lib.library_id in kept else None
             assert narrowed.get_library(lib.library_id) == want

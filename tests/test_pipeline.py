@@ -9,6 +9,7 @@ import json
 import random
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ import datasets
 from libcat.cli import run
 from libcat.errors import DatasetError, IntegrityError
 from libcat.ingest import load_dataset, merge_snapshots, save_dataset
-from libcat.model import CatalogSnapshot, LibraryOrg
+from libcat.model import CatalogSnapshot, LibraryFilter, LibraryOrg
 
 FILTER = "country=US,GB;kind=academic;exclude-channel=donation"
 ANALYSES = (
@@ -97,7 +98,7 @@ def overlapping_halves(snapshot, rng: random.Random) -> list[CatalogSnapshot]:
     for library_id in libraries:
         for _, library_ids, _ in sides():
             library_ids.add(library_id)
-    for triple in snapshot.holding_triples():
+    for triple in snapshot.holdings():
         for record_ids, library_ids, holdings in sides():
             record_ids.add(triple[0])
             library_ids.add(triple[1])
@@ -123,9 +124,9 @@ def check_merge_of_halves(snapshot, rng: random.Random) -> None:
         code, _ = command(
             "ingest", "--format", "jsonl", "--input", str(delta), "--dataset", str(dataset)
         )
-        if second.n_records:  # a delta without records is refused
-            assert code == 0
-            assert dataset.read_bytes() == whole.read_bytes()
+        # only a delta that holds nothing is refused, and then the first half is the whole
+        assert code == (0 if second.n_records or second.n_libraries or second.n_holdings else 2)
+        assert dataset.read_bytes() == whole.read_bytes()
 
 
 IDLE_SAFE = ANALYSES[:4] + ANALYSES[5:7]  # every analysis but units and report
@@ -137,7 +138,7 @@ def check_idle_library(snapshot) -> None:
     idle = LibraryOrg("idle-library", "Idle", "US", "academic")  # FILTER admits it
     assert snapshot.get_library(idle.library_id) is None
     with_idle = CatalogSnapshot(
-        snapshot.records, (*snapshot.libraries, idle), snapshot.holding_triples()
+        snapshot.records, (*snapshot.libraries, idle), snapshot.holdings()
     )
     with tempfile.TemporaryDirectory() as tmp:
         before, after = Path(tmp) / "before", Path(tmp) / "after"
@@ -159,6 +160,90 @@ def check_idle_library(snapshot) -> None:
     # DR prints 4 places, so each side is off by at most 0.00005
     assert abs(float(new_row.pop("dr")) - float(old_row.pop("dr")) * n / (n + 1)) <= 1.0001e-4
     assert new_row == old_row
+
+
+UNFILTERED = tuple(analysis for analysis in ANALYSES if "--filter" not in analysis)
+FILTER_FLAGS = (
+    ("country", "countries"),
+    ("kind", "kinds"),
+    ("member", "required_memberships"),
+    ("exclude-channel", "excluded_channels"),
+)
+# Not a character of any generated id, title or name, so it marks the id cells.
+RELABEL = "#"
+
+
+def filter_spec(library_filter: LibraryFilter) -> str:
+    """The --filter text for a LibraryFilter."""
+    return ";".join(
+        f"{flag}={','.join(sorted(getattr(library_filter, name)))}"
+        for flag, name in FILTER_FLAGS
+        if getattr(library_filter, name) is not None
+    )
+
+
+def deleted(snapshot, library_filter: LibraryFilter) -> CatalogSnapshot:
+    """The snapshot without the libraries the filter excludes and without
+    the holdings of an excluded channel, read straight off its fields."""
+    countries, kinds, members, channels = (
+        getattr(library_filter, name) for _, name in FILTER_FLAGS
+    )
+    libraries = [
+        library
+        for library in snapshot.libraries
+        if (countries is None or library.country in countries)
+        and (kinds is None or library.kind in kinds)
+        and (members is None or members <= library.memberships)
+    ]
+    kept = {library.library_id for library in libraries}
+    holdings = [
+        holding
+        for holding in snapshot.holdings()
+        if holding.library_id in kept and (channels is None or holding.channel not in channels)
+    ]
+    return CatalogSnapshot(snapshot.records, libraries, holdings)
+
+
+def relabelled(snapshot) -> CatalogSnapshot:
+    """The snapshot with RELABEL before every record and library id, a
+    renaming that keeps the ids' order."""
+    return CatalogSnapshot(
+        [replace(record, record_id=RELABEL + record.record_id) for record in snapshot.records],
+        [replace(lib, library_id=RELABEL + lib.library_id) for lib in snapshot.libraries],
+        [
+            (RELABEL + record_id, RELABEL + library_id, channel)
+            for record_id, library_id, channel in snapshot.holdings()
+        ],
+    )
+
+
+def check_filter_is_deletion_and_relabelling(snapshot, library_filter: LibraryFilter) -> None:
+    """Every analysis under --filter F prints what it prints on the
+    dataset with F's exclusions deleted, and relabelling the ids, with or
+    without the filter, changes nothing but the id cells."""
+    flag = ("--filter", filter_spec(library_filter))
+    filtered = tuple((*analysis, *flag) for analysis in UNFILTERED)
+    with tempfile.TemporaryDirectory() as tmp:
+        whole, cut, whole_renamed, cut_renamed = (
+            Path(tmp) / name for name in ("whole", "cut", "whole_renamed", "cut_renamed")
+        )
+        kept = deleted(snapshot, library_filter)
+        for source, path in (
+            (snapshot, whole),
+            (kept, cut),
+            (relabelled(snapshot), whole_renamed),
+            (relabelled(kept), cut_renamed),
+        ):
+            save_dataset(source, path)
+        under_filter = outputs(whole, filtered)
+        assert under_filter == outputs(cut, UNFILTERED)
+        for path, analyses, want in (
+            (whole_renamed, filtered, under_filter),
+            (cut_renamed, UNFILTERED, under_filter),
+        ):
+            got = outputs(path, analyses)
+            assert [(code, out.replace(RELABEL, "")) for code, out in got] == want
+    assert not any(RELABEL in out for _, out in under_filter)
 
 
 def bench_tiny_catalog() -> CatalogSnapshot:
@@ -190,6 +275,30 @@ def test_merge_and_idle_library_on_random_catalogs(rng):
     snapshot = datasets.random_snapshot(rng)
     check_merge_of_halves(snapshot, rng)
     check_idle_library(snapshot)
+
+
+FIXED_FILTERS = (
+    LibraryFilter(
+        countries={"US", "GB"}, kinds={"academic"}, excluded_channels={"donation"}
+    ),
+    LibraryFilter(required_memberships={"ARL"}, excluded_channels={"pda", "package"}),
+)
+
+
+@pytest.mark.parametrize(
+    "build", [datasets.diffusion_study, bench_tiny_catalog], ids=lambda build: build.__name__
+)
+def test_filter_is_deletion_and_relabelling_on_fixed_catalogs(build):
+    snapshot = build()
+    for library_filter in FIXED_FILTERS:
+        check_filter_is_deletion_and_relabelling(snapshot, library_filter)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_filter_is_deletion_and_relabelling_on_random_catalogs(rng):
+    snapshot = datasets.random_snapshot(rng)
+    check_filter_is_deletion_and_relabelling(snapshot, datasets.random_filter(rng))
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
