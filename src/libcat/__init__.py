@@ -84,7 +84,7 @@ from .model import (
 )
 from .stats import CorrelationMatrix, correlation_matrix, spearman
 
-# The network layer (requests, http.server, thread pools) loads on first
+# The network layer (http.client, http.server, thread pools) loads on first
 # use, so commands that only read a dataset never import it.
 _LAZY = {
     "CatalogClient": "client",

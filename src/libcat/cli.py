@@ -138,13 +138,13 @@ def parse_filter_spec(spec: str) -> Optional[LibraryFilter]:
     return LibraryFilter(**fields) if fields else None
 
 
-def _load_dataset_file(path: str) -> CatalogSnapshot:
+def _load_dataset_file(path: str, what: str = "dataset") -> CatalogSnapshot:
     try:
         return load_dataset(path)
     except OSError as exc:
-        raise _Failure(EXIT_UNREADABLE, f"cannot read dataset {path}: {exc}") from exc
+        raise _Failure(EXIT_UNREADABLE, f"cannot read {what} {path}: {exc}") from exc
     except (DatasetError, IntegrityError) as exc:
-        raise _Failure(EXIT_UNREADABLE, f"dataset {path}: {exc}") from exc
+        raise _Failure(EXIT_UNREADABLE, f"{what} {path}: {exc}") from exc
 
 
 def _analysis_input(args) -> tuple[CatalogSnapshot, Optional[LibraryFilter]]:
@@ -187,7 +187,7 @@ def _emit(headers: Sequence[str], rows: Sequence[Sequence[str]], fmt: str) -> No
 def cmd_ingest(args) -> int:
     rejections: list[tuple[str, str]] = []
     if args.format == "jsonl":
-        new = _load_dataset_file(args.input)
+        new = _load_dataset_file(args.input, "input")
     else:
         try:
             with open(args.input, "rb") as fh:

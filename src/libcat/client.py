@@ -36,18 +36,22 @@ from __future__ import annotations
 
 import contextlib
 import datetime as dt
+import functools
+import http.client
 import json
 import math
 import os
+import re
+import select
+import ssl
 import threading
 import time
+import urllib.parse
 import xml.etree.ElementTree as ET
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
-
-import requests
 
 from .errors import QuotaExceededError, QuotaStateError, TransportError
 from .identifiers import normalize_isbn
@@ -288,6 +292,35 @@ def _response_from_xml(body: bytes) -> LocationResponse:
     return _build_response("XML", shape)
 
 
+class _KeepAlive:
+    """The default `send`: one keep-alive connection per worker thread."""
+
+    def __init__(self, base: urllib.parse.SplitResult) -> None:
+        tls = {"context": ssl.create_default_context()} if base.scheme == "https" else {}
+        kind = http.client.HTTPSConnection if tls else http.client.HTTPConnection
+        # the port is given, as http.client would misread a bare IPv6 host
+        self._open = functools.partial(kind, base.hostname, base.port or kind.default_port, **tls)
+        self._origin_length = len(f"{base.scheme}://{base.netloc}")
+        self._local = threading.local()
+
+    def __call__(self, url: str, headers: dict, timeout: float) -> tuple[int, str, bytes]:
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._local.connection = self._open(timeout=timeout)
+        elif connection.sock is not None:
+            poller = select.poll()
+            poller.register(connection.sock, select.POLLIN)
+            if poller.poll(0):  # the server closed it while idle: reopen, uncharged
+                connection.close()
+        try:
+            connection.request("GET", url[self._origin_length:], headers=headers)
+            response = connection.getresponse()
+            return response.status, response.getheader("Content-Type", ""), response.read()
+        except BaseException:
+            connection.close()
+            raise
+
+
 class CatalogClient:
     """Budgeted, retrying client for the two location lookups."""
 
@@ -300,32 +333,33 @@ class CatalogClient:
         retries: int = DEFAULT_RETRIES,
         timeout: float = 10.0,
         parallelism: int = 1,
-        session: Optional[requests.Session] = None,
+        send: Optional[Callable[[str, dict, float], tuple[int, str, bytes]]] = None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        if not base_url:
-            raise ValueError("base_url is required")
+        self.base_url = base_url.rstrip("/")
+        base = urllib.parse.urlsplit(self.base_url)  # sent as given: printable ASCII only
+        if not (re.fullmatch(r"(?i)https?://[!-~]+", base_url) and base.hostname):
+            raise ValueError(f"base_url must be a printable http(s) URL with host: {base_url!r}")
         if retries < 1:
             raise ValueError("retries must be at least 1")
         if not 1 <= parallelism <= MAX_PARALLELISM:
             raise ValueError(f"parallelism must be between 1 and {MAX_PARALLELISM}")
         if not 0 < timeout < math.inf:
             raise ValueError("timeout must be a positive, finite number of seconds")
-        self.base_url = base_url.rstrip("/")
         self.quota = quota if quota is not None else QuotaStore()
         self.api_key = api_key
         self.api_key_header = api_key_header
         self.retries = retries
         self.timeout = timeout
         self.parallelism = parallelism
-        self._session = session if session is not None else requests.Session()
+        self._send = send if send is not None else _KeepAlive(base)
         self._sleep = sleep
 
     def _get(self, path: str) -> Optional[tuple[str, bytes]]:
         """One logical lookup: quota-charged attempts with backoff.
 
-        Returns (content type, body) on 200, None on 404. Non-404 client
-        errors fail immediately; connection errors and 5xx are retried.
+        Returns (content type, body) on 200, None on 404. Connection errors
+        and 5xx are retried; any other status, a redirect too, fails at once.
         """
         url = self.base_url + path
         headers = {"Accept": "application/json"}
@@ -335,22 +369,18 @@ class CatalogClient:
         for attempt in range(self.retries):
             self.quota.consume()
             try:
-                response = self._session.get(url, headers=headers, timeout=self.timeout)
-            except requests.RequestException as exc:
+                status, content_type, body = self._send(url, headers, self.timeout)
+            except (OSError, http.client.HTTPException) as exc:
                 failure = TransportError(f"request failed for {path}: {exc}")
             else:
-                if response.status_code == 200:
-                    return response.headers.get("Content-Type", ""), response.content
-                if response.status_code == 404:
+                if status == 200:
+                    return content_type, body
+                if status == 404:
                     return None
-                if 500 <= response.status_code < 600:
-                    failure = TransportError(
-                        f"server error {response.status_code} for {path}"
-                    )
+                if 500 <= status < 600:
+                    failure = TransportError(f"server error {status} for {path}")
                 else:
-                    raise TransportError(
-                        f"unexpected status {response.status_code} for {path}"
-                    )
+                    raise TransportError(f"unexpected status {status} for {path}")
             if attempt + 1 < self.retries:
                 self._sleep(DEFAULT_BACKOFF_SECONDS * (2 ** attempt))
         assert failure is not None

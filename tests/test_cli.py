@@ -285,6 +285,27 @@ class TestIngest:
         )
         assert code == 1
 
+    def test_missing_jsonl_input_is_named_as_the_input(self, capsys, tmp_path):
+        source = tmp_path / "nope.jsonl"
+        code, _, err = run_cli(
+            capsys, "ingest", "--input", str(source), "--format", "jsonl",
+            "--dataset", str(tmp_path / "cat.jsonl"),
+        )
+        assert code == 1
+        assert err.startswith(f"error: cannot read input {source}: ")
+
+    def test_bad_jsonl_input_line_is_named_as_the_input(self, capsys, tmp_path):
+        source = tmp_path / "delta.jsonl"
+        source.write_text('{"t": "R", "id": "r1"}\n')
+        dataset = tmp_path / "cat.jsonl"
+        code, _, err = run_cli(
+            capsys, "ingest", "--input", str(source), "--format", "jsonl",
+            "--dataset", str(dataset),
+        )
+        assert code == 1
+        assert err == f"error: input {source}: line 1: 'title'\n"
+        assert not dataset.exists()
+
     def test_unknown_format_is_a_usage_error(self, capsys, tmp_path):
         code, _, _ = run_cli(
             capsys, "ingest", "--input", "x", "--format", "tsv",
@@ -419,6 +440,30 @@ class TestFetch:
         code, _, err = run_cli(capsys, "fetch", "--all", "--dataset", dataset)
         assert code == 64
         assert "base URL" in err
+
+    @pytest.mark.parametrize(
+        "base_url",
+        [
+            "localhost:8080", "ftp://example.org", "http://",
+            "http://127.0.0.1:port", "http://127.0.0.1/a b",
+        ],
+    )
+    def test_base_url_without_http_scheme_or_host_is_a_usage_error_before_any_charge(
+        self, capsys, fetch_world, tmp_path, base_url
+    ):
+        dataset, server = fetch_world
+        with open(dataset, "rb") as fh:
+            before = fh.read()
+        state = tmp_path / "q.json"
+        code, out, err = run_cli(
+            capsys, "fetch", "--all", "--dataset", dataset,
+            "--base-url", base_url, "--quota-state", str(state),
+        )
+        assert (code, out) == (64, "")
+        assert err.startswith("error: ")
+        assert not state.exists()
+        with open(dataset, "rb") as fh:
+            assert fh.read() == before
 
     def test_quota_state_spans_invocations(self, capsys, fetch_world, tmp_path):
         dataset, server = fetch_world

@@ -11,6 +11,7 @@ import threading
 import urllib.error
 import urllib.request
 import xml.etree.ElementTree as ET
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 from hypothesis import given, settings
@@ -75,21 +76,19 @@ def make_client(server, limit=10_000, **kwargs):
     )
 
 
-class FakeResponse:
-    def __init__(self, status_code, body=b"{}", content_type="application/json"):
-        self.status_code = status_code
-        self.content = body
-        self.headers = {"Content-Type": content_type}
+def reply(status, body=b"{}", content_type="application/json"):
+    """What the client's `send` returns: (status, content type, body)."""
+    return status, content_type, body
 
 
-class ScriptedSession:
-    """Stand-in for requests.Session driven by a url -> outcome callable."""
+class ScriptedSend:
+    """Stand-in for the client's `send`, driven by a url -> outcome callable."""
 
     def __init__(self, script):
         self.script = script
         self.calls = []
 
-    def get(self, url, headers=None, timeout=None):
+    def __call__(self, url, headers, timeout):
         self.calls.append(url)
         outcome = self.script(url, len(self.calls))
         if isinstance(outcome, Exception):
@@ -514,20 +513,18 @@ class TestClientLookups:
 
 class TestRetries:
     def test_connection_errors_are_retried_with_backoff(self):
-        import requests as requests_module
-
-        good = FakeResponse(
+        good = reply(
             200, b'{"record": {"title": "T"}, "locations": []}'
         )
-        session = ScriptedSession(
-            lambda url, n: requests_module.ConnectionError("boom") if n < 3 else good
+        send = ScriptedSend(
+            lambda url, n: ConnectionError("boom") if n < 3 else good
         )
         sleeps = []
         client = CatalogClient(
             "http://unit.test",
             quota=QuotaStore(10),
             retries=3,
-            session=session,
+            send=send,
             sleep=sleeps.append,
         )
         response = client.get_by_oclc_number(5)
@@ -536,47 +533,160 @@ class TestRetries:
         assert client.quota.state().used == 3
 
     def test_server_errors_exhaust_retries_then_raise(self):
-        session = ScriptedSession(lambda url, n: FakeResponse(503))
+        send = ScriptedSend(lambda url, n: reply(503))
         sleeps = []
         client = CatalogClient(
             "http://unit.test",
             quota=QuotaStore(10),
             retries=3,
-            session=session,
+            send=send,
             sleep=sleeps.append,
         )
         with pytest.raises(TransportError):
             client.get_by_oclc_number(5)
-        assert len(session.calls) == 3
+        assert len(send.calls) == 3
         assert sleeps == [0.5, 1.0]
         assert client.quota.state().used == 3
 
     def test_client_errors_do_not_retry(self):
-        session = ScriptedSession(lambda url, n: FakeResponse(403))
+        send = ScriptedSend(lambda url, n: reply(403))
         client = CatalogClient(
             "http://unit.test",
             quota=QuotaStore(10),
             retries=3,
-            session=session,
+            send=send,
             sleep=lambda _: None,
         )
         with pytest.raises(TransportError):
             client.get_by_oclc_number(5)
-        assert len(session.calls) == 1
+        assert len(send.calls) == 1
         assert client.quota.state().used == 1
 
     def test_each_retry_charges_the_quota(self):
-        session = ScriptedSession(lambda url, n: FakeResponse(500))
+        send = ScriptedSend(lambda url, n: reply(500))
         client = CatalogClient(
             "http://unit.test",
             quota=QuotaStore(2),
             retries=3,
-            session=session,
+            send=send,
             sleep=lambda _: None,
         )
         with pytest.raises(QuotaExceededError):
             client.get_by_oclc_number(5)
-        assert len(session.calls) == 2
+        assert len(send.calls) == 2
+
+
+class CountingServer(ThreadingHTTPServer):
+    """A local server that counts the requests and connections it handled
+    and releases `closed` each time it has closed a connection."""
+
+    def __init__(self, handler):
+        super().__init__(("127.0.0.1", 0), handler)
+        self.requests = 0
+        self.connections = 0
+        self.closed = threading.Semaphore(0)
+
+    @property
+    def base_url(self):
+        return "http://%s:%d" % self.server_address[:2]
+
+    def process_request(self, request, client_address):
+        self.connections += 1
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.closed.release()
+
+
+@contextlib.contextmanager
+def serving(handler):
+    server = CountingServer(handler)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05})
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+class QuietHandler(BaseHTTPRequestHandler):
+    def log_message(self, *args):
+        pass
+
+    def answer(self, status, *headers):
+        body = b'{"record": null, "locations": []}'
+        self.server.requests += 1
+        self.send_response(status)
+        for name, value in (
+            ("Content-Type", "application/json"), ("Content-Length", str(len(body))), *headers
+        ):
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(body)
+
+
+class TestTransport:
+    def test_a_redirect_is_not_followed_and_costs_one_charge(self):
+        class Redirecting(QuietHandler):
+            def do_GET(self):
+                if self.path.endswith("/1"):
+                    self.answer(302, ("Location", "/content/libraries/2"))
+                else:
+                    self.answer(200)
+
+        sleeps = []
+        with serving(Redirecting) as server:
+            client = CatalogClient(server.base_url, quota=QuotaStore(10), sleep=sleeps.append)
+            with pytest.raises(TransportError, match="unexpected status 302"):
+                client.get_by_oclc_number(1)
+        assert server.requests == client.quota.state().used == 1
+        assert sleeps == []
+
+    def test_a_failed_request_closes_its_connection(self):
+        class GarbledFirst(QuietHandler):
+            protocol_version = "HTTP/1.1"
+
+            def do_GET(self):
+                if self.server.requests == 0:
+                    self.server.requests += 1
+                    self.wfile.write(b"garbage\r\n\r\n")
+                else:
+                    self.answer(200)
+
+        sleeps = []
+        with serving(GarbledFirst) as server:
+            client = CatalogClient(
+                server.base_url, quota=QuotaStore(10), retries=2, sleep=sleeps.append
+            )
+            assert client.get_by_oclc_number(1).locations == ()
+        assert server.requests == client.quota.state().used == 2
+        assert server.connections == 2
+        assert sleeps == [0.5]
+
+    @pytest.mark.parametrize("closes", [False, True], ids=["kept-open", "closed-while-idle"])
+    def test_an_idle_connection_is_reused_or_reopened_for_free(self, closes):
+        class KeepAlive(QuietHandler):
+            protocol_version = "HTTP/1.1"
+
+            def do_GET(self):
+                self.answer(200)
+                # the answer said nothing of closing, as a server timing out idle ones
+                self.close_connection = closes
+
+        sleeps = []
+        with serving(KeepAlive) as server:
+            client = CatalogClient(server.base_url, quota=QuotaStore(10), sleep=sleeps.append)
+            for number in (1, 2, 3):
+                assert client.get_by_oclc_number(number).locations == ()
+                if closes:
+                    assert server.closed.acquire(timeout=10)
+        assert server.requests == client.quota.state().used == 3
+        assert server.connections == (3 if closes else 1)
+        assert sleeps == []
 
 
 class TestHarvest:
@@ -621,21 +731,21 @@ class TestHarvest:
         }
 
     def test_transport_errors_do_not_stop_the_batch(self):
-        good = FakeResponse(
+        good = reply(
             200,
             b'{"record": {"title": "T", "oclc": 1}, "locations": '
             b'[{"name": "A", "country": "US", "institution_id": "aaa"}]}',
         )
 
         def script(url, n):
-            return FakeResponse(500) if url.endswith("/2") else good
+            return reply(500) if url.endswith("/2") else good
 
-        session = ScriptedSession(script)
+        send = ScriptedSend(script)
         client = CatalogClient(
             "http://unit.test",
             quota=QuotaStore(100),
             retries=2,
-            session=session,
+            send=send,
             sleep=lambda _: None,
         )
         records = [
@@ -651,19 +761,19 @@ class TestHarvest:
 
     @pytest.mark.parametrize("parallelism", [1, 3])
     def test_an_unexpected_error_leaves_no_queued_lookups(self, parallelism):
-        session = ScriptedSession(lambda url, n: RuntimeError("boom"))
+        send = ScriptedSend(lambda url, n: RuntimeError("boom"))
         client = CatalogClient(
             "http://unit.test",
             quota=QuotaStore(100),
-            session=session,
+            send=send,
             sleep=lambda _: None,
             parallelism=parallelism,
         )
         records = [BookRecord(f"r{i}", "T", oclc=i) for i in range(1, 20)]
         with pytest.raises(RuntimeError):
             harvest(client, records)
-        assert 1 <= len(session.calls) <= parallelism
-        assert client.quota.state().used == len(session.calls)
+        assert 1 <= len(send.calls) <= parallelism
+        assert client.quota.state().used == len(send.calls)
 
     def test_parallel_matches_sequential(self, corpus, server):
         sequential = harvest(make_client(server, parallelism=1), corpus.records)

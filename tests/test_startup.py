@@ -68,6 +68,24 @@ def test_read_commands_never_load_the_network_layer(small_dataset, subprocess_en
     assert steps == {step: [0, []] for step in steps}
 
 
+def test_libcat_loads_nothing_outside_the_standard_library(subprocess_env):
+    child = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import libcat, libcat.cli, libcat.client, libcat.fixture\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child], env=subprocess_env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert {"libcat.client", "http.client"} <= set(loaded)
+    allowed = sys.stdlib_module_names | {"libcat"}
+    assert [m for m in loaded if m.partition(".")[0] not in allowed] == []
+
+
 def test_the_network_names_still_resolve_from_the_package():
     from libcat.client import CatalogClient, harvest
     from libcat.fixture import FixtureServer
