@@ -266,7 +266,10 @@ def cmd_fetch(args) -> int:
     else:
         selected = [r for r in snapshot.records if r.oclc == args.oclc]
     client = _build_client(args)
-    result = harvest(client, selected)
+    try:
+        result = harvest(client, selected)
+    finally:
+        client.close()
     state = client.quota.state()
     # The harvest ran without the lock; merge onto the dataset as it is
     # now, so whatever another process saved meanwhile is kept.

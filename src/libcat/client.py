@@ -293,7 +293,8 @@ def _response_from_xml(body: bytes) -> LocationResponse:
 
 
 class _KeepAlive:
-    """The default `send`: one keep-alive connection per worker thread."""
+    """The default `send`: a pool of keep-alive connections, one per
+    request in flight, each put back for the next request once answered."""
 
     def __init__(self, base: urllib.parse.SplitResult) -> None:
         tls = {"context": ssl.create_default_context()} if base.scheme == "https" else {}
@@ -301,24 +302,33 @@ class _KeepAlive:
         # the port is given, as http.client would misread a bare IPv6 host
         self._open = functools.partial(kind, base.hostname, base.port or kind.default_port, **tls)
         self._origin_length = len(f"{base.scheme}://{base.netloc}")
-        self._local = threading.local()
+        self._idle: list[http.client.HTTPConnection] = []
 
     def __call__(self, url: str, headers: dict, timeout: float) -> tuple[int, str, bytes]:
-        connection = getattr(self._local, "connection", None)
-        if connection is None:
-            connection = self._local.connection = self._open(timeout=timeout)
-        elif connection.sock is not None:
-            poller = select.poll()
-            poller.register(connection.sock, select.POLLIN)
-            if poller.poll(0):  # the server closed it while idle: reopen, uncharged
-                connection.close()
+        try:
+            connection = self._idle.pop()
+        except IndexError:
+            connection = self._open(timeout=timeout)
+        else:
+            if connection.sock is not None:
+                poller = select.poll()
+                poller.register(connection.sock, select.POLLIN)
+                if poller.poll(0):  # the server closed it while idle: reopen, uncharged
+                    connection.close()
         try:
             connection.request("GET", url[self._origin_length:], headers=headers)
             response = connection.getresponse()
-            return response.status, response.getheader("Content-Type", ""), response.read()
+            answer = response.status, response.getheader("Content-Type", ""), response.read()
         except BaseException:
             connection.close()
             raise
+        self._idle.append(connection)
+        return answer
+
+    def close(self) -> None:
+        """Close every idle connection; one used again reconnects."""
+        for connection in self._idle:
+            connection.close()
 
 
 class CatalogClient:
@@ -337,9 +347,17 @@ class CatalogClient:
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         self.base_url = base_url.rstrip("/")
-        base = urllib.parse.urlsplit(self.base_url)  # sent as given: printable ASCII only
-        if not (re.fullmatch(r"(?i)https?://[!-~]+", base_url) and base.hostname):
-            raise ValueError(f"base_url must be a printable http(s) URL with host: {base_url!r}")
+        # The URL is sent as given, so printable ASCII only. No port means the
+        # scheme's; a bad IP literal or a port outside 0-65535 raises ValueError.
+        try:
+            base = urllib.parse.urlsplit(self.base_url)
+            valid = base.hostname and base.port != 0
+        except ValueError:
+            valid = False
+        if not (valid and re.fullmatch(r"(?i)https?://[!-~]+", base_url)):
+            raise ValueError(
+                f"base_url must be a printable http(s) URL with host, port 1-65535: {base_url!r}"
+            )
         if retries < 1:
             raise ValueError("retries must be at least 1")
         if not 1 <= parallelism <= MAX_PARALLELISM:
@@ -354,6 +372,12 @@ class CatalogClient:
         self.parallelism = parallelism
         self._send = send if send is not None else _KeepAlive(base)
         self._sleep = sleep
+
+    def close(self) -> None:
+        """Close the connections the default `send` holds; an injected
+        `send` is left alone. A later lookup reconnects."""
+        if isinstance(self._send, _KeepAlive):
+            self._send.close()
 
     def _get(self, path: str) -> Optional[tuple[str, bytes]]:
         """One logical lookup: quota-charged attempts with backoff.

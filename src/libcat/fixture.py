@@ -9,8 +9,6 @@ resolving identifiers against a fixed CatalogSnapshot. Well-formed but
 unknown identifiers get 404, malformed ones 400 and any other path 404.
 Every handled request, errors included, increments a counter so quota
 tests can assert exactly how many requests crossed the wire.
-`?format=xml` switches the body to the XML variant the client must also
-understand.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ import json
 import threading
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from xml.sax.saxutils import escape
 
 from .errors import IsbnError
 from .identifiers import normalize_isbn
@@ -35,33 +32,10 @@ def _record_fragment(record: BookRecord) -> dict:
     return fragment
 
 
-def _xml_body(fragment: dict | None, locations: list[dict]) -> bytes:
-    parts = ["<locationResponse>"]
-    if fragment is not None:
-        parts.append("<record>")
-        parts.append(f"<title>{escape(fragment['title'])}</title>")
-        if "oclc" in fragment:
-            parts.append(f"<oclc>{fragment['oclc']}</oclc>")
-        for digits in fragment.get("isbns", ()):
-            parts.append(f"<isbn>{digits}</isbn>")
-        parts.append("</record>")
-    parts.append("<locations>")
-    for loc in locations:
-        parts.append(
-            "<location>"
-            f"<name>{escape(loc['name'])}</name>"
-            f"<country>{escape(loc['country'])}</country>"
-            f"<institutionId>{escape(loc['institution_id'])}</institutionId>"
-            "</location>"
-        )
-    parts.append("</locations></locationResponse>")
-    return "".join(parts).encode("utf-8")
-
-
 class FixtureServer:
     """Running replay server; use as a context manager or call close()."""
 
-    def __init__(self, snapshot: CatalogSnapshot, host: str = "127.0.0.1", port: int = 0):
+    def __init__(self, snapshot: CatalogSnapshot):
         self._snapshot = snapshot
         self._by_oclc: dict[int, list[str]] = {}
         self._by_isbn: dict[str, list[str]] = {}
@@ -76,7 +50,7 @@ class FixtureServer:
             self._holders.setdefault(snapshot.records[ri].record_id, []).append(li)
         self._count_lock = threading.Lock()
         self._request_count = 0
-        self._server = ThreadingHTTPServer((host, port), self._handler_class())
+        self._server = ThreadingHTTPServer(("127.0.0.1", 0), self._handler_class())
         # a short poll keeps close() from waiting out the default half second
         self._thread = threading.Thread(
             target=self._server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
@@ -151,34 +125,20 @@ class FixtureServer:
             def do_GET(self) -> None:
                 with fixture._count_lock:
                     fixture._request_count += 1
-                split = urllib.parse.urlsplit(self.path)
-                query = urllib.parse.parse_qs(split.query)
-                want_xml = query.get("format", [""])[0] == "xml"
-                segments = [
-                    urllib.parse.unquote(p) for p in split.path.strip("/").split("/")
-                ]
+                path = urllib.parse.urlsplit(self.path).path
+                segments = [urllib.parse.unquote(p) for p in path.strip("/").split("/")]
                 if len(segments) > 2 and segments[0] == "content" and segments[1] == "libraries":
                     status, fragment, locations = fixture._resolve(segments[2:])
                 else:
                     status, fragment, locations = 404, None, []
 
-                if status != 200:
-                    reason = {400: "malformed identifier", 404: "not found"}[status]
-                    body = json.dumps({"error": reason}).encode("utf-8")
-                    self._send(status, "application/json", body)
-                    return
-                if want_xml:
-                    self._send(200, "application/xml", _xml_body(fragment, locations))
-                    return
-                body = json.dumps(
-                    {"record": fragment, "locations": locations},
-                    ensure_ascii=False,
-                ).encode("utf-8")
-                self._send(200, "application/json", body)
-
-            def _send(self, status: int, content_type: str, body: bytes) -> None:
+                if status == 200:
+                    payload = {"record": fragment, "locations": locations}
+                else:
+                    payload = {"error": {400: "malformed identifier", 404: "not found"}[status]}
+                body = json.dumps(payload, ensure_ascii=False).encode("utf-8")
                 self.send_response(status)
-                self.send_header("Content-Type", content_type)
+                self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(body)))
                 self.end_headers()
                 self.wfile.write(body)

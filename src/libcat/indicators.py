@@ -34,10 +34,12 @@ Every function here is pure: it reads, counts, and returns. Rendering
 and rounding live elsewhere.
 
 The composition report counts libraries per country in LIBRARY_KINDS
-order, with its totals as one more row of the same type. For
-`correlate`, `metric_columns` keeps the records that carry every named
-metric; the rules on those columns (enough rows, none constant) belong
-to `stats.correlation_matrix`.
+order, with its totals as one more row of the same type. A per-record
+metric is a column of the view: METRICS maps its name to a function
+that returns its values over the filtered records, None where a record
+has none. For `correlate`, `metric_columns` keeps the records that carry
+every named metric; the rules on those columns (enough rows, none
+constant) belong to `stats.correlation_matrix`.
 """
 
 from __future__ import annotations
@@ -259,19 +261,14 @@ def libcitations(
 class _Inclusions:
     """A unit's titles, summed per-title inclusions, and catalog count."""
 
-    unit_id: str
     titles: frozenset[str]
     ci: int
     catalogs: int
 
     def cir(self) -> float:
-        if not self.titles:
-            raise UndefinedRateError(f"unit {self.unit_id} has no titles")
         return self.ci / len(self.titles)
 
     def dr(self) -> float:
-        if not self.titles:
-            raise UndefinedRateError(f"unit {self.unit_id} has no titles")
         if self.catalogs == 0:
             raise UndefinedRateError("no catalogs remain after filtering")
         return self.ci / (len(self.titles) * self.catalogs)
@@ -280,7 +277,7 @@ class _Inclusions:
 def _inclusions(unit: AggregateUnit, view: _View) -> _Inclusions:
     titles = view.members(unit)
     ci = sum(view.counts[record_id] for record_id in titles)
-    return _Inclusions(unit.unit_id, titles, ci, view.filtered.n_libraries)
+    return _Inclusions(titles, ci, view.filtered.n_libraries)
 
 
 def _benchmark_cir(benchmark: AggregateUnit, view: _View) -> float:
@@ -387,8 +384,8 @@ def unit_report(
 ) -> IndicatorReport:
     """All aggregate indicators for one unit; RCIR only with a benchmark.
 
-    The ratios raise where undefined, since a unit with no titles or no
-    catalogs has nothing to report. Per-book rows come from `book_indicators`.
+    DR raises where undefined, since a unit over no catalogs has nothing
+    to report. Per-book rows come from `book_indicators`.
     """
     view = _view(snapshot, library_filter)
     inclusions = _inclusions(unit, view)
@@ -490,17 +487,13 @@ def composition_report(
 
 # --- per-record metrics --------------------------------------------------------
 
-# A record's value for one metric, or None where it has none. The second
-# argument is the compiled view: `view.filtered` is the filtered snapshot
-# and `view.counts` its libcitations per record id.
-MetricExtractor = Callable[[BookRecord, _View], Optional[float]]
-
-
-# Every named per-record metric; `correlate` and `coverage_report` read it.
-METRICS: dict[str, MetricExtractor] = {
-    "libcitations": lambda record, view: view.counts[record.record_id],
-    "citations": lambda record, view: record.citations,
-    "cnls": lambda record, view: view.cnls_or_none(record),
+# Every named per-record metric, as its column over `view.filtered.records`
+# in record-id order, None where a record has no value; `correlate` and
+# `coverage_report` read it.
+METRICS: dict[str, Callable[[_View], list[Optional[float]]]] = {
+    "libcitations": lambda view: list(view.counts.values()),
+    "citations": lambda view: [record.citations for record in view.filtered.records],
+    "cnls": lambda view: [view.cnls_or_none(record) for record in view.filtered.records],
 }
 # The metrics a coverage report lists.
 COVERAGE_METRICS = ("libcitations", "citations")
@@ -514,13 +507,9 @@ def metric_columns(
     """Each named metric as floats, over the records that carry every one
     of them (a citation count, a class for CNLS, a class not all zero),
     in record-id order. Unknown names raise KeyError."""
-    extractors = [METRICS[name] for name in names]
+    metrics = [METRICS[name] for name in names]
     view = _view(snapshot, library_filter)
-    rows = [
-        values
-        for record in view.filtered.records
-        if None not in (values := [extract(record, view) for extract in extractors])
-    ]
+    rows = [row for row in zip(*(metric(view) for metric in metrics)) if None not in row]
     return [(name, [float(row[i]) for row in rows]) for i, name in enumerate(names)]
 
 
@@ -541,16 +530,10 @@ def coverage_report(
     denominator is always the full record count.
     """
     view = _view(snapshot, library_filter)
-    records = view.filtered.records
-    if not records:
+    total = len(view.filtered.records)
+    if not total:
         raise UndefinedRateError("coverage is undefined over zero records")
-    rows = []
-    for name in COVERAGE_METRICS:
-        extract = METRICS[name]
-        covered = sum(
-            1
-            for record in records
-            if (value := extract(record, view)) is not None and value > 0
-        )
-        rows.append(CoverageRow(name, covered, len(records)))
-    return tuple(rows)
+    return tuple(
+        CoverageRow(name, sum(1 for v in METRICS[name](view) if v is not None and v > 0), total)
+        for name in COVERAGE_METRICS
+    )

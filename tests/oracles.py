@@ -234,6 +234,56 @@ def records_by_class(records: Iterable) -> dict:
     return by_class
 
 
+def kept_holdings(libraries: Iterable, holdings: Iterable, library_filter) -> list:
+    """The holdings a library filter keeps, reading each clause directly:
+    the holder must pass every library clause, the channel must not be
+    excluded."""
+    if library_filter is None:
+        return list(holdings)
+    f = library_filter
+    kept = {
+        library.library_id
+        for library in libraries
+        if (f.countries is None or library.country in f.countries)
+        and (f.kinds is None or library.kind in f.kinds)
+        and (f.required_memberships is None or f.required_memberships <= library.memberships)
+    }
+    excluded = f.excluded_channels or ()
+    return [h for h in holdings if h.library_id in kept and h.channel not in excluded]
+
+
+def metric_values_bruteforce(records: Iterable, holdings: Iterable, name: str) -> list:
+    """One per-record metric in record-id order, None where undefined:
+    libcitations counts the record's distinct holders in the holding
+    lines, citations is the record's field, and CNLS divides libcitations
+    by the plain mean over the record's class (None without a class or
+    when that mean is 0)."""
+    holders: dict = {}
+    for h in holdings:
+        holders.setdefault(h.record_id, set()).add(h.library_id)
+    values = []
+    for record in sorted(records, key=lambda r: r.record_id):
+        count = len(holders.get(record.record_id, ()))
+        if name == "libcitations":
+            values.append(count)
+        elif name == "citations":
+            values.append(record.citations)
+        elif record.lc_class is None:
+            values.append(None)
+        else:
+            peers = [
+                len(holders.get(r.record_id, ())) for r in records if r.lc_class == record.lc_class
+            ]
+            mean = sum(peers) / len(peers)
+            values.append(None if mean == 0 else count / mean)
+    return values
+
+
+def complete_rows(columns: Sequence[list]) -> list[tuple]:
+    """The rows across the columns that hold no None."""
+    return [row for row in zip(*columns) if all(value is not None for value in row)]
+
+
 def percent_string(count: int, total: int) -> str:
     """count/total as a percentage, 2 decimals, ties away from zero.
 

@@ -105,14 +105,17 @@ def fetch_world(tmp_path):
 
 
 @contextlib.contextmanager
-def answering(content_type, body):
-    """A server that answers every GET with 200 and this one body."""
+def answering(content_type, body, seen_headers=None):
+    """A server that answers every GET with 200 and this one body, and
+    appends each request's headers to `seen_headers` when given."""
 
     class Handler(BaseHTTPRequestHandler):
         def log_message(self, *args):
             pass
 
         def do_GET(self):
+            if seen_headers is not None:
+                seen_headers.append(dict(self.headers))
             self.send_response(200)
             self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(body)))
@@ -153,6 +156,14 @@ class TestUsage:
         )
         assert code == 64
         assert "filter" in err
+
+    @pytest.mark.parametrize("spec", ["country", "country=", "country= , "])
+    def test_filter_clause_without_a_value_is_a_usage_error(self, capsys, analysis_dataset, spec):
+        code, out, err = run_cli(
+            capsys, "report", "--dataset", analysis_dataset, "--filter", spec,
+        )
+        assert (code, out) == (64, "")
+        assert err.startswith("error: bad --filter: filter clause needs key=value")
 
     @pytest.mark.parametrize(
         "spec", ["country=US;country=GB", "kind=academic; KIND=public"]
@@ -446,6 +457,7 @@ class TestFetch:
         [
             "localhost:8080", "ftp://example.org", "http://",
             "http://127.0.0.1:port", "http://127.0.0.1/a b",
+            "http://127.0.0.1:0", "http://127.0.0.1:99999", "http://[::1", "http://[zz]",
         ],
     )
     def test_base_url_without_http_scheme_or_host_is_a_usage_error_before_any_charge(
@@ -460,10 +472,44 @@ class TestFetch:
             "--base-url", base_url, "--quota-state", str(state),
         )
         assert (code, out) == (64, "")
-        assert err.startswith("error: ")
+        assert err.startswith("error: base_url must be ") and repr(base_url) in err
         assert not state.exists()
         with open(dataset, "rb") as fh:
             assert fh.read() == before
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [("--quota=-1", "quota limit must be non-negative"), ("--retries=0", "retries must be")],
+    )
+    def test_negative_quota_or_zero_retries_is_a_usage_error_before_any_charge(
+        self, capsys, fetch_world, tmp_path, flag, message
+    ):
+        dataset, server = fetch_world
+        state = tmp_path / "q.json"
+        code, out, err = run_cli(
+            capsys, "fetch", "--all", "--dataset", dataset,
+            "--base-url", server.base_url, "--quota-state", str(state), flag,
+        )
+        assert (code, out) == (64, "")
+        assert err.startswith("error: ") and message in err
+        assert not state.exists()
+        assert server.request_count == 0
+
+    def test_api_key_from_the_environment_goes_in_the_named_header(
+        self, capsys, fetch_world, monkeypatch
+    ):
+        dataset, _ = fetch_world
+        monkeypatch.setenv("LCA_API_KEY", "k-123")
+        seen = []
+        with answering("application/json", b'{"record": null, "locations": []}', seen) as url:
+            code, out, _ = run_cli(
+                capsys, "fetch", "--all", "--dataset", dataset,
+                "--base-url", url, "--api-key-header", "wskey",
+            )
+        assert code == 0
+        assert "fetched=2" in out
+        assert [headers.get("wskey") for headers in seen] == ["k-123", "k-123"]
+        assert not any("X-API-Key" in headers for headers in seen)
 
     def test_quota_state_spans_invocations(self, capsys, fetch_world, tmp_path):
         dataset, server = fetch_world

@@ -5,6 +5,7 @@ import copy
 import datetime as dt
 import json
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -23,6 +24,7 @@ from libcat.client import (
     EMPTY_RESPONSE,
     MAX_PARALLELISM,
     CatalogClient,
+    MatchedRecord,
     QuotaStore,
     _response_from_json,
     _response_from_xml,
@@ -87,9 +89,11 @@ class ScriptedSend:
     def __init__(self, script):
         self.script = script
         self.calls = []
+        self.headers = []
 
     def __call__(self, url, headers, timeout):
         self.calls.append(url)
+        self.headers.append(dict(headers))
         outcome = self.script(url, len(self.calls))
         if isinstance(outcome, Exception):
             raise outcome
@@ -434,12 +438,65 @@ class TestClientLookups:
         assert not response.is_empty
         assert response.matched_record.title == "Unheld work"
 
-    def test_xml_variant_parses_to_the_same_answer(self, server):
-        client = make_client(server)
-        plain = client.get_by_oclc_number(1001)
-        via_xml = client._lookup("/content/libraries/1001?format=xml")
-        assert via_xml.locations == plain.locations
-        assert via_xml.matched_record == plain.matched_record
+    def test_xml_variant_parses_to_the_same_answer(self):
+        as_json = (
+            b'{"record": {"title": "Widely held work", "oclc": 1001, "isbns": ["' + ISBN_A.encode()
+            + b'"]}, "locations": [{"name": "Alpha Library", "country": "US", "institution_id":'
+            b' "aaa"}, {"name": "Beta Library", "country": "GB", "institution_id": "bbb"}]}'
+        )
+        as_xml = (
+            b"<locationResponse><record><title>Widely held work</title><oclc>1001</oclc>"
+            b"<isbn>" + ISBN_A.encode() + b"</isbn></record><locations>"
+            b"<location><name>Alpha Library</name><country>US</country>"
+            b"<institutionId>aaa</institutionId></location>"
+            b"<location><name>Beta Library</name><country>GB</country>"
+            b"<institutionId>bbb</institutionId></location></locations></locationResponse>"
+        )
+        answers = [reply(200, as_json), reply(200, as_xml, "application/xml")]
+        send = ScriptedSend(lambda url, n: answers[n - 1])
+        client = CatalogClient("http://unit.test", quota=QuotaStore(10), send=send)
+        via_json = client.get_by_oclc_number(1001)
+        via_xml = client.get_by_oclc_number(1001)
+        assert via_xml == via_json
+        assert [loc.institution_id for loc in via_json.locations] == ["aaa", "bbb"]
+        assert via_json.matched_record == MatchedRecord("Widely held work", 1001, (ISBN_A,))
+        assert send.calls == ["http://unit.test/content/libraries/1001"] * 2
+
+    @pytest.mark.parametrize(
+        "base_url",
+        ["http://127.0.0.1:abc", "http://127.0.0.1:-1", "http://127.0.0.1:0", "http://[::1]:99999"],
+    )
+    @pytest.mark.parametrize("injected", [False, True], ids=["default-send", "injected-send"])
+    def test_a_bad_port_is_refused_with_or_without_send(self, base_url, injected):
+        send = ScriptedSend(lambda url, n: reply(404)) if injected else None
+        with pytest.raises(ValueError, match="^base_url must be .*" + re.escape(repr(base_url))):
+            CatalogClient(base_url, quota=QuotaStore(10), send=send)
+
+    @pytest.mark.parametrize("port", [1, 8080, 65535])
+    def test_ports_from_1_to_65535_are_accepted(self, port):
+        send = ScriptedSend(lambda url, n: reply(404))
+        client = CatalogClient(f"http://127.0.0.1:{port}", quota=QuotaStore(10), send=send)
+        assert client.get_by_oclc_number(1) is EMPTY_RESPONSE
+        assert send.calls == [f"http://127.0.0.1:{port}/content/libraries/1"]
+
+    @pytest.mark.parametrize(
+        "key, header, sent",
+        [
+            ("k-123", "wskey", {"Accept": "application/json", "wskey": "k-123"}),
+            ("k-123", "X-API-Key", {"Accept": "application/json", "X-API-Key": "k-123"}),
+            (None, "wskey", {"Accept": "application/json"}),
+            ("", "wskey", {"Accept": "application/json"}),
+        ],
+        ids=["custom-header", "default-header", "no-key", "empty-key"],
+    )
+    def test_the_api_key_goes_in_its_header_and_only_when_given(self, key, header, sent):
+        send = ScriptedSend(lambda url, n: reply(404))
+        client = CatalogClient(
+            "http://unit.test", quota=QuotaStore(10), api_key=key, api_key_header=header, send=send
+        )
+        client.get_by_oclc_number(1)
+        client.get_by_isbn(ISBN_A)
+        assert send.headers == [sent, sent]
 
     def test_malformed_identifier_fails_fast(self, server):
         client = make_client(server, retries=3)
@@ -629,6 +686,13 @@ class QuietHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
 
+class KeepAliveHandler(QuietHandler):
+    protocol_version = "HTTP/1.1"
+
+    def do_GET(self):
+        self.answer(200)
+
+
 class TestTransport:
     def test_a_redirect_is_not_followed_and_costs_one_charge(self):
         class Redirecting(QuietHandler):
@@ -687,6 +751,47 @@ class TestTransport:
         assert server.requests == client.quota.state().used == 3
         assert server.connections == (3 if closes else 1)
         assert sleeps == []
+
+    def test_close_shuts_every_connection_and_a_later_lookup_reconnects(self):
+        records = [BookRecord(f"r{i}", "T", oclc=i) for i in range(1, 7)]
+        with serving(KeepAliveHandler) as server:
+            client = CatalogClient(server.base_url, quota=QuotaStore(100), parallelism=2)
+            for _ in range(2):
+                assert harvest(client, records).queried == tuple(r.record_id for r in records)
+            # the pool outlives each harvest's threads and never outgrows the lookups in flight
+            opened = server.connections
+            assert 1 <= opened <= 2
+            client.close()
+            for _ in range(opened):
+                assert server.closed.acquire(timeout=10)
+            assert client.get_by_oclc_number(1).locations == ()
+            assert server.connections == opened + 1
+            client.close()
+            assert server.closed.acquire(timeout=10)
+        assert server.requests == client.quota.state().used == 13
+
+    def test_pooled_connections_are_never_shared_between_lookups_in_flight(self):
+        records = [BookRecord(f"r{i}", "T", oclc=i) for i in range(1, 201)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with serving(KeepAliveHandler) as server:
+                client = CatalogClient(server.base_url, quota=QuotaStore(1000), parallelism=8)
+                result = harvest(client, records)
+                client.close()
+        finally:
+            sys.setswitchinterval(interval)
+        # a connection handed to two lookups at once would garble one of them
+        assert result.errors == ()
+        assert len(result.queried) == server.requests == client.quota.state().used == 200
+        assert server.connections <= 8
+
+    def test_close_leaves_an_injected_send_alone(self):
+        send = ScriptedSend(lambda url, n: reply(404))
+        send.close = lambda: pytest.fail("close() reached an injected send")
+        client = CatalogClient("http://unit.test", quota=QuotaStore(10), send=send)
+        client.close()
+        assert client.get_by_oclc_number(1) is EMPTY_RESPONSE
 
 
 class TestHarvest:

@@ -29,6 +29,7 @@ from libcat.indicators import (
     coverage_report,
     diffusion_rate,
     libcitations,
+    metric_columns,
     rank_in_class,
     rcir,
     unit_report,
@@ -613,3 +614,72 @@ class TestPopulationReports:
         snap = CatalogSnapshot([], [], [])
         with pytest.raises(UndefinedRateError):
             coverage_report(snap)
+
+
+class TestMetricColumns:
+    NAMES = ["libcitations", "citations", "cnls"]
+
+    def check_against_oracle(self, snap, library_filter):
+        holdings = oracles.kept_holdings(snap.libraries, snap.holdings(), library_filter)
+        values = {
+            name: oracles.metric_values_bruteforce(snap.records, holdings, name)
+            for name in self.NAMES
+        }
+        rows = oracles.complete_rows([values[name] for name in self.NAMES])
+        columns = metric_columns(self.NAMES, snap, library_filter)
+        assert [name for name, _ in columns] == self.NAMES
+        for i, (_, column) in enumerate(columns):
+            assert column == pytest.approx([row[i] for row in rows])
+        if snap.records:
+            assert coverage_report(snap, library_filter) == tuple(
+                indicators.CoverageRow(
+                    name,
+                    sum(1 for v in values[name] if v is not None and v > 0),
+                    len(snap.records),
+                )
+                for name in indicators.COVERAGE_METRICS
+            )
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            datasets.five_author_ranking,
+            datasets.single_author_editions,
+            datasets.holdings_coverage,
+            lambda: datasets.classed_snapshot(random.Random(5), 6, large_classes=1)[0],
+            lambda: datasets.random_snapshot(random.Random(11), max_records=60, max_libraries=15),
+        ],
+        ids=["five-authors", "editions", "coverage", "classed", "random"],
+    )
+    @pytest.mark.parametrize("filtered", [False, True], ids=["unfiltered", "filtered"])
+    def test_fixture_catalogs_match_the_oracle(self, build, filtered):
+        library_filter = (
+            LibraryFilter(countries=frozenset({"US"}), excluded_channels=frozenset({"donation"}))
+            if filtered
+            else None
+        )
+        self.check_against_oracle(build(), library_filter)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**9), st.booleans())
+    def test_random_catalogs_match_the_oracle(self, seed, filtered):
+        rng = random.Random(seed)
+        snap = datasets.random_snapshot(rng)
+        self.check_against_oracle(snap, datasets.random_filter(rng) if filtered else None)
+
+    def test_each_metric_is_read_once_per_view(self, monkeypatch):
+        snap = counts_snapshot([3, 1, 0, 2])
+        calls = []
+        for name, metric in list(indicators.METRICS.items()):
+            monkeypatch.setitem(
+                indicators.METRICS,
+                name,
+                lambda view, name=name, metric=metric: calls.append(name) or metric(view),
+            )
+        metric_columns(self.NAMES, snap)
+        coverage_report(snap)
+        assert sorted(calls) == sorted(self.NAMES + list(indicators.COVERAGE_METRICS))
+
+    def test_unknown_name_raises_key_error(self):
+        with pytest.raises(KeyError):
+            metric_columns(["libcitations", "nope"], counts_snapshot([1, 2]))
