@@ -11,6 +11,9 @@ once:
 
     country=US,GB;kind=academic;member=ARL;exclude-channel=donation
 
+ingest prints `accepted=N rejected=M libraries=L holdings=H`, counted
+from its input.
+
 Client settings for fetch come from flags or environment variables
 (flags win): LCA_BASE_URL, LCA_API_KEY, LCA_QUOTA, LCA_QUOTA_STATE.
 
@@ -205,7 +208,10 @@ def cmd_ingest(args) -> int:
         rejections = report.rejections
     for locator, reason in rejections:
         print(f"rejected {locator}: {reason}", file=sys.stderr)
-    print(f"accepted={new.n_records} rejected={len(rejections)}")
+    print(
+        f"accepted={new.n_records} rejected={len(rejections)} "
+        f"libraries={new.n_libraries} holdings={new.n_holdings}"
+    )
     if not (new.n_records or new.n_libraries or new.n_holdings):
         return EXIT_EMPTY
     _merge_into_dataset(args.dataset, new)

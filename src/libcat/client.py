@@ -153,8 +153,9 @@ class QuotaStore:
         self._day, self._used = self._load()
 
     def _load(self) -> tuple[dt.date, int]:
+        """The recorded (day, used); with no record, a day long past."""
         if self.state_path is None:
-            return self._today(), 0
+            return dt.date.min, 0
         try:
             with open(self.state_path, encoding="utf-8") as fh:
                 obj = json.load(fh)
@@ -163,22 +164,18 @@ class QuotaStore:
             if type(used) is not int or used < 0:
                 raise ValueError("used must be a JSON integer >= 0")
         except FileNotFoundError:
-            return self._today(), 0
+            return dt.date.min, 0
         except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
             raise QuotaStateError(
                 f"unreadable quota state file {self.state_path}: {exc}"
             ) from exc
         return day, used
 
-    @contextlib.contextmanager
-    def _locked(self) -> Iterator[None]:
-        """Hold the accounting lock; with a state file, flock its sidecar
-        and reload the shared state, so the caller works on the latest."""
-        with self._lock:
-            if self.state_path is None:
-                yield
-                return
-            with contextlib.ExitStack() as stack:
+    def _account(self, charge: bool) -> QuotaState:
+        """Under the lock (and the sidecar flock, reloading the state file):
+        roll the day, then, if `charge`, charge one request and persist."""
+        with self._lock, contextlib.ExitStack() as stack:
+            if self.state_path is not None:
                 try:
                     stack.enter_context(_lock_sidecar(self.state_path))
                 except OSError as exc:
@@ -186,26 +183,27 @@ class QuotaStore:
                         f"cannot lock quota state file {self.state_path}: {exc}"
                     ) from exc
                 self._day, self._used = self._load()
-                yield
-
-    def _persist_locked(self) -> None:
-        if self.state_path is None:
-            return
-        try:
-            _write_atomic(
-                self.state_path,
-                json.dumps({"day": self._day.isoformat(), "used": self._used}),
-            )
-        except OSError as exc:
-            raise QuotaStateError(
-                f"cannot write quota state file {self.state_path}: {exc}"
-            ) from exc
-
-    def _roll_locked(self) -> None:
-        today = self._today()
-        if today != self._day:
-            self._day = today
-            self._used = 0
+            today = self._today()
+            if today != self._day:
+                self._day, self._used = today, 0
+            if charge:
+                if self._used >= self.limit:
+                    raise QuotaExceededError(
+                        f"daily limit of {self.limit} consultations is exhausted "
+                        f"({self._used} used)"
+                    )
+                self._used += 1
+                if self.state_path is not None:
+                    try:
+                        _write_atomic(
+                            self.state_path,
+                            json.dumps({"day": self._day.isoformat(), "used": self._used}),
+                        )
+                    except OSError as exc:
+                        raise QuotaStateError(
+                            f"cannot write quota state file {self.state_path}: {exc}"
+                        ) from exc
+            return QuotaState(self._day, self._used, self.limit)
 
     def consume(self) -> int:
         """Charge one request; returns the remaining budget.
@@ -213,21 +211,10 @@ class QuotaStore:
         Raises QuotaExceededError, charging nothing, when the budget is
         spent.
         """
-        with self._locked():
-            self._roll_locked()
-            if self._used >= self.limit:
-                raise QuotaExceededError(
-                    f"daily limit of {self.limit} consultations is exhausted "
-                    f"({self._used} used)"
-                )
-            self._used += 1
-            self._persist_locked()
-            return self.limit - self._used
+        return self._account(charge=True).remaining
 
     def state(self) -> QuotaState:
-        with self._locked():
-            self._roll_locked()
-            return QuotaState(self._day, self._used, self.limit)
+        return self._account(charge=False)
 
 
 def _text(element: Optional[ET.Element]) -> Optional[str]:

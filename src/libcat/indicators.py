@@ -19,17 +19,17 @@ editions of those clusters, holdings sums the clusters' libcitations.
 
 Every indicator reads from one compiled view per (snapshot, filter)
 pair, memoized on the snapshot: the filtered snapshot (filtered once),
-a holder count per record, and per class the sorted counts and their
-sum, so rank is a binary search and CNLS a division. The counts come
-from the snapshot's record-index column in one pass. Distinct holders
-of a record set, which libcitations of a set and every author's work
-clusters count, come from one method: holdings are sorted by record,
-so a record's holders are one slice of the library-index column, found
-from a start offset per record built on the first set or author query;
-the first author query also adds a folded-heading index and the work
-clusters, which fold each distinct name once per snapshot between them.
-Building a view costs O(records + holdings), plus a sort per class;
-every indicator after that is a lookup or a sum over its own members.
+and a holder count per record from one pass over the record-index
+column. Distinct holders of a record set come from one method: holdings
+are sorted by record, so a record's holders are one slice of the
+library-index column. Building a view costs O(records + holdings). Its
+two tables are each built on their first read, so a command that reads
+neither pays for neither. `books()` maps record id to BookIndicators; it
+sorts each class's counts, so rank is a binary search and CNLS a
+division. `authors()` maps a folded heading to its AuthorProfile over
+the work clusters, which fold each distinct name once per snapshot with
+the headings. After that, every indicator is a row, a lookup, or a sum
+over its own members.
 Every function here is pure: it reads, counts, and returns. Rendering
 and rounding live elsewhere.
 
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import (
@@ -92,12 +92,12 @@ class _View:
     `filtered` is the filtered snapshot and `counts` its libcitations per
     record. `holders` counts distinct holders of a record set, from the
     start offset of each record's run of holdings, built on the first set
-    or author query. The author tables are built on the first author
-    query; work clusters always come from the unfiltered snapshot, since
-    filtering keeps every record.
+    or author query. `books()` and `authors()` are the per-book and
+    per-author tables, each built on its first read; work clusters always
+    come from the unfiltered snapshot, since filtering keeps every record.
     """
 
-    __slots__ = ("source", "filtered", "counts", "_classes", "_starts", "_headings", "_clusters")
+    __slots__ = ("source", "filtered", "counts", "_starts", "_books", "_authors")
 
     def __init__(
         self, snapshot: CatalogSnapshot, library_filter: Optional[LibraryFilter]
@@ -106,27 +106,12 @@ class _View:
         self.filtered = filtered = apply_filter(snapshot, library_filter)
         # holdings are unique per (record, library), so counting them counts holders
         held = Counter(filtered.holding_records)
-        self.counts = counts = {
+        self.counts = {
             record.record_id: held[index] for index, record in enumerate(filtered.records)
         }
-        by_class: dict[str, list[int]] = {}
-        for record in filtered.records:
-            if record.lc_class is not None:
-                by_class.setdefault(record.lc_class, []).append(counts[record.record_id])
-        self._classes = {
-            lc_class: (sorted(class_counts), sum(class_counts))
-            for lc_class, class_counts in by_class.items()
-        }
         self._starts: Optional[dict[str, int]] = None
-        self._headings: Optional[dict[str, tuple[str, set[str]]]] = None
-        self._clusters: Optional[tuple[dict[str, int], list[WorkCluster], list[int]]] = None
-
-    def record(self, target: "str | BookRecord") -> BookRecord:
-        record_id = target.record_id if isinstance(target, BookRecord) else target
-        record = self.filtered.get_record(record_id)
-        if record is None:
-            raise UnknownTargetError(f"no such record in snapshot: {record_id}")
-        return record
+        self._books: Optional[dict[str, BookIndicators]] = None
+        self._authors: Optional[dict[str, AuthorProfile]] = None
 
     def members(self, target: Target) -> frozenset[str]:
         if isinstance(target, BookRecord):
@@ -138,44 +123,38 @@ class _View:
         else:
             ids = frozenset(target)
         for record_id in ids:
-            self.record(record_id)
+            if record_id not in self.counts:
+                raise UnknownTargetError(f"no such record in snapshot: {record_id}")
         return ids
 
-    def _class_of(self, record: BookRecord) -> tuple[list[int], int]:
-        if record.lc_class is None:
-            raise NoClassError(f"record {record.record_id} has no classification")
-        return self._classes[record.lc_class]
+    def books(self) -> dict[str, BookIndicators]:
+        """Record id -> BookIndicators, in record-id order; CNLS and rank are
+        None where undefined (no class; for CNLS, an all-zero class too)."""
+        if self._books is None:
+            by_class: dict[str, list[int]] = {}
+            for record, count in zip(self.filtered.records, self.counts.values()):
+                if record.lc_class is not None:
+                    by_class.setdefault(record.lc_class, []).append(count)
+            classes = {lc_class: (sorted(v), sum(v)) for lc_class, v in by_class.items()}
+            self._books = books = {}
+            for record, count in zip(self.filtered.records, self.counts.values()):
+                cnls_value = rank = None
+                if record.lc_class is not None:
+                    ordered, total = classes[record.lc_class]
+                    cnls_value = count / (total / len(ordered)) if total else None
+                    rank = (1 + len(ordered) - bisect_right(ordered, count), len(ordered))
+                books[record.record_id] = BookIndicators(record.record_id, count, cnls_value, rank)
+        return self._books
 
-    def cnls(self, target: "str | BookRecord") -> float:
-        record = self.record(target)
-        ordered, total = self._class_of(record)
-        mean = total / len(ordered)
-        if mean == 0:
-            raise UndefinedRateError(f"class {record.lc_class} has zero mean libcitations")
-        return self.counts[record.record_id] / mean
-
-    def rank(self, target: "str | BookRecord") -> tuple[int, int]:
-        record = self.record(target)
-        ordered, _ = self._class_of(record)
-        above = len(ordered) - bisect_right(ordered, self.counts[record.record_id])
-        return 1 + above, len(ordered)
-
-    def cnls_or_none(self, target: "str | BookRecord") -> Optional[float]:
-        """CNLS, or None where it is undefined: no class, or an all-zero class."""
-        try:
-            return self.cnls(target)
-        except (NoClassError, UndefinedRateError):
-            return None
-
-    def book(self, record_id: str) -> BookIndicators:
-        """Per-book indicators, blank where CNLS or rank is undefined."""
-        try:
-            rank: Optional[tuple[int, int]] = self.rank(record_id)
-        except NoClassError:
-            rank = None
-        return BookIndicators(
-            record_id, self.counts[record_id], self.cnls_or_none(record_id), rank
-        )
+    def classified(self, target: "str | BookRecord") -> BookIndicators:
+        """The target's row of `books()`, which must name a classified record."""
+        record_id = target.record_id if isinstance(target, BookRecord) else target
+        book = self.books().get(record_id)
+        if book is None:
+            raise UnknownTargetError(f"no such record in snapshot: {record_id}")
+        if book.rank_in_class is None:
+            raise NoClassError(f"record {record_id} has no classification")
+        return book
 
     def holders(self, record_ids: frozenset[str]) -> int:
         """The number of distinct libraries holding any of the records."""
@@ -197,25 +176,9 @@ class _View:
             set().union(*(column[starts[r]:starts[r] + counts[r]] for r in record_ids))
         )
 
-    def headings(self) -> dict[str, tuple[str, set[str]]]:
-        """Folded heading -> (smallest display variant, ids of records naming it)."""
-        if self._headings is None:
-            headings: dict[str, tuple[str, set[str]]] = {}
-            fold = _snapshot_fold(self.source)
-            for record in self.filtered.records:
-                for contributor in record.contributors:
-                    folded = fold(contributor.name)
-                    if not folded:
-                        continue
-                    display, record_ids = headings.setdefault(folded, (contributor.name, set()))
-                    record_ids.add(record.record_id)
-                    if contributor.name < display:
-                        headings[folded] = (contributor.name, record_ids)
-            self._headings = headings
-        return self._headings
-
-    def profile(self, heading: str, record_ids: set[str]) -> AuthorProfile:
-        if self._clusters is None:
+    def authors(self) -> dict[str, AuthorProfile]:
+        """Folded heading -> AuthorProfile, under its smallest display variant."""
+        if self._authors is None:
             clusters = cluster_works(self.source)
             cluster_of = {
                 record_id: index
@@ -223,15 +186,28 @@ class _View:
                 for record_id in cluster.member_record_ids
             }
             holders = [self.holders(cluster.member_record_ids) for cluster in clusters]
-            self._clusters = (cluster_of, clusters, holders)
-        cluster_of, clusters, holders = self._clusters
-        touched = {cluster_of[record_id] for record_id in record_ids}
-        return AuthorProfile(
-            heading,
-            len(touched),
-            sum(len(clusters[i].member_record_ids) for i in touched),
-            sum(holders[i] for i in touched),
-        )
+            # folded heading -> (smallest display variant, clusters it touches)
+            headings: dict[str, tuple[str, set[int]]] = {}
+            fold = _snapshot_fold(self.source)
+            for record in self.filtered.records:
+                for contributor in record.contributors:
+                    folded = fold(contributor.name)
+                    if not folded:
+                        continue
+                    display, touched = headings.setdefault(folded, (contributor.name, set()))
+                    touched.add(cluster_of[record.record_id])
+                    if contributor.name < display:
+                        headings[folded] = (contributor.name, touched)
+            self._authors = {
+                folded: AuthorProfile(
+                    display,
+                    len(touched),
+                    sum(len(clusters[i].member_record_ids) for i in touched),
+                    sum(holders[i] for i in touched),
+                )
+                for folded, (display, touched) in headings.items()
+            }
+        return self._authors
 
 
 def _view(snapshot: CatalogSnapshot, library_filter: Optional[LibraryFilter]) -> _View:
@@ -338,7 +314,12 @@ def cnls(
 
     The mean includes the record itself, so a singleton class scores 1.
     """
-    return _view(snapshot, library_filter).cnls(record)
+    view = _view(snapshot, library_filter)
+    book = view.classified(record)
+    if book.cnls is None:
+        lc_class = view.filtered.get_record(book.record_id).lc_class
+        raise UndefinedRateError(f"class {lc_class} has zero mean libcitations")
+    return book.cnls
 
 
 def rank_in_class(
@@ -347,7 +328,7 @@ def rank_in_class(
     library_filter: Optional[LibraryFilter] = None,
 ) -> tuple[int, int]:
     """(competition rank by descending libcitations, class size)."""
-    return _view(snapshot, library_filter).rank(record)
+    return _view(snapshot, library_filter).classified(record).rank_in_class
 
 
 # --- aggregate reports -------------------------------------------------------
@@ -372,8 +353,7 @@ def book_indicators(
     CNLS and rank are left blank where undefined (no class, or an
     all-zero class for CNLS).
     """
-    view = _view(snapshot, library_filter)
-    return tuple(view.book(record.record_id) for record in view.filtered.records)
+    return tuple(_view(snapshot, library_filter).books().values())
 
 
 def unit_report(
@@ -420,11 +400,10 @@ def author_profile(
     folded = fold_text(heading)
     if not folded:
         raise AuthorNotFoundError(f"heading folds to nothing: {heading!r}")
-    view = _view(snapshot, library_filter)
-    entry = view.headings().get(folded)
-    if entry is None:
+    profile = _view(snapshot, library_filter).authors().get(folded)
+    if profile is None:
         raise AuthorNotFoundError(f"no record names contributor {heading!r}")
-    return view.profile(heading, entry[1])
+    return replace(profile, heading=heading)
 
 
 def author_profiles(
@@ -437,11 +416,7 @@ def author_profiles(
     the lexicographically smallest variant seen. Order is descending
     holdings, then heading, so equal inputs render identically.
     """
-    view = _view(snapshot, library_filter)
-    profiles = [
-        view.profile(display, record_ids)
-        for display, record_ids in view.headings().values()
-    ]
+    profiles = list(_view(snapshot, library_filter).authors().values())
     profiles.sort(key=lambda p: (-p.library_holdings, p.heading))
     return profiles
 
@@ -493,7 +468,7 @@ def composition_report(
 METRICS: dict[str, Callable[[_View], list[Optional[float]]]] = {
     "libcitations": lambda view: list(view.counts.values()),
     "citations": lambda view: [record.citations for record in view.filtered.records],
-    "cnls": lambda view: [view.cnls_or_none(record) for record in view.filtered.records],
+    "cnls": lambda view: [book.cnls for book in view.books().values()],
 }
 # The metrics a coverage report lists.
 COVERAGE_METRICS = ("libcitations", "citations")

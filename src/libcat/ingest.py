@@ -49,12 +49,11 @@ class ParseReport:
     """Per-document tally of what was kept and what was dropped, and why."""
 
     accepted: int = 0
-    rejected: int = 0
     rejections: list[tuple[str, str]] = field(default_factory=list)
 
-    def reject(self, locator: str, reason: str) -> None:
-        self.rejected += 1
-        self.rejections.append((locator, reason))
+    @property
+    def rejected(self) -> int:
+        return len(self.rejections)
 
 
 def _local_name(tag: str) -> str:
@@ -122,7 +121,7 @@ def _parse_records(
     for index, node in enumerate(select(_parse_xml(document)), start=1):
         record = read(node)
         if record is None:
-            report.reject(f"record {index}", "missing title")
+            report.rejections.append((f"record {index}", "missing title"))
         else:
             parsed.append((f"record {index}", record))
     records: list[BookRecord] = []
@@ -130,7 +129,7 @@ def _parse_records(
     for locator, record in parsed:
         earlier = seen.get(record.record_id)
         if earlier is not None:
-            report.reject(locator, f"duplicate of {earlier}")
+            report.rejections.append((locator, f"duplicate of {earlier}"))
             continue
         seen[record.record_id] = locator
         records.append(record)

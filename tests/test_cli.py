@@ -1,6 +1,8 @@
 """End-to-end command-line behavior, driven in process through run()."""
 
 import contextlib
+import dataclasses
+import errno
 import json
 import os
 import subprocess
@@ -12,6 +14,7 @@ import pytest
 
 import oracles
 import libcat.client
+from libcat import indicators
 from libcat.cli import run
 from libcat.fixture import FixtureServer
 from libcat.ingest import load_dataset, merge_snapshots, save_dataset
@@ -223,7 +226,7 @@ class TestIngest:
             "--format", "dublincore", "--dataset", str(dataset),
         )
         assert code == 0
-        assert out.strip() == "accepted=2 rejected=1"
+        assert out.strip() == "accepted=2 rejected=1 libraries=0 holdings=0"
         assert "missing title" in err
         assert load_dataset(dataset).n_records == 2
 
@@ -250,7 +253,7 @@ class TestIngest:
             "--dataset", str(dataset),
         )
         assert code == 2
-        assert out.strip() == "accepted=0 rejected=1"
+        assert out.strip() == "accepted=0 rejected=1 libraries=0 holdings=0"
         assert not dataset.exists()
 
     def test_jsonl_delta_without_records_is_merged(self, capsys, tmp_path):
@@ -262,7 +265,7 @@ class TestIngest:
             "--dataset", str(dataset),
         )
         assert code == 0
-        assert out.strip() == "accepted=0 rejected=0"
+        assert out.strip() == "accepted=0 rejected=0 libraries=1 holdings=0"
         merged = load_dataset(dataset)
         assert merged.n_records == 1
         assert merged.get_library("l1").name == "Lib"
@@ -276,7 +279,7 @@ class TestIngest:
             "--dataset", str(dataset),
         )
         assert code == 2
-        assert out.strip() == "accepted=0 rejected=0"
+        assert out.strip() == "accepted=0 rejected=0 libraries=0 holdings=0"
         assert not dataset.exists()
 
     def test_missing_input_exits_one(self, capsys, tmp_path):
@@ -331,7 +334,7 @@ class TestIngest:
             "--dataset", str(dataset),
         )
         assert code == 0
-        assert out.strip() == "accepted=4 rejected=0"
+        assert out.strip() == "accepted=4 rejected=0 libraries=4 holdings=6"
         assert load_dataset(dataset).n_records == 4
 
     def test_unlockable_dataset_exits_one(self, capsys, tmp_path, analysis_dataset):
@@ -537,6 +540,28 @@ class TestFetch:
         assert code == 1
         assert err.startswith("error: ") and "quota state file" in err
         assert server.request_count == 0
+
+    def test_quota_state_that_cannot_be_saved_exits_one_before_any_request(
+        self, capsys, fetch_world, tmp_path, monkeypatch
+    ):
+        dataset, server = fetch_world
+        with open(dataset, "rb") as fh:
+            before = fh.read()
+        state = tmp_path / "q.json"
+
+        def disk_full(path, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(libcat.client, "_write_atomic", disk_full)
+        code, out, err = run_cli(
+            capsys, "fetch", "--all", "--dataset", dataset,
+            "--base-url", server.base_url, "--quota-state", str(state),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot write quota state file {state}: ")
+        assert server.request_count == 0
+        with open(dataset, "rb") as fh:
+            assert fh.read() == before
 
     def test_non_positive_timeout_is_a_usage_error_before_any_charge(
         self, capsys, fetch_world, tmp_path
@@ -746,6 +771,55 @@ class TestIndicatorsCommand:
             '"Cole, Ada",2,2,4',
             '"Finch, Ben",1,1,2',
         ]
+
+    def test_heading_that_folds_to_nothing_is_no_author(self, capsys, analysis_dataset, tmp_path):
+        snapshot = load_dataset(analysis_dataset)
+        records = [
+            dataclasses.replace(r, contributors=(*r.contributors, ("!!!", "other")))
+            if r.record_id == "b3" else r
+            for r in snapshot.records
+        ]
+        records.append(BookRecord("b5", "Exclamations", contributors=(("!!!", "author"),)))
+        noisy = tmp_path / "noisy.jsonl"
+        save_dataset(
+            CatalogSnapshot(records, snapshot.libraries, [*snapshot.holdings(), Holding("b5", "l1")]),
+            noisy,
+        )
+        code, out, _ = run_cli(
+            capsys, "indicators", "--authors", "--dataset", str(noisy), "--output", "csv",
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "author,works,publications,holdings",
+            '"Cole, Ada",2,2,4',
+            '"Finch, Ben",1,1,2',
+        ]
+
+    @pytest.mark.parametrize(
+        "argv, read",
+        [
+            (["report"], set()),
+            (["correlate"], set()),
+            (["indicators", "--unit", "pair=b1,b2", "--benchmark", "@all"], set()),
+            (["indicators", "--authors"], {"authors"}),
+            (["indicators", "--all-books"], {"books"}),
+            (["correlate", "--metrics", "libcitations,cnls"], {"books"}),
+        ],
+        ids=["report", "correlate", "unit", "authors", "all-books", "correlate-cnls"],
+    )
+    def test_a_command_builds_only_the_view_tables_it_reads(
+        self, capsys, analysis_dataset, monkeypatch, argv, read
+    ):
+        seen = set()
+        for name in ("books", "authors"):
+            def spy(view, name=name, table=getattr(indicators._View, name)):
+                seen.add(name)
+                return table(view)
+
+            monkeypatch.setattr(indicators._View, name, spy)
+        code, _, _ = run_cli(capsys, *argv, "--dataset", analysis_dataset)
+        assert code == 0
+        assert seen == read
 
     def test_unknown_author_exits_four(self, capsys, analysis_dataset):
         code, _, err = run_cli(

@@ -726,7 +726,10 @@ class TestTransport:
             client = CatalogClient(
                 server.base_url, quota=QuotaStore(10), retries=2, sleep=sleeps.append
             )
-            assert client.get_by_oclc_number(1).locations == ()
+            try:
+                assert client.get_by_oclc_number(1).locations == ()
+            finally:
+                client.close()
         assert server.requests == client.quota.state().used == 2
         assert server.connections == 2
         assert sleeps == [0.5]
@@ -744,10 +747,13 @@ class TestTransport:
         sleeps = []
         with serving(KeepAlive) as server:
             client = CatalogClient(server.base_url, quota=QuotaStore(10), sleep=sleeps.append)
-            for number in (1, 2, 3):
-                assert client.get_by_oclc_number(number).locations == ()
-                if closes:
-                    assert server.closed.acquire(timeout=10)
+            try:
+                for number in (1, 2, 3):
+                    assert client.get_by_oclc_number(number).locations == ()
+                    if closes:
+                        assert server.closed.acquire(timeout=10)
+            finally:
+                client.close()
         assert server.requests == client.quota.state().used == 3
         assert server.connections == (3 if closes else 1)
         assert sleeps == []

@@ -183,6 +183,18 @@ class TestMarc:
         with pytest.raises(ParseError):
             parse_marc_xml(b"\x00\x01 not xml")
 
+    def test_invalid_isbn_is_skipped_and_the_record_kept(self):
+        doc = (
+            '<record><datafield tag="245"><subfield code="a">T</subfield></datafield>'
+            '<datafield tag="020"><subfield code="a">0471925366 (bad check digit)</subfield>'
+            '</datafield><datafield tag="020"><subfield code="a">0306406152</subfield>'
+            '</datafield><datafield tag="020"><subfield code="a">ISBN?</subfield></datafield>'
+            "</record>"
+        )
+        (record,), report = parse_marc_xml(doc)
+        assert (report.accepted, report.rejected) == (1, 0)
+        assert [i.digits for i in record.isbns] == ["9780306406157"]
+
     def test_punctuation_only_contributor_is_dropped(self):
         doc = (
             '<record><datafield tag="245"><subfield code="a">T</subfield></datafield>'
