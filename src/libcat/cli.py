@@ -192,16 +192,14 @@ def cmd_ingest(args) -> int:
     if args.format == "jsonl":
         new = _load_dataset_file(args.input, "input")
     else:
+        parse = parse_dublin_core if args.format == "dublincore" else parse_marc_xml
         try:
             with open(args.input, "rb") as fh:
-                document = fh.read()
+                records, report = parse(fh)
         except OSError as exc:
             raise _Failure(
                 EXIT_UNREADABLE, f"cannot read input {args.input}: {exc}"
             ) from exc
-        parse = parse_dublin_core if args.format == "dublincore" else parse_marc_xml
-        try:
-            records, report = parse(document)
         except ParseError as exc:
             raise _Failure(EXIT_UNREADABLE, f"{args.input}: {exc}") from exc
         new = CatalogSnapshot(records, (), ())

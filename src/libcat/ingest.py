@@ -6,10 +6,18 @@ source is ignored. Records that cannot yield a title are rejected per
 record, not per document, and the parse report reconciles exactly:
 accepted + rejected = records encountered.
 
+Both are parsed as a stream (`_parse_records`): the document is fed to
+a pull parser 64 KiB at a time, each record is read when its end tag
+arrives, and once no record is open the finished nodes are dropped from
+their parent. So a parse holds one record's subtree and one chunk's
+nodes, not the document's tree, and exports of any length parse in
+bounded memory.
+
 The canonical on-disk form is line-delimited JSON, one entity per line,
 tagged "R" (record), "L" (library), "H" (holding). Optional fields are
 omitted when absent, never written as null. Saves are deterministic
-(sorted by id) and atomic (write-then-rename).
+(sorted by id), atomic (write-then-rename) and durable (synced before
+and after the rename).
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ import re
 import sys
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import BinaryIO, Callable, Iterator, Optional
 
 from .errors import DatasetError, IsbnError, ParseError
 from .identifiers import normalize_isbn, parse_oclc
@@ -56,15 +64,47 @@ class ParseReport:
         return len(self.rejections)
 
 
-def _local_name(tag: str) -> str:
-    return tag.rsplit("}", 1)[-1].lower()
+_LOCAL_NAMES_HELD = 4096
 
 
-def _parse_xml(document: "str | bytes") -> ET.Element:
-    try:
-        return ET.fromstring(document)
-    except (ET.ParseError, ValueError) as exc:
-        raise ParseError(f"not well-formed XML: {exc}") from exc
+class _LocalNames(dict):
+    """Tag to lower-cased local name ("{ns}Title" to "title"), memoized:
+    an export repeats a handful of tags hundreds of thousands of times. A
+    pure cache, kept to _LOCAL_NAMES_HELD tags, so a document of distinct
+    tags cannot grow it without bound."""
+
+    def __missing__(self, tag: str) -> str:
+        name = tag.rsplit("}", 1)[-1].lower()
+        if len(self) < _LOCAL_NAMES_HELD:
+            self[tag] = name
+        return name
+
+
+_local_name = _LocalNames().__getitem__
+
+# Bytes (or characters, for a str) fed to the XML parser at a time.
+_CHUNK = 1 << 16
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _fed(parser: ET.XMLPullParser, document: "str | bytes | BinaryIO") -> Iterator[None]:
+    """Feed `document` (a str, bytes or an open file) to `parser` _CHUNK
+    at a time, then close it, pausing after each step so the caller can
+    read the events it made. A str holding a lone surrogate first raises
+    the UnicodeEncodeError that feeding the whole str raises; an OSError
+    from reading a file passes through."""
+    if hasattr(document, "read"):
+        while chunk := document.read(_CHUNK):
+            parser.feed(chunk)
+            yield
+    else:
+        if isinstance(document, str) and not document.isascii() and _SURROGATE.search(document):
+            document.encode("utf-8")
+        for start in range(0, len(document), _CHUNK):
+            parser.feed(document[start:start + _CHUNK])
+            yield
+    parser.close()
+    yield
 
 
 def _record_id_for(fields: dict) -> str:
@@ -105,35 +145,68 @@ def _build_record(
 
 
 def _parse_records(
-    document: "str | bytes",
-    select: Callable[[ET.Element], list[ET.Element]],
+    document: "str | bytes | BinaryIO",
+    is_record: Callable[[int, str], bool],
     read: Callable[[ET.Element], Optional[BookRecord]],
 ) -> tuple[list[BookRecord], ParseReport]:
-    """The record loop both XML formats share.
+    """The record loop both XML formats share, streamed.
 
-    `select` picks the record nodes from the root, numbered "record N"
-    from 1; `read` turns one node into a record, or None when it has no
-    title. Untitled nodes are rejected in document order, then a second
-    pass rejects each record whose id an earlier record already took.
+    `is_record(depth, tag)` says at its start tag whether a node (the
+    root at depth 0) is a record; a root that is a record is the only
+    one. Records are numbered "record N" from 1 in start-tag order, and
+    `read` turns each into a record, or None when it has no title, at its
+    end tag. A record nested in another stays in the outer one's subtree,
+    so both are taken, in number order, when the outer one ends. Once no
+    record is open, a finished node's parent drops its children, so
+    memory holds the open record and one chunk's nodes, never the whole
+    tree. Untitled records are rejected, and then each record whose id
+    an earlier record already took, both in number order.
     """
     report = ParseReport()
-    parsed: list[tuple[str, BookRecord]] = []
-    for index, node in enumerate(select(_parse_xml(document)), start=1):
-        record = read(node)
-        if record is None:
-            report.rejections.append((f"record {index}", "missing title"))
-        else:
-            parsed.append((f"record {index}", record))
     records: list[BookRecord] = []
-    seen: dict[str, str] = {}
-    for locator, record in parsed:
-        earlier = seen.get(record.record_id)
-        if earlier is not None:
-            report.rejections.append((locator, f"duplicate of {earlier}"))
-            continue
-        seen[record.record_id] = locator
-        records.append(record)
-        report.accepted += 1
+    duplicates: list[tuple[str, str]] = []
+    seen: dict[str, int] = {}  # record id -> number of the record that took it
+
+    def take(number: int, record: Optional[BookRecord]) -> None:
+        if record is None:
+            report.rejections.append((f"record {number}", "missing title"))
+        elif (earlier := seen.setdefault(record.record_id, number)) != number:
+            duplicates.append((f"record {number}", f"duplicate of record {earlier}"))
+        else:
+            records.append(record)
+
+    parser = ET.XMLPullParser(events=("start", "end"))
+    path: list[ET.Element] = []  # the open nodes, the root first
+    open_records: list[tuple[int, int]] = []  # (depth, number), outermost first
+    done: list[tuple[int, Optional[BookRecord]]] = []  # read, in the open outermost record
+    started = 0
+    root_is_record = False
+    try:
+        for _ in _fed(parser, document):
+            for event, node in parser.read_events():
+                if event == "start":
+                    if not root_is_record and is_record(len(path), node.tag):
+                        root_is_record = not path
+                        started += 1
+                        open_records.append((len(path), started))
+                    path.append(node)
+                    continue
+                path.pop()
+                if open_records and open_records[-1][0] == len(path):
+                    done.append((open_records.pop()[1], read(node)))
+                    if not open_records:
+                        for number, record in sorted(done, key=lambda pair: pair[0]):
+                            take(number, record)
+                        done.clear()
+                if path and not open_records:
+                    del path[-1][:]  # the parent is in no record: nothing reads its children
+    except (ET.ParseError, ValueError, LookupError) as exc:
+        # expat's own faults are ET.ParseError, with its line and column,
+        # whichever chunk holds them; a declared encoding the parser cannot
+        # read is a ValueError or LookupError, a lone surrogate a ValueError
+        raise ParseError(f"not well-formed XML: {exc}") from exc
+    report.rejections += duplicates
+    report.accepted = len(records)
     return records, report
 
 
@@ -155,10 +228,14 @@ def _sniff_identifier(value: str) -> tuple[Optional[Isbn], Optional[int]]:
         return None, None
 
 
-def _dc_nodes(root: ET.Element) -> list[ET.Element]:
-    if any(_local_name(el.tag) == "title" for el in root):
-        return [root]
-    return list(root)
+class _RootTitle(Exception):
+    """A child of the root is named title, so the root is the one record."""
+
+
+def _is_dc_item(depth: int, tag: str) -> bool:
+    if depth == 1 and _local_name(tag) == "title":
+        raise _RootTitle
+    return depth == 1
 
 
 def _read_dc(node: ET.Element) -> Optional[BookRecord]:
@@ -195,22 +272,38 @@ def _read_dc(node: ET.Element) -> Optional[BookRecord]:
     return _build_record(title, contributors, isbns, oclc, year, language, lc_class)
 
 
-def parse_dublin_core(document: "str | bytes") -> tuple[list[BookRecord], ParseReport]:
-    """Parse a Dublin Core XML document into book records.
+def parse_dublin_core(
+    document: "str | bytes | BinaryIO",
+) -> tuple[list[BookRecord], ParseReport]:
+    """Parse a Dublin Core XML document (text, bytes or an open binary
+    file) into book records.
 
     Element matching is by local name, so any dc namespace prefix works.
     Each child of the root is one record; a root that itself carries a
-    title element is treated as a single record.
+    title element is treated as a single record. The parse takes the
+    children as records until a child named title starts, and then parses
+    again from the start with the root as the record, so it never keeps
+    the children to find out. A file that cannot seek back is read whole
+    first.
     """
-    return _parse_records(document, _dc_nodes, _read_dc)
+    start = None
+    if hasattr(document, "read"):
+        if document.seekable():
+            start = document.tell()
+        else:
+            document = document.read()
+    try:
+        return _parse_records(document, _is_dc_item, _read_dc)
+    except _RootTitle:
+        if start is not None:
+            document.seek(start)
+        return _parse_records(document, lambda depth, tag: depth == 0, _read_dc)
 
 
 # --- MARC-XML ----------------------------------------------------------------
 
-def _marc_nodes(root: ET.Element) -> list[ET.Element]:
-    if _local_name(root.tag) == "record":
-        return [root]
-    return [el for el in root.iter() if _local_name(el.tag) == "record"]
+def _is_marc_record(depth: int, tag: str) -> bool:
+    return _local_name(tag) == "record"
 
 
 def _marc_fields(node: ET.Element) -> dict[str | tuple[str, str], list[str]]:
@@ -282,15 +375,19 @@ def _read_marc(node: ET.Element) -> Optional[BookRecord]:
     return _build_record(title, contributors, isbns, oclc, year, None, lc_class)
 
 
-def parse_marc_xml(document: "str | bytes") -> tuple[list[BookRecord], ParseReport]:
+def parse_marc_xml(
+    document: "str | bytes | BinaryIO",
+) -> tuple[list[BookRecord], ParseReport]:
     """Parse MARC-XML into book records, reading the minimal field subset.
 
     245$a is the title (trailing ISBD punctuation trimmed), 100$a/700$a
     are contributors, 020$a holds ISBNs (first token; invalid ones are
     skipped), 001/035 yield an OCLC number only when prefixed "(OCoLC)",
     008 positions 7-10 give the year, 050$a the classification heading.
+    A root named record is the one record; otherwise every record element
+    at any depth is one. `document` is text, bytes or an open binary file.
     """
-    return _parse_records(document, _marc_nodes, _read_marc)
+    return _parse_records(document, _is_marc_record, _read_marc)
 
 
 # --- canonical dataset -------------------------------------------------------
@@ -361,7 +458,8 @@ def save_dataset(snapshot: CatalogSnapshot, path: "str | os.PathLike") -> None:
 
     Output order is records, libraries, holdings, each sorted by id, so
     equal snapshots produce byte-identical files. Each line is encoded as
-    it is built, so no more than one line's dict is alive at a time.
+    it is built, so no more than one line's dict is alive at a time. The
+    write is durable: once this returns, a crash keeps the new file.
     """
     encode = _JSON_LINE.encode
     lines = [encode(_record_line(record)) + "\n" for record in snapshot.records]
@@ -379,13 +477,13 @@ def save_dataset(snapshot: CatalogSnapshot, path: "str | os.PathLike") -> None:
     for record_id, library_id, channel in snapshot.holdings():
         obj = {"t": "H", "record": record_id, "library": library_id, "channel": channel}
         lines.append(encode(obj) + "\n")
-    _write_atomic(os.fspath(path), "".join(lines))
+    _write_atomic(os.fspath(path), "".join(lines), durable=True)
 
 
 _temp_ids = itertools.count()
 
 
-def _write_atomic(path: str, text: str) -> None:
+def _write_atomic(path: str, text: str, durable: bool = False) -> None:
     """Replace the file at `path` with `text` by write-then-rename.
 
     The temp file is unique to this call (named from the process id and
@@ -394,6 +492,14 @@ def _write_atomic(path: str, text: str) -> None:
     one whole version. It is created 0666 less the umask, as open() would.
     Every caller writes JSON, so a lone surrogate, which UTF-8 cannot
     encode, is written as its JSON escape (`\\ud800`) and reads back equal.
+
+    When `durable`, the temp file is synced before the rename and its
+    directory after it, so a crash leaves the old or the new file whole,
+    never an empty one. The dataset is written so. The quota state file
+    is not: it is rewritten on every charged request, 1,104 times in one
+    benchmark harvest, and the two syncs took each write from about 0.15
+    to 0.55 ms on ext4. A crash can lose its last charges, or leave it
+    empty, which the quota store then reports as unreadable.
     """
     directory, name = os.path.split(path)
     while True:
@@ -406,11 +512,20 @@ def _write_atomic(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", errors="backslashreplace") as fh:
             fh.write(text)
+            if durable:
+                fh.flush()
+                os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+    if durable:
+        fd = os.open(directory or os.curdir, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
 
 
 @contextlib.contextmanager

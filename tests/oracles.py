@@ -11,8 +11,9 @@ from __future__ import annotations
 import json
 import math
 import random
+import xml.etree.ElementTree as ET
 from collections import Counter
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 
 # --- ISBN ----------------------------------------------------------------
@@ -99,6 +100,67 @@ def decode_json_lines(
         except json.JSONDecodeError as exc:
             return decoded, (number, exc.msg)
     return decoded, None
+
+
+# --- XML records ---------------------------------------------------------
+
+def _xml_local_name(tag: str) -> str:
+    return tag.rsplit("}", 1)[-1].lower()
+
+
+def marc_record_nodes(root: ET.Element) -> list[ET.Element]:
+    """MARC-XML records of a whole tree: a root named record is the only
+    one; otherwise each record element at any depth, in document order."""
+    if _xml_local_name(root.tag) == "record":
+        return [root]
+    return [el for el in root.iter() if _xml_local_name(el.tag) == "record"]
+
+
+def dc_record_nodes(root: ET.Element) -> list[ET.Element]:
+    """Dublin Core records of a whole tree: the root itself when a child
+    of it is named title, else each child of the root."""
+    if any(_xml_local_name(el.tag) == "title" for el in root):
+        return [root]
+    return list(root)
+
+
+def parse_whole_tree(
+    document: "str | bytes",
+    select: Callable[[ET.Element], list],
+    read: Callable[[ET.Element], object],
+) -> Union[str, tuple[list, list[tuple[str, str]]]]:
+    """The record loop over the whole parsed tree, built before any record
+    is read: (records, rejections), or the ParseError message owed to a
+    document that is not well-formed or declares an encoding the parser
+    cannot read.
+
+    `select` picks the record nodes, numbered "record N" from 1; `read`
+    turns one into a record, or None when it has no title. Untitled nodes
+    are rejected in number order, then each record whose id an earlier
+    record already took.
+    """
+    try:
+        root = ET.fromstring(document)
+    except (ET.ParseError, ValueError, LookupError) as exc:
+        return f"not well-formed XML: {exc}"
+    rejections: list[tuple[str, str]] = []
+    parsed = []
+    for index, node in enumerate(select(root), start=1):
+        record = read(node)
+        if record is None:
+            rejections.append((f"record {index}", "missing title"))
+        else:
+            parsed.append((f"record {index}", record))
+    records = []
+    seen: dict[str, str] = {}
+    for locator, record in parsed:
+        earlier = seen.get(record.record_id)
+        if earlier is not None:
+            rejections.append((locator, f"duplicate of {earlier}"))
+            continue
+        seen[record.record_id] = locator
+        records.append(record)
+    return records, rejections
 
 
 # --- ranking and correlation ---------------------------------------------

@@ -290,6 +290,47 @@ class TestIngest:
         assert code == 1
         assert "cannot read" in err
 
+    @pytest.mark.parametrize("fmt", ["marcxml", "dublincore"])
+    def test_input_that_fails_mid_read_exits_one(self, capsys, tmp_path, monkeypatch, fmt):
+        """The parsers read the open input a chunk at a time, so a read
+        error can come after records were parsed; it still names the input."""
+        source = tmp_path / "export.xml"
+        source.write_text("<collection>" + "<item><title>T</title></item>" * 5000)
+        real_open = open
+
+        class FailingSecondRead:
+            def __init__(self, fh):
+                self._fh, self._reads = fh, 0
+
+            def __getattr__(self, name):
+                return getattr(self._fh, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._fh.close()
+
+            def read(self, size=-1):
+                self._reads += 1
+                if self._reads == 2:
+                    raise OSError(errno.EIO, "Input/output error")
+                return self._fh.read(size)
+
+        def failing_open(path, *args, **kwargs):
+            fh = real_open(path, *args, **kwargs)
+            return FailingSecondRead(fh) if path == str(source) else fh
+
+        monkeypatch.setattr("builtins.open", failing_open)
+        code, out, err = run_cli(
+            capsys, "ingest", "--input", str(source), "--format", fmt,
+            "--dataset", str(tmp_path / "cat.jsonl"),
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: cannot read input {source}: [Errno 5] Input/output error\n"
+        assert not (tmp_path / "cat.jsonl").exists()
+
     def test_malformed_input_exits_one(self, capsys, tmp_path):
         source = tmp_path / "broken.xml"
         source.write_text("<collection><item>")

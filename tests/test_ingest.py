@@ -1,10 +1,14 @@
 """Record parsing and dataset persistence."""
 
 import copy
+import errno
+import io
 import json
 import os
 import random
 import stat
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -282,6 +286,151 @@ class TestParserRobustness:
         assert report.accepted == 0
 
 
+# Generated XML for the streaming parsers: names both formats read, in
+# and out of a namespace and in either case, with text that holds 2-, 3-
+# and 4-byte UTF-8 characters, so small chunks split them.
+XML_NAMES = ["record", "Record", "m:record", "item", "title", "dc:title", "TITLE", "creator",
+             "dc:identifier", "date", "leader", "x"]
+XML_TEXTS = ["", " ", "Gödel, Kurt,", "漢字の本 /", "Smile \U0001F600", "(OCoLC)31290663",
+             "ISBN 0-306-40615-2", "950413s1995", "a &amp; b", "x &lt; y :", "Title"]
+XML_TEXT = st.sampled_from(XML_TEXTS)
+XML_LEAF = st.one_of(
+    st.builds("<{0}>{1}</{0}>".format, st.sampled_from(XML_NAMES), XML_TEXT),
+    st.builds('<datafield tag="{}"><subfield code="{}">{}</subfield></datafield>'.format,
+              st.sampled_from(["245", "100", "700", "020", "035", "050"]),
+              st.sampled_from("ab"), XML_TEXT),
+    st.builds('<controlfield tag="{}">{}</controlfield>'.format,
+              st.sampled_from(["001", "008"]), XML_TEXT),
+)
+XML_NODE = st.recursive(
+    XML_LEAF,
+    lambda children: st.builds(
+        lambda name, text, kids: f"<{name}>{text}{''.join(kids)}</{name}>",
+        st.sampled_from(XML_NAMES), XML_TEXT, st.lists(children, max_size=4),
+    ),
+    max_leaves=24,
+)
+XML_NAMESPACES = ('xmlns:m="http://www.loc.gov/MARC21/slim" '
+                  'xmlns:dc="http://purl.org/dc/elements/1.1/"')
+
+
+@st.composite
+def xml_documents(draw) -> str:
+    """A document whose root is a collection or itself a record, holding
+    nodes in which records may nest, and perhaps a title child of the
+    root before, between or after them."""
+    root = draw(st.sampled_from(["collection", "record", "m:record", "item"]))
+    children = draw(st.lists(XML_NODE, max_size=6))
+    title_at = draw(st.none() | st.integers(0, len(children)))
+    if title_at is not None:
+        children.insert(title_at, f"<dc:title>{draw(XML_TEXT)}</dc:title>")
+    default = draw(st.sampled_from(["", ' xmlns="http://www.loc.gov/MARC21/slim"']))
+    return f"<{root} {XML_NAMESPACES}{default}>{''.join(children)}</{root}>"
+
+
+class _Unseekable(io.BytesIO):
+    def seekable(self) -> bool:
+        return False
+
+
+STREAM_PARSERS = [
+    (parse_marc_xml, oracles.marc_record_nodes, ingest._read_marc),
+    (parse_dublin_core, oracles.dc_record_nodes, ingest._read_dc),
+]
+
+
+def assert_streams_like_the_whole_tree(document, chunk):
+    """Each parser, given `document` (str or bytes), its bytes, and its
+    bytes as an open file that can and cannot seek, returns what the
+    whole-tree oracle returns for the same text or bytes, or raises
+    ParseError with the message that parse raised."""
+    blob = document.encode("utf-8", "surrogatepass") if isinstance(document, str) else document
+    for parser, select, read in STREAM_PARSERS:
+        forms = [(document, document), (blob, blob), (io.BytesIO(blob), blob),
+                 (_Unseekable(blob), blob)]
+        for form, whole in forms:
+            with mock.patch.object(ingest, "_CHUNK", chunk):
+                try:
+                    records, report = parser(form)
+                except ParseError as exc:
+                    got = str(exc)
+                else:
+                    assert report.accepted == len(records)
+                    got = (records, report.rejections)
+            assert got == oracles.parse_whole_tree(whole, select, read)
+
+
+class TestStreamingParse:
+    """Both parsers read a document in chunks, yet select, number, read and
+    reject records as a parse of the whole tree does (tests/oracles.py)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(document=xml_documents(), chunk=st.integers(1, 48))
+    def test_equals_the_whole_tree_parse(self, document, chunk):
+        assert_streams_like_the_whole_tree(document, chunk)
+
+    @settings(max_examples=150, deadline=None)
+    @given(document=xml_documents(), cut=st.floats(0, 1), chunk=st.integers(1, 48))
+    def test_a_document_cut_short_fails_as_the_whole_tree_parse(self, document, cut, chunk):
+        blob = document.encode("utf-8")
+        assert_streams_like_the_whole_tree(blob[: int(cut * len(blob))], chunk)
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            "<record><title>T</title>\ud800</record>",
+            "<collection><item><</item>" + "x" * 40 + "\udfff</collection>",
+            "<collection><record><datafield tag='245'><subfield code='a'>T</subfield>"
+            "</datafield><record><controlfield tag='001'>(OCoLC)7</controlfield></record>"
+            "</record><record/></collection>",
+            "<collection><item><title>Kept</title></item><title>Root</title><item/></collection>",
+            "",
+            "<?xml version='1.0' encoding='latin-1'?><record><title>\u00e9</title></record>",
+            "<?xml version='1.0' encoding='utf-32'?><record><title>T</title></record>",
+            "<?xml version='1.0' encoding='x-no-such-codec'?><record><title>T</title></record>",
+        ],
+        ids=["lone-surrogate", "surrogate-after-a-fault", "nested-records", "root-title",
+             "empty", "declared-encoding", "multi-byte-encoding", "unknown-encoding"],
+    )
+    @pytest.mark.parametrize("chunk", [1, 5, 1 << 16])
+    def test_edge_documents(self, document, chunk):
+        assert_streams_like_the_whole_tree(document, chunk)
+
+    @staticmethod
+    def _transient_bytes(parser, document: bytes) -> int:
+        """Peak traced memory of one parse, less what its result holds."""
+        tracemalloc.start()
+        try:
+            result = parser(document)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result[1].accepted == len(result[0])
+        return peak - held
+
+    @pytest.mark.parametrize("parser", [parse_marc_xml, parse_dublin_core])
+    def test_memory_does_not_grow_with_the_document(self, parser):
+        """A whole-tree parse holds several bytes per byte of XML until the
+        last record is read; streamed, what a parse holds beyond its result
+        is one record and one chunk, whatever the document's length."""
+        if parser is parse_marc_xml:
+            record = ('<record><controlfield tag="001">(OCoLC){0}</controlfield>'
+                      '<datafield tag="100"><subfield code="a">Author {1},</subfield></datafield>'
+                      '<datafield tag="245"><subfield code="a">Title {0} /</subfield>'
+                      '<subfield code="c">by someone</subfield></datafield></record>')
+        else:
+            record = ("<item><title>Title {0}</title><creator>Author {1}</creator>"
+                      "<identifier>(OCoLC){0}</identifier><date>1999</date></item>")
+
+        def document(n: int) -> bytes:
+            body = "".join(record.format(i, i % 97) for i in range(1, n + 1))
+            return f"<collection>{body}</collection>".encode()
+
+        small, large = document(2000), document(8000)
+        growth = self._transient_bytes(parser, large) - self._transient_bytes(parser, small)
+        assert growth < 1 << 20
+
+
 class TestPersistence:
     def test_round_trip_preserves_everything(self, tmp_path):
         rng = random.Random(42)
@@ -500,6 +649,42 @@ class TestPersistence:
 
         monkeypatch.setattr(os, "replace", refuse)
         with pytest.raises(OSError, match="rename refused"):
+            save_dataset(CatalogSnapshot([BookRecord("r2", "New")], [], []), path)
+        monkeypatch.undo()
+        assert load_dataset(path) == old
+        assert [p.name for p in tmp_path.iterdir()] == ["data.jsonl"]
+
+    def test_save_syncs_the_file_before_the_rename_and_the_directory_after(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "data.jsonl"
+        steps = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            steps.append(("fsync", os.fstat(fd).st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            steps.append(("replace", os.stat(src).st_ino))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        save_dataset(CatalogSnapshot([BookRecord("r1", "T")], [], []), path)
+        written, directory = path.stat().st_ino, tmp_path.stat().st_ino
+        assert steps == [("fsync", written), ("replace", written), ("fsync", directory)]
+
+    def test_failed_sync_keeps_the_old_file_and_no_temp_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.jsonl"
+        old = CatalogSnapshot([BookRecord("r1", "Old")], [], [])
+        save_dataset(old, path)
+
+        def refuse(fd):
+            raise OSError(errno.EIO, "sync refused")
+
+        monkeypatch.setattr(os, "fsync", refuse)
+        with pytest.raises(OSError, match="sync refused"):
             save_dataset(CatalogSnapshot([BookRecord("r2", "New")], [], []), path)
         monkeypatch.undo()
         assert load_dataset(path) == old
