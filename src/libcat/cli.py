@@ -30,7 +30,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, TypeVar
 
 from .errors import (
     AuthorNotFoundError,
@@ -75,6 +75,8 @@ from .stats import correlation_matrix
 
 if TYPE_CHECKING:  # the network layer loads only when `fetch` runs
     from .client import CatalogClient
+
+_T = TypeVar("_T")
 
 EXIT_OK = 0
 EXIT_UNREADABLE = 1
@@ -141,12 +143,14 @@ def parse_filter_spec(spec: str) -> Optional[LibraryFilter]:
     return LibraryFilter(**fields) if fields else None
 
 
-def _load_dataset_file(path: str, what: str = "dataset") -> CatalogSnapshot:
+def _read(what: str, path: str, read: Callable[[str], _T]) -> _T:
+    """`read(path)`, where a file that cannot be read, or that holds what
+    cannot be parsed, exits 1 with a message naming `what` and `path`."""
     try:
-        return load_dataset(path)
+        return read(path)
     except OSError as exc:
         raise _Failure(EXIT_UNREADABLE, f"cannot read {what} {path}: {exc}") from exc
-    except (DatasetError, IntegrityError) as exc:
+    except (DatasetError, IntegrityError, ParseError) as exc:
         raise _Failure(EXIT_UNREADABLE, f"{what} {path}: {exc}") from exc
 
 
@@ -157,7 +161,7 @@ def _analysis_input(args) -> tuple[CatalogSnapshot, Optional[LibraryFilter]]:
         library_filter = parse_filter_spec(args.filter)
     except ValueError as exc:
         raise _Failure(EXIT_USAGE, f"bad --filter: {exc}") from exc
-    snapshot = _load_dataset_file(args.dataset)
+    snapshot = _read("dataset", args.dataset, load_dataset)
     if snapshot.n_records == 0:
         raise _Failure(EXIT_EMPTY, "dataset has no records")
     return snapshot, library_filter
@@ -170,7 +174,7 @@ def _merge_into_dataset(path: str, delta: CatalogSnapshot) -> None:
     try:
         with _lock_sidecar(path):
             if os.path.exists(path):
-                delta = merge_snapshots(_load_dataset_file(path), delta)
+                delta = merge_snapshots(_read("dataset", path, load_dataset), delta)
             try:
                 save_dataset(delta, path)
             except OSError as exc:
@@ -182,7 +186,11 @@ def _merge_into_dataset(path: str, delta: CatalogSnapshot) -> None:
 
 
 def _emit(headers: Sequence[str], rows: Sequence[Sequence[str]], fmt: str) -> None:
-    print(render_table(headers, rows, fmt))
+    text = render_table(headers, rows, fmt)
+    try:
+        print(text)
+    except UnicodeEncodeError:  # a lone surrogate, say: escape what stdout cannot encode
+        print(text.encode(sys.stdout.encoding, "backslashreplace").decode(sys.stdout.encoding))
 
 
 # --- ingest -------------------------------------------------------------------
@@ -190,18 +198,14 @@ def _emit(headers: Sequence[str], rows: Sequence[Sequence[str]], fmt: str) -> No
 def cmd_ingest(args) -> int:
     rejections: list[tuple[str, str]] = []
     if args.format == "jsonl":
-        new = _load_dataset_file(args.input, "input")
+        new = _read("input", args.input, load_dataset)
     else:
         parse = parse_dublin_core if args.format == "dublincore" else parse_marc_xml
-        try:
-            with open(args.input, "rb") as fh:
-                records, report = parse(fh)
-        except OSError as exc:
-            raise _Failure(
-                EXIT_UNREADABLE, f"cannot read input {args.input}: {exc}"
-            ) from exc
-        except ParseError as exc:
-            raise _Failure(EXIT_UNREADABLE, f"{args.input}: {exc}") from exc
+
+        def parse_file(path: str):
+            with open(path, "rb") as fh:
+                return parse(fh)
+        records, report = _read("input", args.input, parse_file)
         new = CatalogSnapshot(records, (), ())
         rejections = report.rejections
     for locator, reason in rejections:
@@ -256,7 +260,7 @@ def _build_client(args) -> CatalogClient:
 def cmd_fetch(args) -> int:
     from .client import harvest
 
-    snapshot = _load_dataset_file(args.dataset)
+    snapshot = _read("dataset", args.dataset, load_dataset)
     if args.all:
         selected = list(snapshot.records)
     elif args.isbn is not None:
@@ -292,11 +296,11 @@ def cmd_fetch(args) -> int:
 
 # --- indicators ----------------------------------------------------------------
 
-def _load_units_file(path: str) -> dict[str, tuple[str, list[str]]]:
+def _load_units(path: str) -> dict[str, tuple[str, list[str]]]:
+    """Unit id -> (label, members); a bad line is a DatasetError naming it."""
     units: dict[str, tuple[str, list[str]]] = {}
-    number = 0
-    try:
-        for number, obj in _json_lines(path):
+    for number, obj in _json_lines(path):
+        try:
             unit_id, members = obj["id"], obj["members"]
             label = obj.get("label", unit_id)
             if not isinstance(unit_id, str) or not isinstance(label, str):
@@ -307,15 +311,9 @@ def _load_units_file(path: str) -> dict[str, tuple[str, list[str]]]:
                 raise TypeError("members must be a list of strings")
             if unit_id in units:
                 raise ValueError(f"unit {unit_id!r} is already defined")
-            units[unit_id] = (label, members)
-    except OSError as exc:
-        raise _Failure(EXIT_UNREADABLE, f"cannot read units file {path}: {exc}") from exc
-    except DatasetError as exc:
-        raise _Failure(EXIT_UNREADABLE, f"units file {path} {exc}") from exc
-    except (ValueError, KeyError, TypeError) as exc:
-        raise _Failure(
-            EXIT_UNREADABLE, f"units file {path} line {number}: {exc}"
-        ) from exc
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DatasetError(f"line {number}: {exc}") from exc
+        units[unit_id] = (label, members)
     return units
 
 
@@ -386,7 +384,7 @@ def cmd_indicators(args) -> int:
         _emit(["author", "works", "publications", "holdings"], rows, args.output)
         return EXIT_OK
 
-    units_by_id = _load_units_file(args.units) if args.units else {}
+    units_by_id = _read("units file", args.units, _load_units) if args.units else {}
     benchmark = (
         _resolve_unit(args.benchmark, units_by_id, snapshot)
         if args.benchmark

@@ -148,10 +148,8 @@ class _View:
 
     def classified(self, target: "str | BookRecord") -> BookIndicators:
         """The target's row of `books()`, which must name a classified record."""
-        record_id = target.record_id if isinstance(target, BookRecord) else target
-        book = self.books().get(record_id)
-        if book is None:
-            raise UnknownTargetError(f"no such record in snapshot: {record_id}")
+        (record_id,) = self.members(target)
+        book = self.books()[record_id]
         if book.rank_in_class is None:
             raise NoClassError(f"record {record_id} has no classification")
         return book

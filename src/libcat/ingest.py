@@ -6,12 +6,12 @@ source is ignored. Records that cannot yield a title are rejected per
 record, not per document, and the parse report reconciles exactly:
 accepted + rejected = records encountered.
 
-Both are parsed as a stream (`_parse_records`): the document is fed to
-a pull parser 64 KiB at a time, each record is read when its end tag
-arrives, and once no record is open the finished nodes are dropped from
-their parent. So a parse holds one record's subtree and one chunk's
-nodes, not the document's tree, and exports of any length parse in
-bounded memory.
+Both are parsed as a stream (`_parse_records`): the standard library's
+`iterparse` reads the document 16 KiB at a time, each record is read
+when its end tag arrives, and once no record is open the finished nodes
+are dropped from their parent. So a parse holds one record's subtree and
+one read's nodes, not the document's tree, and exports of any length
+parse in bounded memory.
 
 The canonical on-disk form is line-delimited JSON, one entity per line,
 tagged "R" (record), "L" (library), "H" (holding). Optional fields are
@@ -26,6 +26,7 @@ import contextlib
 import fcntl
 import gc
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -82,29 +83,20 @@ class _LocalNames(dict):
 
 _local_name = _LocalNames().__getitem__
 
-# Bytes (or characters, for a str) fed to the XML parser at a time.
-_CHUNK = 1 << 16
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
 
-def _fed(parser: ET.XMLPullParser, document: "str | bytes | BinaryIO") -> Iterator[None]:
-    """Feed `document` (a str, bytes or an open file) to `parser` _CHUNK
-    at a time, then close it, pausing after each step so the caller can
-    read the events it made. A str holding a lone surrogate first raises
-    the UnicodeEncodeError that feeding the whole str raises; an OSError
-    from reading a file passes through."""
+def _stream(document: "str | bytes | BinaryIO") -> "BinaryIO | io.StringIO":
+    """`document` as a file `iterparse` can read: an open file as it is, a
+    str or bytes wrapped in one. A str holding a lone surrogate first
+    raises the UnicodeEncodeError that parsing the whole str raises."""
     if hasattr(document, "read"):
-        while chunk := document.read(_CHUNK):
-            parser.feed(chunk)
-            yield
-    else:
-        if isinstance(document, str) and not document.isascii() and _SURROGATE.search(document):
+        return document
+    if isinstance(document, str):
+        if not document.isascii() and _SURROGATE.search(document):
             document.encode("utf-8")
-        for start in range(0, len(document), _CHUNK):
-            parser.feed(document[start:start + _CHUNK])
-            yield
-    parser.close()
-    yield
+        return io.StringIO(document)
+    return io.BytesIO(document)
 
 
 def _record_id_for(fields: dict) -> str:
@@ -158,7 +150,7 @@ def _parse_records(
     end tag. A record nested in another stays in the outer one's subtree,
     so both are taken, in number order, when the outer one ends. Once no
     record is open, a finished node's parent drops its children, so
-    memory holds the open record and one chunk's nodes, never the whole
+    memory holds the open record and one read's nodes, never the whole
     tree. Untitled records are rejected, and then each record whose id
     an earlier record already took, both in number order.
     """
@@ -175,34 +167,32 @@ def _parse_records(
         else:
             records.append(record)
 
-    parser = ET.XMLPullParser(events=("start", "end"))
     path: list[ET.Element] = []  # the open nodes, the root first
     open_records: list[tuple[int, int]] = []  # (depth, number), outermost first
     done: list[tuple[int, Optional[BookRecord]]] = []  # read, in the open outermost record
     started = 0
     root_is_record = False
     try:
-        for _ in _fed(parser, document):
-            for event, node in parser.read_events():
-                if event == "start":
-                    if not root_is_record and is_record(len(path), node.tag):
-                        root_is_record = not path
-                        started += 1
-                        open_records.append((len(path), started))
-                    path.append(node)
-                    continue
-                path.pop()
-                if open_records and open_records[-1][0] == len(path):
-                    done.append((open_records.pop()[1], read(node)))
-                    if not open_records:
-                        for number, record in sorted(done, key=lambda pair: pair[0]):
-                            take(number, record)
-                        done.clear()
-                if path and not open_records:
-                    del path[-1][:]  # the parent is in no record: nothing reads its children
+        for event, node in ET.iterparse(_stream(document), ("start", "end")):
+            if event == "start":
+                if not root_is_record and is_record(len(path), node.tag):
+                    root_is_record = not path
+                    started += 1
+                    open_records.append((len(path), started))
+                path.append(node)
+                continue
+            path.pop()
+            if open_records and open_records[-1][0] == len(path):
+                done.append((open_records.pop()[1], read(node)))
+                if not open_records:
+                    for number, record in sorted(done, key=lambda pair: pair[0]):
+                        take(number, record)
+                    done.clear()
+            if path and not open_records:
+                del path[-1][:]  # the parent is in no record: nothing reads its children
     except (ET.ParseError, ValueError, LookupError) as exc:
         # expat's own faults are ET.ParseError, with its line and column,
-        # whichever chunk holds them; a declared encoding the parser cannot
+        # whichever read holds them; a declared encoding the parser cannot
         # read is a ValueError or LookupError, a lone surrogate a ValueError
         raise ParseError(f"not well-formed XML: {exc}") from exc
     report.rejections += duplicates

@@ -3,8 +3,10 @@
 import contextlib
 import dataclasses
 import errno
+import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import threading
@@ -398,6 +400,37 @@ class TestIngest:
         assert err.startswith("error: cannot write dataset")
         assert "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["analysis.jsonl", name + ".lock"]
+
+    def test_ingest_after_a_killed_save_works_and_leaves_its_temp_file(
+        self, capsys, tmp_path, subprocess_env
+    ):
+        """A save killed before its rename skips the handler that removes
+        its temp file. The next writer neither needs nor touches it."""
+        dataset = tmp_path / "cat.jsonl"
+        save_dataset(CatalogSnapshot([BookRecord("r1", "Base")], [], []), dataset)
+        child = (
+            "import os, sys\n"
+            "from libcat.ingest import save_dataset\n"
+            "from libcat.model import BookRecord, CatalogSnapshot\n"
+            "os.replace = lambda src, dst: os._exit(9)\n"
+            "save_dataset(CatalogSnapshot([BookRecord('r2', 'Lost')], [], []), sys.argv[1])\n"
+        )
+        killed = subprocess.run(
+            [sys.executable, "-c", child, str(dataset)], env=subprocess_env, timeout=60
+        )
+        assert killed.returncode == 9
+        (stale,) = [p for p in tmp_path.iterdir() if p.name.startswith(".cat.jsonl.")]
+        left = stale.read_bytes()
+        delta = tmp_path / "delta.jsonl"
+        save_dataset(CatalogSnapshot([BookRecord("r3", "New")], [], []), delta)
+        code, out, _ = run_cli(
+            capsys, "ingest", "--input", str(delta), "--format", "jsonl",
+            "--dataset", str(dataset),
+        )
+        assert code == 0
+        assert out == "accepted=1 rejected=0 libraries=0 holdings=0\n"
+        assert [r.record_id for r in load_dataset(dataset).records] == ["r1", "r3"]
+        assert stale.read_bytes() == left
 
     def test_concurrent_ingests_lose_no_record(self, tmp_path, subprocess_env):
         dataset = tmp_path / "shared.jsonl"
@@ -929,7 +962,7 @@ class TestIndicatorsCommand:
             "--dataset", analysis_dataset,
         )
         assert code == 1
-        assert err.startswith(f"error: units file {units} line 2: ")
+        assert err.startswith(f"error: units file {units}: line 2: ")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("table", ["--all-books", "--authors"])
@@ -960,7 +993,7 @@ class TestIndicatorsCommand:
             "--dataset", analysis_dataset,
         )
         assert code == 1
-        assert err == f"error: units file {units} line 3: unit 'u' is already defined\n"
+        assert err == f"error: units file {units}: line 3: unit 'u' is already defined\n"
         assert out == ""
 
     @pytest.mark.parametrize(
@@ -1024,6 +1057,14 @@ class TestIndicatorsCommand:
             capsys, "indicators", "--unit", "u=b1,zz", "--dataset", analysis_dataset,
         )
         assert code == 4
+
+    def test_unit_with_no_id_exits_four(self, capsys, analysis_dataset):
+        code, out, err = run_cli(
+            capsys, "indicators", "--unit", "=b1", "--dataset", analysis_dataset,
+        )
+        assert code == 4
+        assert err == "error: unit '': unit_id must be non-empty\n"
+        assert out == ""
 
     def test_unit_with_no_members_exits_four(self, capsys, analysis_dataset):
         code, _, _ = run_cli(
@@ -1231,3 +1272,117 @@ class TestDeterminism:
                 assert code == 0
                 outputs.add((tuple(argv), out))
         assert len(outputs) == 3
+
+
+# Each file a user names: the argv naming it at PATH beside a good
+# dataset at GOOD, what its error lines call it, and a malformed file
+# with the reason its error line gives.
+NAMED_FILES = [
+    pytest.param(
+        ["indicators", "--all-books", "--dataset", "PATH"], "dataset", b"{nope\n",
+        "line 1: not valid JSON (Expecting property name enclosed in double quotes)",
+        id="dataset",
+    ),
+    pytest.param(
+        ["ingest", "--format", "jsonl", "--input", "PATH", "--dataset", "GOOD"], "input",
+        b"{nope\n", "line 1: not valid JSON (Expecting property name enclosed in double quotes)",
+        id="jsonl-input",
+    ),
+    pytest.param(
+        ["ingest", "--format", "marcxml", "--input", "PATH", "--dataset", "GOOD"], "input",
+        b"<collection><record>", "not well-formed XML: no element found: line 1, column 20",
+        id="marcxml-input",
+    ),
+    pytest.param(
+        ["ingest", "--format", "dublincore", "--input", "PATH", "--dataset", "GOOD"], "input",
+        b"<collection><item>", "not well-formed XML: no element found: line 1, column 18",
+        id="dublincore-input",
+    ),
+    pytest.param(
+        ["indicators", "--unit", "u", "--units", "PATH", "--dataset", "GOOD"], "units file",
+        b'{"id": "u"}\n', "line 1: 'members'",
+        id="units",
+    ),
+]
+
+
+class TestNamedFiles:
+    @pytest.mark.parametrize("argv, what, malformed, reason", NAMED_FILES)
+    @pytest.mark.parametrize("state", ["missing", "malformed"])
+    def test_an_unreadable_file_exits_one_naming_it(
+        self, capsys, tmp_path, analysis_dataset, argv, what, malformed, reason, state
+    ):
+        path = tmp_path / "named"
+        if state == "malformed":
+            path.write_bytes(malformed)
+        good = pathlib.Path(analysis_dataset).read_bytes()
+        places = {"PATH": str(path), "GOOD": analysis_dataset}
+        code, out, err = run_cli(capsys, *(places.get(arg, arg) for arg in argv))
+        assert code == 1
+        assert out == ""
+        if state == "missing":
+            assert err == (
+                f"error: cannot read {what} {path}: "
+                f"[Errno 2] No such file or directory: '{path}'\n"
+            )
+        else:
+            assert err == f"error: {what} {path}: {reason}\n"
+        assert pathlib.Path(analysis_dataset).read_bytes() == good
+
+
+class TestStdout:
+    """A character stdout cannot encode, such as a lone surrogate that a
+    dataset line may carry as a JSON escape, is printed as its backslash
+    escape; everything else prints as it is."""
+
+    @pytest.fixture()
+    def surrogate_dataset(self, tmp_path):
+        path = tmp_path / "surrogate.jsonl"
+        path.write_text(
+            '{"t":"R","id":"r\\udc80","title":"A","contributors":[["X\\ud800y","author"]],'
+            '"lc":"QA"}\n'
+            '{"t":"L","id":"l1","name":"Lib","country":"US"}\n'
+            '{"t":"H","record":"r\\udc80","library":"l1"}\n'
+        )
+        return str(path)
+
+    @staticmethod
+    def run_to_bytes(monkeypatch, errors, *argv):
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors=errors)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = run(list(argv))
+        stdout.flush()
+        return code, stdout.buffer.getvalue()
+
+    @pytest.mark.parametrize(
+        "fmt, table",
+        [
+            ("csv", b"author,works,publications,holdings\r\nX\\ud800y,1,1,1\n"),
+            (
+                "md",
+                b"| author | works | publications | holdings |\n| --- | --- | --- | --- |\n"
+                b"| X\\ud800y | 1 | 1 | 1 |\n",
+            ),
+            (
+                "jsonl",
+                b'{"author":"X\\ud800y","works":"1","publications":"1","holdings":"1"}\n',
+            ),
+        ],
+    )
+    def test_a_lone_surrogate_prints_escaped(self, monkeypatch, surrogate_dataset, fmt, table):
+        code, out = self.run_to_bytes(
+            monkeypatch, "strict", "indicators", "--authors", "--output", fmt,
+            "--dataset", surrogate_dataset,
+        )
+        assert code == 0
+        assert out == table
+        if fmt == "jsonl":
+            assert json.loads(out)["author"] == "X\ud800y"
+
+    def test_what_stdout_can_encode_prints_as_it_is(self, monkeypatch, surrogate_dataset):
+        code, out = self.run_to_bytes(
+            monkeypatch, "surrogateescape", "indicators", "--all-books", "--output", "csv",
+            "--dataset", surrogate_dataset,
+        )
+        assert code == 0
+        assert out == b"record,title,libcitations,cnls,rank,class_size\r\nr\x80,A,1,1.0000,1,1\n"

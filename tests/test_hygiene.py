@@ -1,9 +1,11 @@
-"""Source hygiene that needs no linter: no module imports a name it never
-uses, no private name, at module level or in a class, goes unused by the
-package, and no public function only forwards to another name."""
+"""Source hygiene that needs no linter: every module parses as the oldest
+Python the package supports, no module imports a name it never uses, no
+private name, at module level or in a class, goes unused by the package,
+and no public function only forwards to another name."""
 
 import ast
 import functools
+import re
 from pathlib import Path
 
 import pytest
@@ -46,6 +48,19 @@ def _referenced_names(tree: ast.AST) -> set[str]:
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 names |= _referenced_names(ast.parse(node.value, mode="eval"))
     return names
+
+
+def _python_floor() -> tuple[int, int]:
+    """The (major, minor) of pyproject.toml's `requires-python = ">=X.Y"`."""
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    (floor,) = re.findall(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject.read_text(), re.M)
+    return int(floor[0]), int(floor[1])
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
+def test_every_module_parses_as_the_oldest_supported_python(path):
+    """Syntax newer than the floor (`except*` is 3.11) would fail there."""
+    ast.parse(path.read_text(encoding="utf-8"), feature_version=_python_floor())
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)

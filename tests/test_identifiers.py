@@ -86,6 +86,19 @@ class TestIsbn:
             with pytest.raises(IsbnFormatError):
                 normalize_isbn(raw)
 
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (9780306406157, "ISBN input must be a string, got int"),
+            ("12345X7890", "ISBN-10 must be 9 digits plus digit or X: '12345X7890'"),
+        ],
+        ids=["not-a-string", "x-inside-isbn10"],
+    )
+    def test_normalize_names_what_is_wrong(self, raw, message):
+        with pytest.raises(IsbnFormatError) as caught:
+            normalize_isbn(raw)
+        assert str(caught.value) == message
+
     def test_normalize_rejects_bad_check_digits(self):
         rng = random.Random(6)
         thirteen = oracles.make_isbn13(rng)

@@ -287,6 +287,11 @@ class TestClassRelative:
         with pytest.raises(NoClassError):
             rank_in_class("r0", snap)
 
+    @pytest.mark.parametrize("indicator", [cnls, rank_in_class])
+    def test_unknown_record_is_named(self, indicator):
+        with pytest.raises(UnknownTargetError, match="^no such record in snapshot: nope$"):
+            indicator("nope", counts_snapshot([3]))
+
     def test_all_zero_class_is_undefined(self):
         snap = counts_snapshot([0, 0])
         with pytest.raises(UndefinedRateError):

@@ -3,6 +3,7 @@
 import copy
 import errno
 import io
+import itertools
 import json
 import os
 import random
@@ -333,6 +334,17 @@ class _Unseekable(io.BytesIO):
         return False
 
 
+class _Chunked:
+    """A reader over `stream` that gives at most `chunk` bytes or
+    characters a read, however many the parser asks for."""
+
+    def __init__(self, stream, chunk: int) -> None:
+        self._stream, self._chunk = stream, chunk
+
+    def read(self, size: int = -1):
+        return self._stream.read(self._chunk if size < 0 else min(size, self._chunk))
+
+
 STREAM_PARSERS = [
     (parse_marc_xml, oracles.marc_record_nodes, ingest._read_marc),
     (parse_dublin_core, oracles.dc_record_nodes, ingest._read_dc),
@@ -341,15 +353,17 @@ STREAM_PARSERS = [
 
 def assert_streams_like_the_whole_tree(document, chunk):
     """Each parser, given `document` (str or bytes), its bytes, and its
-    bytes as an open file that can and cannot seek, returns what the
-    whole-tree oracle returns for the same text or bytes, or raises
-    ParseError with the message that parse raised."""
+    bytes as an open file that can and cannot seek, each read `chunk`
+    at a time, returns what the whole-tree oracle returns for the same
+    text or bytes, or raises ParseError with the message that parse
+    raised."""
     blob = document.encode("utf-8", "surrogatepass") if isinstance(document, str) else document
+    stream = ingest._stream
     for parser, select, read in STREAM_PARSERS:
         forms = [(document, document), (blob, blob), (io.BytesIO(blob), blob),
                  (_Unseekable(blob), blob)]
         for form, whole in forms:
-            with mock.patch.object(ingest, "_CHUNK", chunk):
+            with mock.patch.object(ingest, "_stream", lambda doc: _Chunked(stream(doc), chunk)):
                 try:
                     records, report = parser(form)
                 except ParseError as exc:
@@ -689,6 +703,17 @@ class TestPersistence:
         monkeypatch.undo()
         assert load_dataset(path) == old
         assert [p.name for p in tmp_path.iterdir()] == ["data.jsonl"]
+
+    def test_save_passes_over_a_temp_name_already_taken(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.jsonl"
+        monkeypatch.setattr(ingest, "_temp_ids", itertools.count(7))
+        taken = tmp_path / f".data.jsonl.{os.getpid()}-7"
+        taken.write_text("another writer's")
+        snapshot = CatalogSnapshot([BookRecord("r1", "T")], [], [])
+        save_dataset(snapshot, path)
+        assert load_dataset(path) == snapshot
+        assert taken.read_text() == "another writer's"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [taken.name, "data.jsonl"]
 
     def test_save_gives_the_mode_a_plain_open_gives(self, tmp_path):
         path = tmp_path / "data.jsonl"
