@@ -299,21 +299,22 @@ def cmd_fetch(args) -> int:
 def _load_units(path: str) -> dict[str, tuple[str, list[str]]]:
     """Unit id -> (label, members); a bad line is a DatasetError naming it."""
     units: dict[str, tuple[str, list[str]]] = {}
-    for number, obj in _json_lines(path):
-        try:
-            unit_id, members = obj["id"], obj["members"]
-            label = obj.get("label", unit_id)
-            if not isinstance(unit_id, str) or not isinstance(label, str):
-                raise TypeError("id and label must be strings")
-            if not isinstance(members, list) or not all(
-                isinstance(member, str) for member in members
-            ):
-                raise TypeError("members must be a list of strings")
-            if unit_id in units:
-                raise ValueError(f"unit {unit_id!r} is already defined")
-        except (ValueError, KeyError, TypeError) as exc:
-            raise DatasetError(f"line {number}: {exc}") from exc
-        units[unit_id] = (label, members)
+    with open(path, "rb") as fh:
+        for number, obj in _json_lines(fh):
+            try:
+                unit_id, members = obj["id"], obj["members"]
+                label = obj.get("label", unit_id)
+                if not isinstance(unit_id, str) or not isinstance(label, str):
+                    raise TypeError("id and label must be strings")
+                if not isinstance(members, list) or not all(
+                    isinstance(member, str) for member in members
+                ):
+                    raise TypeError("members must be a list of strings")
+                if unit_id in units:
+                    raise ValueError(f"unit {unit_id!r} is already defined")
+            except (ValueError, KeyError, TypeError) as exc:
+                raise DatasetError(f"line {number}: {exc}") from exc
+            units[unit_id] = (label, members)
     return units
 
 

@@ -23,10 +23,11 @@ and a holder count per record from one pass over the record-index
 column. Distinct holders of a record set come from one method: holdings
 are sorted by record, so a record's holders are one slice of the
 library-index column. Building a view costs O(records + holdings). Its
-two tables are each built on their first read, so a command that reads
-neither pays for neither. `books()` maps record id to BookIndicators; it
-sorts each class's counts, so rank is a binary search and CNLS a
-division. `authors()` maps a folded heading to its AuthorProfile over
+tables are each built on their first read, so a command that reads none
+pays for none. `classes()` sorts each class's counts once; from them
+`books()` maps record id to BookIndicators, so rank is a binary search
+and CNLS a division, and the CNLS column reads them without building
+that table. `authors()` maps a folded heading to its AuthorProfile over
 the work clusters, which fold each distinct name once per snapshot with
 the headings. After that, every indicator is a row, a lookup, or a sum
 over its own members.
@@ -86,18 +87,25 @@ class AuthorProfile:
 
 # --- the compiled view -------------------------------------------------------
 
+def _cnls(count: int, ordered: list[int], total: int) -> Optional[float]:
+    """CNLS of a record with `count` libcitations in a class whose sorted
+    counts and their sum are `ordered` and `total`; None if all are zero."""
+    return count / (total / len(ordered)) if total else None
+
+
 class _View:
     """One (snapshot, filter) pair, compiled once for every indicator.
 
     `filtered` is the filtered snapshot and `counts` its libcitations per
     record. `holders` counts distinct holders of a record set, from the
     start offset of each record's run of holdings, built on the first set
-    or author query. `books()` and `authors()` are the per-book and
-    per-author tables, each built on its first read; work clusters always
-    come from the unfiltered snapshot, since filtering keeps every record.
+    or author query. `classes()` is the per-class step, and `books()` and
+    `authors()` the per-book and per-author tables, each built on its
+    first read; work clusters always come from the unfiltered snapshot,
+    since filtering keeps every record.
     """
 
-    __slots__ = ("source", "filtered", "counts", "_starts", "_books", "_authors")
+    __slots__ = ("source", "filtered", "counts", "_starts", "_classes", "_books", "_authors")
 
     def __init__(
         self, snapshot: CatalogSnapshot, library_filter: Optional[LibraryFilter]
@@ -110,6 +118,7 @@ class _View:
             record.record_id: held[index] for index, record in enumerate(filtered.records)
         }
         self._starts: Optional[dict[str, int]] = None
+        self._classes: Optional[dict[str, tuple[list[int], int]]] = None
         self._books: Optional[dict[str, BookIndicators]] = None
         self._authors: Optional[dict[str, AuthorProfile]] = None
 
@@ -127,21 +136,36 @@ class _View:
                 raise UnknownTargetError(f"no such record in snapshot: {record_id}")
         return ids
 
-    def books(self) -> dict[str, BookIndicators]:
-        """Record id -> BookIndicators, in record-id order; CNLS and rank are
-        None where undefined (no class; for CNLS, an all-zero class too)."""
-        if self._books is None:
+    def classes(self) -> dict[str, tuple[list[int], int]]:
+        """Class -> (its records' libcitations sorted, their sum)."""
+        if self._classes is None:
             by_class: dict[str, list[int]] = {}
             for record, count in zip(self.filtered.records, self.counts.values()):
                 if record.lc_class is not None:
                     by_class.setdefault(record.lc_class, []).append(count)
-            classes = {lc_class: (sorted(v), sum(v)) for lc_class, v in by_class.items()}
+            self._classes = {lc_class: (sorted(v), sum(v)) for lc_class, v in by_class.items()}
+        return self._classes
+
+    def cnls_column(self) -> list[Optional[float]]:
+        """Each record's CNLS, in record-id order; None without a class or
+        in an all-zero class."""
+        classes = self.classes()
+        return [
+            None if record.lc_class is None else _cnls(count, *classes[record.lc_class])
+            for record, count in zip(self.filtered.records, self.counts.values())
+        ]
+
+    def books(self) -> dict[str, BookIndicators]:
+        """Record id -> BookIndicators, in record-id order; CNLS and rank are
+        None where undefined (no class; for CNLS, an all-zero class too)."""
+        if self._books is None:
+            classes = self.classes()
             self._books = books = {}
             for record, count in zip(self.filtered.records, self.counts.values()):
                 cnls_value = rank = None
                 if record.lc_class is not None:
                     ordered, total = classes[record.lc_class]
-                    cnls_value = count / (total / len(ordered)) if total else None
+                    cnls_value = _cnls(count, ordered, total)
                     rank = (1 + len(ordered) - bisect_right(ordered, count), len(ordered))
                 books[record.record_id] = BookIndicators(record.record_id, count, cnls_value, rank)
         return self._books
@@ -466,7 +490,7 @@ def composition_report(
 METRICS: dict[str, Callable[[_View], list[Optional[float]]]] = {
     "libcitations": lambda view: list(view.counts.values()),
     "citations": lambda view: [record.citations for record in view.filtered.records],
-    "cnls": lambda view: [book.cnls for book in view.books().values()],
+    "cnls": lambda view: view.cnls_column(),
 }
 # The metrics a coverage report lists.
 COVERAGE_METRICS = ("libcitations", "citations")
@@ -476,14 +500,15 @@ def metric_columns(
     names: Sequence[str],
     snapshot: CatalogSnapshot,
     library_filter: Optional[LibraryFilter] = None,
-) -> list[tuple[str, list[float]]]:
-    """Each named metric as floats, over the records that carry every one
-    of them (a citation count, a class for CNLS, a class not all zero),
-    in record-id order. Unknown names raise KeyError."""
+) -> list[tuple[str, list[Union[int, float]]]]:
+    """Each named metric's values, as the metric gives them (ints stay
+    exact), over the records that carry every one of them (a citation
+    count, a class for CNLS, a class not all zero), in record-id order.
+    Unknown names raise KeyError."""
     metrics = [METRICS[name] for name in names]
     view = _view(snapshot, library_filter)
     rows = [row for row in zip(*(metric(view) for metric in metrics)) if None not in row]
-    return [(name, [float(row[i]) for row in rows]) for i, name in enumerate(names)]
+    return [(name, [row[i] for row in rows]) for i, name in enumerate(names)]
 
 
 @dataclass(frozen=True, slots=True)

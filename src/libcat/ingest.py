@@ -18,24 +18,40 @@ tagged "R" (record), "L" (library), "H" (holding). Optional fields are
 omitted when absent, never written as null. Saves are deterministic
 (sorted by id), atomic (write-then-rename) and durable (synced before
 and after the rename).
+
+Loading keeps a snapshot sidecar, `<dataset>.snap`: the snapshot last
+decoded from the file, under the sha256 of the bytes it was decoded
+from. A load whose file hashes the same rebuilds that snapshot from the
+sidecar instead of decoding and checking every line again; any other
+load decodes the file and rewrites the sidecar, best-effort. The
+sidecar only ever changes how fast a load is, never what it returns or
+raises.
 """
 
 from __future__ import annotations
 
 import contextlib
 import fcntl
+import functools
 import gc
 import hashlib
 import io
 import itertools
 import json
+import marshal
+import mmap
 import os
 import re
+import stat
 import sys
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
-from typing import BinaryIO, Callable, Iterator, Optional
+from array import array
+from collections import deque
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
+from typing import BinaryIO, Callable, Iterator, Optional, Sequence
 
+from . import model
 from .errors import DatasetError, IsbnError, ParseError
 from .identifiers import normalize_isbn, parse_oclc
 from .model import (
@@ -473,15 +489,16 @@ def save_dataset(snapshot: CatalogSnapshot, path: "str | os.PathLike") -> None:
 _temp_ids = itertools.count()
 
 
-def _write_atomic(path: str, text: str, durable: bool = False) -> None:
-    """Replace the file at `path` with `text` by write-then-rename.
+def _write_atomic(path: str, data: "str | bytes", durable: bool = False) -> None:
+    """Replace the file at `path` with `data` by write-then-rename.
 
     The temp file is unique to this call (named from the process id and
     a per-process counter, created exclusively), so concurrent writers of
     one path never rename or remove each other's temp file: readers see
     one whole version. It is created 0666 less the umask, as open() would.
-    Every caller writes JSON, so a lone surrogate, which UTF-8 cannot
-    encode, is written as its JSON escape (`\\ud800`) and reads back equal.
+    Bytes are written as they are and text as UTF-8. The text callers
+    write JSON, so a lone surrogate, which UTF-8 cannot encode, is written
+    as its JSON escape (`\\ud800`) and reads back equal.
 
     When `durable`, the temp file is synced before the rename and its
     directory after it, so a crash leaves the old or the new file whole,
@@ -489,8 +506,11 @@ def _write_atomic(path: str, text: str, durable: bool = False) -> None:
     is not: it is rewritten on every charged request, 1,104 times in one
     benchmark harvest, and the two syncs took each write from about 0.15
     to 0.55 ms on ext4. A crash can lose its last charges, or leave it
-    empty, which the quota store then reports as unreadable.
+    empty, which the quota store then reports as unreadable. Nor is the
+    snapshot sidecar, which a load can always rebuild.
     """
+    if isinstance(data, str):
+        data = data.encode("utf-8", "backslashreplace")
     directory, name = os.path.split(path)
     while True:
         tmp = os.path.join(directory, f".{name}.{os.getpid()}-{next(_temp_ids)}")
@@ -500,8 +520,8 @@ def _write_atomic(path: str, text: str, durable: bool = False) -> None:
         except FileExistsError:
             continue
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", errors="backslashreplace") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
             if durable:
                 fh.flush()
                 os.fsync(fh.fileno())
@@ -568,12 +588,13 @@ def _decode_line(line: str, number: int) -> object:
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
-def _json_lines(path: "str | os.PathLike") -> Iterator[tuple[int, object]]:
-    """Each non-blank line of a JSON-lines file as (line number from 1,
-    value decoded by `_decode_line`), split as a text-mode read splits
-    lines. A leading UTF-8 byte-order mark is skipped; a byte that is not
-    UTF-8 is a DatasetError naming its line."""
-    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+def _json_lines(binary: BinaryIO) -> Iterator[tuple[int, object]]:
+    """Each non-blank line of an open JSON-lines file, read as text, as
+    (line number from 1, value decoded by `_decode_line`), split as a
+    text-mode read splits lines. A leading UTF-8 byte-order mark is
+    skipped; a byte that is not UTF-8 is a DatasetError naming its line.
+    Closes the file when the lines run out."""
+    with io.TextIOWrapper(binary, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for number, raw in enumerate(fh, start=1):
             if not raw.isascii() and (bad := _ESCAPED_BYTE.search(raw)) is not None:
                 byte = ord(bad.group()) - 0xDC00
@@ -599,6 +620,14 @@ def _collector_paused() -> Iterator[None]:
 def load_dataset(path: "str | os.PathLike") -> CatalogSnapshot:
     """Load a canonical dataset file; malformed lines name their line number.
 
+    A regular file is first looked up in its snapshot sidecar,
+    `<path>.snap`: when the sidecar holds the snapshot last decoded from
+    exactly these bytes, by this code, that snapshot is rebuilt from it
+    and nothing is decoded (see `_read_sidecar`). Otherwise, the sidecar
+    missing, stale, foreign or unreadable, the lines are decoded as
+    below, and the sidecar is then rewritten, best-effort, under the
+    digest of the bytes that were decoded.
+
     Holding lines are most lines, so their tag is tested first. Each is
     checked by `_check_holding`, and its three strings are interned into
     three lists, which the snapshot reads as triples: ids and channels
@@ -609,6 +638,25 @@ def load_dataset(path: "str | os.PathLike") -> CatalogSnapshot:
     many objects and no reference cycles, so every collection it would
     set off walks a growing heap for nothing.
     """
+    with open(path, "rb", buffering=0) as raw:
+        if not stat.S_ISREG(os.fstat(raw.fileno()).st_mode):
+            return _decode_dataset(io.BufferedReader(raw))
+        sidecar = os.fsdecode(path) + ".snap"
+        try:
+            snapshot = _read_sidecar(sidecar, _sha256(raw))
+        except OSError:
+            snapshot = None
+        if snapshot is not None:
+            return snapshot
+        raw.seek(0)
+        hashed = _Hashed(raw)
+        snapshot = _decode_dataset(io.BufferedReader(hashed))
+    _write_sidecar(sidecar, hashed.sha.digest(), snapshot)
+    return snapshot
+
+
+def _decode_dataset(binary: BinaryIO) -> CatalogSnapshot:
+    """The snapshot the JSON lines of `binary` hold, checked line by line."""
     records: list[BookRecord] = []
     libraries: list[LibraryOrg] = []
     holding_records: list[str] = []
@@ -617,7 +665,7 @@ def load_dataset(path: "str | os.PathLike") -> CatalogSnapshot:
     contributors: dict[tuple[str, str], Contributor] = {}
     intern = sys.intern
     with _collector_paused():
-        for number, obj in _json_lines(path):
+        for number, obj in _json_lines(binary):
             if not isinstance(obj, dict) or "t" not in obj:
                 raise DatasetError(f"line {number}: expected an object with a 't' tag")
             tag = obj["t"]
@@ -649,6 +697,238 @@ def load_dataset(path: "str | os.PathLike") -> CatalogSnapshot:
                 raise DatasetError(f"line {number}: {exc}") from exc
         holdings = zip(holding_records, holding_libraries, holding_channels)
         return CatalogSnapshot(records, libraries, holdings)
+
+
+# --- snapshot sidecar ----------------------------------------------------------
+#
+# `<dataset>.snap` is _SNAP_MAGIC, then three sha256 digests (the dataset
+# bytes the snapshot was decoded from, `_layout_key()`, the payload), then
+# the payload: `_snapshot_columns` of the snapshot, marshalled. marshal
+# reads back only plain values and runs no code, unlike pickle.
+
+_SNAP_MAGIC = b"libcat snapshot sidecar\n"
+_DIGEST_SIZE = hashlib.sha256().digest_size
+_HASH_CHUNK = 1 << 16  # below the allocator's default mmap threshold
+
+
+def _sha256(raw: BinaryIO) -> bytes:
+    """The sha256 of what is left to read in `raw`, read a chunk at a time."""
+    sha = hashlib.sha256()
+    buffer = bytearray(_HASH_CHUNK)
+    with memoryview(buffer) as view:
+        while count := raw.readinto(buffer):
+            sha.update(view[:count])
+    return sha.digest()
+
+
+class _Hashed(io.RawIOBase):
+    """`raw` read through, every byte it hands on added to `sha`."""
+
+    def __init__(self, raw: BinaryIO) -> None:
+        super().__init__()
+        self.raw = raw
+        self.sha = hashlib.sha256()
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        count = self.raw.readinto(buffer)
+        with memoryview(buffer) as view:
+            self.sha.update(view[:count])
+        return count
+
+
+@functools.cache
+def _layout_key() -> bytes:
+    """A digest of everything a sidecar's payload depends on beyond the
+    dataset bytes: the entity fields, the marshal format, the byte order
+    and item sizes of the holding columns, and the source of this module
+    and of the model, whose checks the snapshot passed. A sidecar written
+    under any other key is stale."""
+    sha = hashlib.sha256()
+    layout = (
+        [[f.name for f in fields(kind)] for kind in (BookRecord, Isbn, Contributor, LibraryOrg)],
+        marshal.version,
+        sys.byteorder,
+        array("I").itemsize,
+        array("B").itemsize,
+    )
+    sha.update(repr(layout).encode())
+    for module in (model, sys.modules[__name__]):
+        with open(module.__file__, "rb") as source:
+            sha.update(source.read())
+    return sha.digest()
+
+
+def _snapshot_columns(snapshot: CatalogSnapshot) -> tuple:
+    """A snapshot as plain values: one column per record field and per
+    library field, then the three holding columns as bytes. A record
+    field that holds a tuple of entities (contributors, ISBNs) is the
+    pair (the distinct entities' values, each record's tuple as indexes
+    into those), so each distinct entity is rebuilt once."""
+    records = snapshot.records
+
+    def column(name: str) -> tuple:
+        cells = tuple(map(attrgetter(name), records))
+        if name not in _SHARED:
+            return cells
+        value_of = _SHARED[name][0]
+        values: dict = {}  # each distinct value -> its index
+        indexes = tuple(
+            tuple(values.setdefault(value_of(entity), len(values)) for entity in entities)
+            for entities in cells
+        )
+        return tuple(values), indexes
+
+    library_columns = tuple(
+        tuple(
+            tuple(sorted(library.memberships)) if f.name == "memberships"
+            else getattr(library, f.name)
+            for library in snapshot.libraries
+        )
+        for f in fields(LibraryOrg)
+    )
+    return (
+        tuple(column(f.name) for f in fields(BookRecord)),
+        library_columns,
+        snapshot.holding_records.tobytes(),
+        snapshot.holding_libraries.tobytes(),
+        snapshot.holding_channels.tobytes(),
+    )
+
+
+# A record field that holds a tuple of entities -> (the plain value that
+# `_snapshot_columns` writes for an entity, how `_rebuild` builds the
+# entities back from a tuple of those values).
+_SHARED: dict[str, tuple[Callable, Callable[[tuple], list]]] = {
+    "contributors": (
+        lambda contributor: (contributor.name, contributor.role),
+        lambda pairs: [Contributor(name, role) for name, role in pairs],
+    ),
+    "isbns": (lambda isbn: isbn.digits, lambda digits: _entities(Isbn, [digits])),
+}
+
+
+def _entities(kind: type, columns: Sequence[Sequence]) -> list:
+    """Entities of the frozen dataclass `kind` whose fields hold `columns`
+    (one per field, in field order), built without `__post_init__`: only
+    for values taken from entities that passed it."""
+    names = [f.name for f in fields(kind)]
+    if len(columns) != len(names) or len(set(map(len, columns))) != 1:
+        raise ValueError("columns do not fit the fields")
+    entities = list(map(object.__new__, itertools.repeat(kind, len(columns[0]))))
+    for name, column in zip(names, columns):
+        deque(map(getattr(kind, name).__set__, entities, column), maxlen=0)
+    return entities
+
+
+def _rebuild(columns: tuple) -> CatalogSnapshot:
+    """The snapshot that `_snapshot_columns` turned into `columns`. Each
+    distinct contributor is built, and so checked, once; the holding
+    columns are read back from their bytes, and the memo starts empty."""
+    record_columns, library_columns, *holdings = columns
+    record_columns = list(record_columns)
+    for i, f in enumerate(fields(BookRecord)):
+        if f.name in _SHARED:
+            values, indexes = record_columns[i]
+            entities = _SHARED[f.name][1](values)
+            record_columns[i] = [tuple(map(entities.__getitem__, each)) for each in indexes]
+    library_columns = [
+        [frozenset(tags) for tags in column] if f.name == "memberships" else column
+        for f, column in zip(fields(LibraryOrg), library_columns)
+    ]
+    holding_records, holding_libraries, holding_channels = array("I"), array("I"), array("B")
+    for column, data in zip((holding_records, holding_libraries, holding_channels), holdings):
+        column.frombytes(data)
+    return CatalogSnapshot._from_columns(
+        tuple(_entities(BookRecord, record_columns)),
+        tuple(_entities(LibraryOrg, library_columns)),
+        holding_records,
+        holding_libraries,
+        holding_channels,
+    )
+
+
+def _open_sidecar(sidecar: str) -> Optional[BinaryIO]:
+    """`sidecar` open for reading when it is a regular file, else None;
+    a FIFO of that name is not waited on. FileNotFoundError if absent."""
+    fh = open(os.open(sidecar, os.O_RDONLY | os.O_NONBLOCK), "rb")
+    if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        return fh
+    fh.close()
+    return None
+
+
+def _read_sidecar(sidecar: str, digest: bytes) -> Optional[CatalogSnapshot]:
+    """The snapshot in `sidecar` when it is whole and was written from the
+    dataset bytes whose sha256 is `digest`, under this `_layout_key()`;
+    else None. May raise OSError.
+
+    Such a snapshot passed every check of a load, so it is rebuilt
+    without them. Equal bytes give an equal snapshot, so a hand edit of
+    the dataset, or a change of this code, is a miss, never stale data.
+    """
+    fh = _open_sidecar(sidecar)
+    if fh is None:
+        return None
+    with fh:
+        header = fh.read(len(_SNAP_MAGIC) + 3 * _DIGEST_SIZE)
+        if header[:-_DIGEST_SIZE] != _SNAP_MAGIC + digest + _layout_key():
+            return None
+        # The payload is read into memory mapped for this load alone and
+        # unmapped after it: a buffer from the allocator would leave the
+        # heap holding its size, which raised a caller's peak RSS.
+        size = os.fstat(fh.fileno()).st_size - len(header)
+        with mmap.mmap(-1, max(size, 1)) as buffer, \
+                memoryview(buffer)[: fh.readinto(buffer)] as payload:
+            if hashlib.sha256(payload).digest() != header[-_DIGEST_SIZE:]:
+                return None
+            with _collector_paused():
+                try:
+                    columns = marshal.loads(payload)
+                except (EOFError, ValueError, TypeError):
+                    return None
+    with _collector_paused():
+        try:
+            return _rebuild(columns)
+        except (ValueError, TypeError, IndexError):
+            return None
+
+
+def _replaceable(sidecar: str) -> bool:
+    """Whether `sidecar` is absent or starts as a sidecar does: a file of
+    that name that is no sidecar is the user's, and stays. May raise
+    OSError."""
+    try:
+        fh = _open_sidecar(sidecar)
+    except FileNotFoundError:
+        return True
+    if fh is None:
+        return False
+    with fh:
+        return fh.read(len(_SNAP_MAGIC)) == _SNAP_MAGIC
+
+
+def _write_sidecar(sidecar: str, digest: bytes, snapshot: CatalogSnapshot) -> None:
+    """Write `snapshot` as the sidecar of the dataset bytes whose sha256 is
+    `digest`, unless a file that is no sidecar holds the name.
+
+    Best-effort: an OSError (a read-only directory, a name too long)
+    leaves things as they are and costs the next load one decode. Not
+    durable, for the same reason, and unlocked, so a load never waits on
+    a save: the header ties the payload to its dataset bytes, and the
+    rename is atomic.
+    """
+    try:
+        if not _replaceable(sidecar):
+            return
+        with _collector_paused():
+            payload = marshal.dumps(_snapshot_columns(snapshot))
+        header = _SNAP_MAGIC + digest + _layout_key() + hashlib.sha256(payload).digest()
+        _write_atomic(sidecar, header + payload)
+    except OSError:
+        pass
 
 
 def merge_snapshots(base: CatalogSnapshot, delta: CatalogSnapshot) -> CatalogSnapshot:

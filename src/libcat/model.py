@@ -390,6 +390,33 @@ class CatalogSnapshot:
         self._records_by_id = records_by_id
         self._libraries_by_id = libraries_by_id
 
+    @classmethod
+    def _from_columns(
+        cls,
+        records: tuple[BookRecord, ...],
+        libraries: tuple[LibraryOrg, ...],
+        holding_records: array,
+        holding_libraries: array,
+        holding_channels: array,
+        records_by_id: Optional[dict[str, BookRecord]] = None,
+    ) -> "CatalogSnapshot":
+        """A snapshot over finished parts, taken as they are and unchecked:
+        entity tuples sorted by id and holding columns that index them,
+        sorted by (record, library). The id lookups are built here unless
+        `records_by_id`, a lookup over these very records, is given."""
+        snapshot = cls.__new__(cls)
+        snapshot.records = records
+        snapshot.libraries = libraries
+        snapshot.holding_records = holding_records
+        snapshot.holding_libraries = holding_libraries
+        snapshot.holding_channels = holding_channels
+        snapshot.memo = {}
+        if records_by_id is None:
+            records_by_id = {record.record_id: record for record in records}
+        snapshot._records_by_id = records_by_id
+        snapshot._libraries_by_id = {library.library_id: library for library in libraries}
+        return snapshot
+
     # equality is structural over the entity sets; the memo is derived
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CatalogSnapshot):
@@ -469,15 +496,11 @@ def apply_filter(
         renumbered[li] is not None and channel_kept[code]
         for li, code in zip(snapshot.holding_libraries, snapshot.holding_channels)
     ]
-    filtered = CatalogSnapshot.__new__(CatalogSnapshot)
-    filtered.records = snapshot.records
-    filtered.libraries = tuple(kept)
-    filtered.holding_records = array("I", compress(snapshot.holding_records, mask))
-    filtered.holding_libraries = array(
-        "I", [renumbered[li] for li in compress(snapshot.holding_libraries, mask)]
+    return CatalogSnapshot._from_columns(
+        snapshot.records,
+        tuple(kept),
+        array("I", compress(snapshot.holding_records, mask)),
+        array("I", [renumbered[li] for li in compress(snapshot.holding_libraries, mask)]),
+        array("B", compress(snapshot.holding_channels, mask)),
+        snapshot._records_by_id,
     )
-    filtered.holding_channels = array("B", compress(snapshot.holding_channels, mask))
-    filtered.memo = {}
-    filtered._records_by_id = snapshot._records_by_id
-    filtered._libraries_by_id = {library.library_id: library for library in kept}
-    return filtered

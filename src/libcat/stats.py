@@ -8,7 +8,10 @@ by construction. No p-values: only the coefficient is reported.
 `correlation_matrix` is the one computation: it ranks each column once
 and owns the input rules (equal lengths, at least two rows, finite
 values, then no constant column). `spearman(xs, ys)` is its two-column
-case and has no rules of its own.
+case and has no rules of its own. Values are ranked as given, never
+cast to float: ints compare exactly however large, so the coefficient
+depends only on each column's order, and only a float can be infinite
+or NaN.
 """
 
 from __future__ import annotations
@@ -73,13 +76,13 @@ def correlation_matrix(columns: Sequence[tuple[str, Sequence[float]]]) -> Correl
         raise ValueError("need at least two columns")
     if len(set(labels)) != len(labels):
         raise ValueError("column labels must be unique")
-    vectors = [tuple(float(v) for v in vector) for _, vector in columns]
+    vectors = [tuple(vector) for _, vector in columns]
     length = len(vectors[0])
     if any(len(v) != length for v in vectors):
         raise ValueError("columns must have equal lengths")
     if length < 2:
         raise SampleSizeError(f"need at least 2 complete rows, got {length}")
-    if not all(math.isfinite(v) for vector in vectors for v in vector):
+    if not all(isinstance(v, int) or math.isfinite(v) for vector in vectors for v in vector):
         raise ValueError("columns must be finite")
     for label, vector in zip(labels, vectors):
         if min(vector) == max(vector):

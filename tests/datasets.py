@@ -377,3 +377,61 @@ def edge_examples(test):
     for value in EDGE_VALUES:
         test = example(value=value)(test)
     return test
+
+
+# --- catalogs of any text -------------------------------------------------
+
+# Non-blank text of any code point, a lone surrogate included, as a
+# dataset line may carry it escaped.
+ANY_TEXT = st.text(
+    st.characters() | st.sampled_from(("\ud800", "\udbff", "\udc80", "\udfff")),
+    min_size=1,
+    max_size=6,
+).filter(str.strip)
+
+
+@st.composite
+def text_catalogs(draw) -> CatalogSnapshot:
+    """A small catalog whose text fields draw from ANY_TEXT and whose
+    counts may pass float precision; authors repeat across records."""
+    names = draw(st.lists(ANY_TEXT, min_size=1, max_size=3))
+    optional_text = st.none() | ANY_TEXT
+    roles = st.sampled_from(("author", "editor", "other"))
+    records = [
+        BookRecord(
+            record_id,
+            draw(ANY_TEXT),
+            oclc=draw(st.none() | st.integers(1, 2**70)),
+            isbns=tuple(
+                make_isbn(random.Random(seed))
+                for seed in draw(st.lists(st.integers(0, 9), max_size=2))
+            ),
+            contributors=tuple(
+                Contributor(name, role)
+                for name, role in draw(st.lists(st.tuples(st.sampled_from(names), roles), max_size=3))
+            ),
+            year=draw(st.none() | st.integers(-3000, 3000)),
+            language=draw(optional_text),
+            lc_class=draw(st.none() | st.sampled_from(names)),
+            format=draw(st.sampled_from(("print", "ebook", "unknown"))),
+            citations=draw(st.none() | st.integers(0, 2**70)),
+        )
+        for record_id in draw(st.lists(ANY_TEXT, max_size=6, unique=True))
+    ]
+    libraries = [
+        LibraryOrg(
+            library_id,
+            draw(ANY_TEXT),
+            draw(st.sampled_from(COUNTRIES) | ANY_TEXT),
+            draw(st.sampled_from(KINDS)),
+            frozenset(draw(st.lists(ANY_TEXT, max_size=2))),
+        )
+        for library_id in draw(st.lists(ANY_TEXT, max_size=4, unique=True))
+    ]
+    holdings = [
+        Holding(record.record_id, library.library_id, draw(st.sampled_from(CHANNELS)))
+        for record in records
+        for library in libraries
+        if draw(st.booleans())
+    ]
+    return CatalogSnapshot(records, libraries, holdings)

@@ -399,7 +399,9 @@ class TestIngest:
         assert code == 1
         assert err.startswith("error: cannot write dataset")
         assert "Traceback" not in err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["analysis.jsonl", name + ".lock"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "analysis.jsonl", "analysis.jsonl.snap", name + ".lock"
+        ]
 
     def test_ingest_after_a_killed_save_works_and_leaves_its_temp_file(
         self, capsys, tmp_path, subprocess_env
@@ -876,8 +878,8 @@ class TestIndicatorsCommand:
             (["correlate"], set()),
             (["indicators", "--unit", "pair=b1,b2", "--benchmark", "@all"], set()),
             (["indicators", "--authors"], {"authors"}),
-            (["indicators", "--all-books"], {"books"}),
-            (["correlate", "--metrics", "libcitations,cnls"], {"books"}),
+            (["indicators", "--all-books"], {"classes", "books"}),
+            (["correlate", "--metrics", "libcitations,cnls"], {"classes"}),
         ],
         ids=["report", "correlate", "unit", "authors", "all-books", "correlate-cnls"],
     )
@@ -885,15 +887,19 @@ class TestIndicatorsCommand:
         self, capsys, analysis_dataset, monkeypatch, argv, read
     ):
         seen = set()
-        for name in ("books", "authors"):
+        for name in ("classes", "books", "authors"):
             def spy(view, name=name, table=getattr(indicators._View, name)):
                 seen.add(name)
                 return table(view)
 
             monkeypatch.setattr(indicators._View, name, spy)
+        rows = []
+        book_row = indicators.BookIndicators
+        monkeypatch.setattr(indicators, "BookIndicators", lambda *a: rows.append(a) or book_row(*a))
         code, _, _ = run_cli(capsys, *argv, "--dataset", analysis_dataset)
         assert code == 0
         assert seen == read
+        assert bool(rows) == ("books" in read)
 
     def test_unknown_author_exits_four(self, capsys, analysis_dataset):
         code, _, err = run_cli(
@@ -1192,6 +1198,29 @@ class TestCorrelateCommand:
         code, _, err = run_cli(capsys, "correlate", "--dataset", str(path))
         assert code == 5
         assert err == "error: metric 'libcitations' is constant\n"
+
+    @pytest.mark.parametrize(
+        "citations", [(10**400, 5, 1), (2**53 + 1, 2**53, 1)],
+        ids=["past-float-range", "past-2**53"],
+    )
+    @pytest.mark.parametrize("matrix", [(), ("--matrix",)], ids=["pair", "matrix"])
+    def test_huge_citation_counts_rank_by_their_order(self, capsys, tmp_path, citations, matrix):
+        # held by 3, 2 and 1 libraries, in the citations' order, so rho is 1
+        records = [BookRecord(f"c{i}", f"T{i}", citations=c) for i, c in enumerate(citations)]
+        libraries = [LibraryOrg(f"l{j}", "Lib", "US") for j in range(3)]
+        holdings = [Holding(f"c{i}", f"l{j}") for i in range(3) for j in range(3 - i)]
+        path = tmp_path / "huge.jsonl"
+        save_dataset(CatalogSnapshot(records, libraries, holdings), path)
+        assert f'"citations":{citations[0]}' in path.read_text()
+        code, out, err = run_cli(
+            capsys, "correlate", *matrix, "--output", "csv", "--dataset", str(path)
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines() == (
+            ["metric,libcitations,citations", "libcitations,1.0000,1.0000",
+             "citations,1.0000,1.0000"]
+            if matrix else ["1.0000"]
+        )
 
     def test_nan_citation_exits_one(self, capsys, tmp_path):
         path = tmp_path / "nan.jsonl"

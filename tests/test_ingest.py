@@ -2,12 +2,15 @@
 
 import copy
 import errno
+import hashlib
 import io
 import itertools
 import json
+import marshal
 import os
 import random
 import stat
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -651,7 +654,7 @@ class TestPersistence:
         save_dataset(first, path)
         save_dataset(second, path)
         assert load_dataset(path) == second
-        assert [p.name for p in tmp_path.iterdir()] == ["data.jsonl"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "data.jsonl.snap"]
 
     def test_failed_rename_keeps_the_old_file_and_no_temp_file(self, tmp_path, monkeypatch):
         path = tmp_path / "data.jsonl"
@@ -666,7 +669,7 @@ class TestPersistence:
             save_dataset(CatalogSnapshot([BookRecord("r2", "New")], [], []), path)
         monkeypatch.undo()
         assert load_dataset(path) == old
-        assert [p.name for p in tmp_path.iterdir()] == ["data.jsonl"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "data.jsonl.snap"]
 
     def test_save_syncs_the_file_before_the_rename_and_the_directory_after(
         self, tmp_path, monkeypatch
@@ -702,7 +705,7 @@ class TestPersistence:
             save_dataset(CatalogSnapshot([BookRecord("r2", "New")], [], []), path)
         monkeypatch.undo()
         assert load_dataset(path) == old
-        assert [p.name for p in tmp_path.iterdir()] == ["data.jsonl"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "data.jsonl.snap"]
 
     def test_save_passes_over_a_temp_name_already_taken(self, tmp_path, monkeypatch):
         path = tmp_path / "data.jsonl"
@@ -713,7 +716,9 @@ class TestPersistence:
         save_dataset(snapshot, path)
         assert load_dataset(path) == snapshot
         assert taken.read_text() == "another writer's"
-        assert sorted(p.name for p in tmp_path.iterdir()) == [taken.name, "data.jsonl"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            taken.name, "data.jsonl", "data.jsonl.snap"
+        ]
 
     def test_save_gives_the_mode_a_plain_open_gives(self, tmp_path):
         path = tmp_path / "data.jsonl"
@@ -901,3 +906,202 @@ class TestIllTypedFields:
             return
         save_dataset(loaded, path)
         assert load_dataset(path) == loaded
+
+
+def counted_load(path):
+    """(snapshot, lines decoded, snapshots built through __init__) of one
+    load_dataset call: a hit decodes and builds none."""
+    with mock.patch.object(ingest, "_decode_line", wraps=ingest._decode_line) as decode, \
+            mock.patch.object(CatalogSnapshot, "__init__", autospec=True,
+                              side_effect=CatalogSnapshot.__init__) as build:
+        snapshot = load_dataset(path)
+    return snapshot, decode.call_count, build.call_count
+
+
+def assert_hit_equals_json_load(path):
+    """The first load of `path` decodes it and writes its sidecar; the
+    second rebuilds an equal snapshot from the sidecar alone."""
+    sidecar = path.with_name(path.name + ".snap")
+    sidecar.unlink(missing_ok=True)
+    miss, _, built = counted_load(path)
+    assert built == 1 and sidecar.is_file()
+    hit, decoded, built = counted_load(path)
+    assert (decoded, built) == (0, 0)
+    assert hit == miss and hit.memo == {}
+    assert list(hit.holdings()) == list(miss.holdings())
+    assert all(hit.get_record(r.record_id) is r for r in hit.records)
+    assert all(hit.get_library(lib.library_id) is lib for lib in hit.libraries)
+    return miss
+
+
+SNAPSHOT_BUILDERS = [
+    datasets.five_author_ranking,
+    datasets.single_author_editions,
+    datasets.diffusion_study,
+    datasets.membership_composition,
+    datasets.holdings_coverage,
+    lambda: datasets.classed_snapshot(random.Random(5), 6, large_classes=1)[0],
+    lambda: datasets.random_snapshot(random.Random(11), max_records=60, max_libraries=15),
+    lambda: CatalogSnapshot((), (), ()),
+]
+
+
+class TestSnapshotSidecar:
+    """`<dataset>.snap`: a hit rebuilds the snapshot the JSON path gives,
+    and a sidecar that is missing, stale, broken or foreign is a silent
+    miss that takes the JSON path."""
+
+    @pytest.mark.parametrize("build", SNAPSHOT_BUILDERS)
+    def test_a_hit_equals_the_json_load(self, tmp_path, build):
+        path = tmp_path / "data.jsonl"
+        save_dataset(build(), path)
+        assert assert_hit_equals_json_load(path) == build()
+
+    @settings(max_examples=60, deadline=None)
+    @given(snapshot=datasets.text_catalogs())
+    def test_a_hit_equals_the_json_load_on_any_text(self, tmp_path_factory, snapshot):
+        path = tmp_path_factory.mktemp("ds") / "data.jsonl"
+        save_dataset(snapshot, path)
+        assert_hit_equals_json_load(path)
+
+    @staticmethod
+    def broken(path, how):
+        """Break `path`'s sidecar, or the layout key it was written under."""
+        sidecar = path.with_name(path.name + ".snap")
+        data = bytearray(sidecar.read_bytes())
+        header = len(ingest._SNAP_MAGIC) + 3 * ingest._DIGEST_SIZE
+        if how == "payload-byte":
+            data[-1] ^= 0x01
+        elif how.startswith("truncated"):
+            data = data[: {"truncated-empty": 0, "truncated-magic": 5,
+                           "truncated-header": header - 1, "truncated-payload": len(data) - 1}[how]]
+        elif how == "foreign":
+            data = bytearray(b"libcat snapshot sidecar?" + data[len(ingest._SNAP_MAGIC):])
+        else:  # a payload that passes its digest but is no snapshot
+            payload = {"unmarshal-error": b"\xff\x00", "not-columns": marshal.dumps((1, 2))}[how]
+            data = data[: header - ingest._DIGEST_SIZE] + hashlib.sha256(payload).digest()
+            data += payload
+        sidecar.write_bytes(bytes(data))
+
+    @pytest.mark.parametrize(
+        "how",
+        ["payload-byte", "truncated-empty", "truncated-magic", "truncated-header",
+         "truncated-payload", "foreign", "unmarshal-error", "not-columns"],
+    )
+    def test_a_broken_sidecar_is_a_miss(self, tmp_path, how):
+        path = tmp_path / "data.jsonl"
+        snapshot = datasets.diffusion_study()
+        save_dataset(snapshot, path)
+        load_dataset(path)
+        self.broken(path, how)
+        loaded, decoded, _ = counted_load(path)
+        assert decoded and loaded == snapshot
+
+    def test_a_flipped_dataset_byte_is_a_miss(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        save_dataset(CatalogSnapshot([BookRecord("r1", "Alpha")], (), ()), path)
+        load_dataset(path)
+        data = bytearray(path.read_bytes())
+        data[data.index(b"Alpha")] ^= 0x02  # "Alpha" becomes "Clpha"
+        path.write_bytes(bytes(data))
+        loaded, decoded, _ = counted_load(path)
+        assert decoded and [r.title for r in loaded.records] == ["Clpha"]
+        assert_hit_equals_json_load(path)
+
+    def test_a_changed_layout_key_is_a_miss(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.jsonl"
+        snapshot = datasets.diffusion_study()
+        save_dataset(snapshot, path)
+        load_dataset(path)
+        monkeypatch.setattr(ingest, "_layout_key", lambda: b"\x00" * ingest._DIGEST_SIZE)
+        loaded, decoded, _ = counted_load(path)
+        assert decoded and loaded == snapshot
+        # the miss rewrote the sidecar under the new key
+        assert counted_load(path)[1:] == (0, 0)
+
+    def test_the_sidecar_holds_the_digest_of_the_bytes_decoded(self, tmp_path, monkeypatch):
+        """A dataset rewritten between the hash and the decode gets a
+        sidecar of what was decoded, under those bytes' digest."""
+        path = tmp_path / "data.jsonl"
+        old, new = (CatalogSnapshot([BookRecord("r1", title)], (), ()) for title in ("Old", "New"))
+        save_dataset(new, path)
+        new_bytes = path.read_bytes()
+        save_dataset(old, path)
+        sha256 = ingest._sha256
+
+        def rewrite_after_hashing(raw):
+            digest = sha256(raw)
+            with open(path, "r+b") as fh:  # the same file, so the decode reads it
+                fh.write(new_bytes)
+            return digest
+
+        monkeypatch.setattr(ingest, "_sha256", rewrite_after_hashing)
+        assert load_dataset(path) == new
+        monkeypatch.undo()
+        assert counted_load(path) == (new, 0, 0)
+        save_dataset(old, path)
+        loaded, decoded, _ = counted_load(path)
+        assert decoded and loaded == old
+
+    @pytest.mark.parametrize("kind", ["file", "directory", "fifo"])
+    def test_a_file_that_is_no_sidecar_is_left_as_it_is(self, tmp_path, kind):
+        path = tmp_path / "data.jsonl"
+        sidecar = tmp_path / "data.jsonl.snap"
+        snapshot = datasets.single_author_editions()
+        save_dataset(snapshot, path)
+        if kind == "file":
+            sidecar.write_bytes(b"the user's own notes\n")
+        elif kind == "directory":
+            sidecar.mkdir()
+        else:
+            os.mkfifo(sidecar)
+        for _ in range(2):
+            loaded, decoded, _ = counted_load(path)
+            assert decoded and loaded == snapshot
+        if kind == "file":
+            assert sidecar.read_bytes() == b"the user's own notes\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "data.jsonl.snap"]
+
+    def test_a_dataset_that_is_no_regular_file_is_decoded(self, tmp_path):
+        snapshot = datasets.single_author_editions()
+        saved = tmp_path / "saved.jsonl"
+        save_dataset(snapshot, saved)
+        fifo = tmp_path / "data.jsonl"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(saved.read_bytes(),))
+        writer.start()
+        try:
+            loaded, decoded, _ = counted_load(fifo)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert decoded and loaded == snapshot
+        assert not (tmp_path / "data.jsonl.snap").exists()
+
+    def test_a_failed_sidecar_write_is_silent(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.jsonl"
+        snapshot = datasets.diffusion_study()
+        save_dataset(snapshot, path)
+
+        def refuse(*args, **kwargs):
+            raise OSError(errno.EROFS, "read-only file system")
+
+        monkeypatch.setattr(ingest, "_write_atomic", refuse)
+        assert load_dataset(path) == snapshot
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl"]
+
+    def test_a_bad_line_reads_as_before_after_a_valid_load(self, tmp_path):
+        path, fresh = tmp_path / "data.jsonl", tmp_path / "fresh.jsonl"
+        save_dataset(datasets.single_author_editions(), path)
+        load_dataset(path)
+        bad = path.read_text(encoding="utf-8") + '{"t":"H","record":"r1"}\n'
+        for target in (path, fresh):
+            target.write_text(bad, encoding="utf-8")
+        messages = []
+        for target in (path, fresh):
+            with pytest.raises(DatasetError) as failure:
+                load_dataset(target)
+            messages.append(str(failure.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith(f"line {bad.count(chr(10))}: ")
+        assert not fresh.with_name("fresh.jsonl.snap").exists()

@@ -2,6 +2,7 @@
 and renderer composed through `cli.run`, on generated catalogs."""
 
 import contextlib
+import errno
 import gc
 import importlib.util
 import io
@@ -11,12 +12,14 @@ import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import datasets
+from libcat import ingest
 from libcat.cli import run
 from libcat.errors import DatasetError, IntegrityError
 from libcat.ingest import load_dataset, merge_snapshots, save_dataset
@@ -321,3 +324,53 @@ def test_load_leaves_the_collector_as_it_found_it(tmp_path, enabled):
     finally:
         (gc.enable if caller else gc.disable)()
     assert state_after_load is state_after_bad_line is state_after_bad_reference is enabled
+
+
+def streams(path: Path, analyses=ANALYSES) -> list[tuple[int, str, str]]:
+    """Exit code, standard output and standard error of each analysis in
+    every format."""
+    results = []
+    for analysis in analyses:
+        for fmt in ("csv", "md", "jsonl"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run([*analysis, "--dataset", str(path), "--output", fmt])
+            results.append((code, out.getvalue(), err.getvalue()))
+    return results
+
+
+def check_sidecar_changes_no_output(snapshot) -> None:
+    """Every analysis, in every format, prints the same bytes, on both
+    streams, and exits the same when the load misses the snapshot sidecar
+    (and writes it), when it hits, and when the sidecar cannot be written."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "catalog.jsonl"
+        sidecar = Path(tmp) / "catalog.jsonl.snap"
+        save_dataset(snapshot, path)
+        on_miss = []
+        for analysis in ANALYSES:
+            sidecar.unlink(missing_ok=True)
+            on_miss += streams(path, (analysis,))
+            assert sidecar.is_file()
+        with mock.patch.object(ingest, "_decode_line") as decode:
+            assert streams(path) == on_miss
+        assert not decode.called
+        sidecar.unlink()
+        refused = OSError(errno.EROFS, "read-only file system")
+        with mock.patch.object(ingest, "_write_atomic", side_effect=refused):
+            assert streams(path) == on_miss
+        assert not sidecar.exists()
+
+
+@pytest.mark.parametrize(
+    "build", [datasets.single_author_editions, datasets.diffusion_study, bench_tiny_catalog],
+    ids=lambda build: build.__name__,
+)
+def test_sidecar_changes_no_output_on_fixed_catalogs(build):
+    check_sidecar_changes_no_output(build())
+
+
+@settings(max_examples=10, deadline=None)
+@given(datasets.text_catalogs())
+def test_sidecar_changes_no_output_on_any_text(snapshot):
+    check_sidecar_changes_no_output(snapshot)

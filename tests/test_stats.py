@@ -1,5 +1,6 @@
 """Rank correlation against an independently coded oracle."""
 
+import itertools
 import math
 import random
 
@@ -134,6 +135,25 @@ class TestSpearman:
             lookup = dict(zip(xs, ranks))
             g = lambda v: lookup[v]
         assert abs(spearman(xs, ys) - spearman([g(x) for x in xs], ys)) < 1e-9
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)), min_size=2, max_size=25),
+        st.lists(st.integers(1, 2**70), min_size=31, max_size=31),
+        st.sampled_from([0, 2**53, 10**400]),
+    )
+    def test_any_strictly_increasing_map_keeps_rho_exactly(self, pairs, steps, base):
+        """Mapping a column by a strictly increasing map, into ints past
+        float precision (2**53 + 1) or past float range (10**400) too,
+        leaves every coefficient exactly as it was."""
+        xs = [p[0] for p in pairs]
+        ys = [p[1] for p in pairs]
+        if min(xs) == max(xs) or min(ys) == max(ys):
+            return
+        offsets = list(itertools.accumulate(steps))
+        mapped = [base + offsets[x] for x in xs]
+        assert spearman(mapped, ys) == spearman(xs, ys)
+        assert spearman(ys, mapped) == spearman(ys, xs)
 
     def test_antisymmetry_under_negation(self):
         rng = random.Random(12)
