@@ -18,9 +18,10 @@ Client settings for fetch come from flags or environment variables
 (flags win): LCA_BASE_URL, LCA_API_KEY, LCA_QUOTA, LCA_QUOTA_STATE.
 
 Exit codes: 0 success; 1 unreadable input (a dataset, units file,
-quota state file or export) or a dataset that cannot be written; 2
-nothing to work on (an ingest input with no record, library or
-holding, an empty dataset, or too little data to correlate); 3 quota
+quota state file or export), a dataset that cannot be written or
+output that cannot be written (silently when the reader closed the
+pipe); 2 nothing to work on (an ingest input with no record, library
+or holding, an empty dataset, or too little data to correlate); 3 quota
 exhausted mid-fetch after a partial merge; 4 unresolved unit or author;
 5 constant metric column; 64 usage error.
 """
@@ -98,9 +99,9 @@ _EXIT_CODES = {
 
 
 class _Failure(Exception):
-    """Command failure carrying its exit code; message goes to stderr."""
+    """Command failure carrying its exit code; its message, if any, goes to stderr."""
 
-    def __init__(self, exit_code: int, message: str) -> None:
+    def __init__(self, exit_code: int, message: str = "") -> None:
         super().__init__(message)
         self.exit_code = exit_code
 
@@ -185,12 +186,35 @@ def _merge_into_dataset(path: str, delta: CatalogSnapshot) -> None:
         raise _Failure(EXIT_UNREADABLE, f"cannot lock dataset {path}: {exc}") from exc
 
 
-def _emit(headers: Sequence[str], rows: Sequence[Sequence[str]], fmt: str) -> None:
-    text = render_table(headers, rows, fmt)
+def _print(text: str) -> None:
+    """Print `text` and a newline on stdout and flush it; every table and
+    summary line goes out here.
+
+    A character stdout cannot encode, a lone surrogate say, is printed as
+    its backslash escape. A reader that closed the pipe ends the command
+    with exit 1 and no message; any other write failure exits 1 with
+    `error: cannot write output: …`. Either way the process's own stdout
+    is then pointed at the null device, so the interpreter's flush at
+    exit has nothing left to fail on.
+    """
     try:
-        print(text)
-    except UnicodeEncodeError:  # a lone surrogate, say: escape what stdout cannot encode
-        print(text.encode(sys.stdout.encoding, "backslashreplace").decode(sys.stdout.encoding))
+        try:
+            print(text)
+        except UnicodeEncodeError:
+            print(text.encode(sys.stdout.encoding, "backslashreplace").decode(sys.stdout.encoding))
+        sys.stdout.flush()
+    except OSError as exc:
+        if sys.stdout is sys.__stdout__:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        if isinstance(exc, BrokenPipeError):
+            raise _Failure(EXIT_UNREADABLE) from exc
+        raise _Failure(EXIT_UNREADABLE, f"cannot write output: {exc}") from exc
+
+
+def _emit(headers: Sequence[str], rows: Sequence[Sequence[str]], fmt: str) -> None:
+    _print(render_table(headers, rows, fmt))
 
 
 # --- ingest -------------------------------------------------------------------
@@ -210,7 +234,7 @@ def cmd_ingest(args) -> int:
         rejections = report.rejections
     for locator, reason in rejections:
         print(f"rejected {locator}: {reason}", file=sys.stderr)
-    print(
+    _print(
         f"accepted={new.n_records} rejected={len(rejections)} "
         f"libraries={new.n_libraries} holdings={new.n_holdings}"
     )
@@ -286,7 +310,7 @@ def cmd_fetch(args) -> int:
         print(f"skipped {record_id}: {reason}", file=sys.stderr)
     for record_id, message in result.errors:
         print(f"failed {record_id}: {message}", file=sys.stderr)
-    print(
+    _print(
         f"fetched={len(result.queried)} skipped={len(result.skipped)} "
         f"errors={len(result.errors)} holdings={result.delta.n_holdings} "
         f"libraries={len(result.delta.libraries)} quota_used={state.used}/{state.limit}"
@@ -436,7 +460,7 @@ def cmd_correlate(args) -> int:
     snapshot, library_filter = _analysis_input(args)
     matrix = correlation_matrix(metric_columns(names, snapshot, library_filter))
     if not args.matrix:
-        print(format_rate(matrix.values[0][1]))
+        _print(format_rate(matrix.values[0][1]))
         return EXIT_OK
     rows = [
         [label, *map(format_rate, values)]
@@ -462,7 +486,7 @@ def cmd_report(args) -> int:
     columns = (*LIBRARY_KINDS, "total")
     header = ["country", *(name for column in columns for name in (column, f"{column}_pct"))]
     _emit(header, rows, args.output)
-    print()
+    _print("")
     coverage = coverage_report(snapshot, library_filter=library_filter)
     _emit(
         ["metric", "covered", "total", "pct"],
@@ -558,7 +582,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except _Failure as failure:
-        print(f"error: {failure}", file=sys.stderr)
+        if str(failure):
+            print(f"error: {failure}", file=sys.stderr)
         return failure.exit_code
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)

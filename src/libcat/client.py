@@ -41,6 +41,7 @@ import http.client
 import json
 import math
 import os
+import queue
 import re
 import select
 import ssl
@@ -48,12 +49,10 @@ import threading
 import time
 import urllib.parse
 import xml.etree.ElementTree as ET
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
-from .errors import QuotaExceededError, QuotaStateError, TransportError
+from .errors import LibcatError, QuotaExceededError, QuotaStateError, TransportError
 from .identifiers import normalize_isbn
 from .ingest import _lock_sidecar, _write_atomic
 from .model import BookRecord, CatalogSnapshot, Holding, LibraryOrg
@@ -133,9 +132,21 @@ class QuotaStore:
     reached it raises without side effects. The counter resets when the
     UTC day changes. Accounting is serialized under one lock, so
     concurrent lookups never overshoot the limit. With a state file,
-    consume() and state() also hold an exclusive flock on the sidecar
-    `<path>.lock` while they re-read the file, roll the day, charge and
-    rewrite it, so processes that share the file lose no charge.
+    construction, consume() and state() also hold an exclusive flock on
+    the sidecar `<path>.lock` while they read the file and roll the day;
+    consume() then charges and writes it before letting go, so processes
+    that share the file lose no charge. The file is read only under the
+    flock, as a charge writes it in place.
+
+    The first charge creates the file whole, by write-then-rename. Each
+    later charge writes the new JSON over the old with one pwrite at
+    offset 0, padded with spaces to the file's size, so the file never
+    shrinks and a process killed after the write leaves whole JSON
+    (trailing spaces are JSON whitespace). No write is synced: a harvest
+    charges once per request, 1,104 times in one benchmark run, and a
+    sync took each write from about 0.15 to 0.55 ms on ext4. So a machine
+    crash can lose the last charges, or leave a file that reads as
+    unreadable.
     """
 
     def __init__(
@@ -150,31 +161,29 @@ class QuotaStore:
         self.state_path = os.fspath(state_path) if state_path is not None else None
         self._today = today if today is not None else _utc_today
         self._lock = threading.Lock()
-        self._day, self._used = self._load()
+        self._day, self._used = dt.date.min, 0
+        if self.state_path is not None:
+            self.state()  # a corrupt file fails here, before any charge
 
-    def _load(self) -> tuple[dt.date, int]:
-        """The recorded (day, used); with no record, a day long past."""
-        if self.state_path is None:
-            return dt.date.min, 0
+    def _parse(self, data: bytes) -> tuple[dt.date, int]:
+        """The (day, used) the state file's bytes record."""
         try:
-            with open(self.state_path, encoding="utf-8") as fh:
-                obj = json.load(fh)
+            obj = json.loads(data.decode("utf-8"))
             day = dt.date.fromisoformat(obj["day"])
             used = obj["used"]
             if type(used) is not int or used < 0:
                 raise ValueError("used must be a JSON integer >= 0")
-        except FileNotFoundError:
-            return dt.date.min, 0
-        except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise QuotaStateError(
                 f"unreadable quota state file {self.state_path}: {exc}"
             ) from exc
         return day, used
 
     def _account(self, charge: bool) -> QuotaState:
-        """Under the lock (and the sidecar flock, reloading the state file):
+        """Under the lock (and the sidecar flock, reading the state file):
         roll the day, then, if `charge`, charge one request and persist."""
         with self._lock, contextlib.ExitStack() as stack:
+            fd = None
             if self.state_path is not None:
                 try:
                     stack.enter_context(_lock_sidecar(self.state_path))
@@ -182,7 +191,12 @@ class QuotaStore:
                     raise QuotaStateError(
                         f"cannot lock quota state file {self.state_path}: {exc}"
                     ) from exc
-                self._day, self._used = self._load()
+                fd, data = self._read(os.O_RDWR if charge else os.O_RDONLY)
+                if fd is None:
+                    self._day, self._used = dt.date.min, 0
+                else:
+                    stack.callback(os.close, fd)
+                    self._day, self._used = self._parse(data)
             today = self._today()
             if today != self._day:
                 self._day, self._used = today, 0
@@ -194,16 +208,44 @@ class QuotaStore:
                     )
                 self._used += 1
                 if self.state_path is not None:
-                    try:
-                        _write_atomic(
-                            self.state_path,
-                            json.dumps({"day": self._day.isoformat(), "used": self._used}),
-                        )
-                    except OSError as exc:
-                        raise QuotaStateError(
-                            f"cannot write quota state file {self.state_path}: {exc}"
-                        ) from exc
+                    self._write(fd, len(data))
             return QuotaState(self._day, self._used, self.limit)
+
+    def _read(self, flags: int) -> tuple[Optional[int], bytes]:
+        """Open the state file with `flags` and read it whole: (fd, bytes),
+        or (None, b"") when there is no file yet."""
+        try:
+            fd = os.open(self.state_path, flags)
+        except FileNotFoundError:
+            return None, b""
+        except OSError as exc:
+            verb = "cannot write" if flags & os.O_RDWR else "unreadable"
+            raise QuotaStateError(f"{verb} quota state file {self.state_path}: {exc}") from exc
+        try:
+            with open(fd, "rb", closefd=False) as fh:
+                return fd, fh.read()
+        except OSError as exc:
+            os.close(fd)
+            raise QuotaStateError(
+                f"unreadable quota state file {self.state_path}: {exc}"
+            ) from exc
+
+    def _write(self, fd: Optional[int], size: int) -> None:
+        """Record (day, used): over the open file `fd` of `size` bytes in
+        place, or as a new file when there is none."""
+        text = json.dumps({"day": self._day.isoformat(), "used": self._used})
+        try:
+            if fd is None:
+                _write_atomic(self.state_path, text)
+                return
+            data = text.encode("ascii").ljust(size)
+            written = os.pwrite(fd, data, 0)
+            if written != len(data):
+                raise OSError(f"short write, {written} of {len(data)} bytes")
+        except OSError as exc:
+            raise QuotaStateError(
+                f"cannot write quota state file {self.state_path}: {exc}"
+            ) from exc
 
     def consume(self) -> int:
         """Charge one request; returns the remaining budget.
@@ -435,39 +477,84 @@ class HarvestResult:
 
 
 def _lookups(
-    pool: ThreadPoolExecutor, client: CatalogClient, records: Sequence[BookRecord]
-) -> Iterator[tuple[BookRecord, Optional[Future]]]:
-    """Yield each record with its lookup's future (None without an
-    identifier) in record order, submitting only while fewer than
-    `client.parallelism` lookups run: a reader that stops early leaves
-    no queued lookups behind to send requests and charge quota."""
-    window: deque[tuple[BookRecord, Optional[Future]]] = deque()
-    for record in records:
-        future = None
-        if record.oclc is not None:
-            future = pool.submit(client.get_by_oclc_number, record.oclc)
-        elif record.isbns:
-            future = pool.submit(client.get_by_isbn, record.isbns[0])
-        window.append((record, future))
-        running = [f for _, f in window if f is not None and not f.done()]
-        if len(running) >= client.parallelism:
-            wait(running, return_when=FIRST_COMPLETED)
-        while window and (window[0][1] is None or window[0][1].done()):
-            yield window.popleft()
-    yield from window
+    client: CatalogClient, records: Sequence[BookRecord]
+) -> Iterator[tuple[BookRecord, "LocationResponse | LibcatError | None"]]:
+    """Yield each record with its lookup's outcome, in record order: the
+    response, or the QuotaExceededError or TransportError the lookup
+    raised; None for a record with no identifier, which gets no lookup.
+
+    `client.parallelism` worker threads each take the next identified
+    record from one shared iterator and look it up, so no lookup waits
+    for the reader. Outcomes that arrive before their turn wait in a dict
+    until the reader gets to them. Any other exception is raised here in
+    its record's turn. It, or a reader that stops early, stops every
+    worker before its next lookup: at most `client.parallelism` lookups
+    are in flight after it, and none is left queued to send requests and
+    charge quota.
+    """
+    todo = ((i, r) for i, r in enumerate(records) if r.oclc is not None or r.isbns)
+    take = threading.Lock()
+    stop = threading.Event()
+    arrived: queue.SimpleQueue = queue.SimpleQueue()
+
+    def work() -> None:
+        while True:
+            with take:
+                item = None if stop.is_set() else next(todo, None)
+            if item is None:
+                return
+            index, record = item
+            try:
+                if record.oclc is not None:
+                    outcome = client.get_by_oclc_number(record.oclc)
+                else:
+                    outcome = client.get_by_isbn(record.isbns[0])
+            except (QuotaExceededError, TransportError) as exc:
+                outcome = exc
+            except BaseException as exc:  # the reader raises it in its turn
+                stop.set()
+                arrived.put((index, exc, True))
+                return
+            arrived.put((index, outcome, False))
+
+    workers = [threading.Thread(target=work) for _ in range(client.parallelism)]
+    try:
+        for worker in workers:
+            worker.start()
+        early: dict[int, tuple[object, bool]] = {}
+        for index, record in enumerate(records):
+            if record.oclc is None and not record.isbns:
+                yield record, None
+                continue
+            while index not in early:
+                key, outcome, fatal = arrived.get()
+                early[key] = outcome, fatal
+            outcome, fatal = early.pop(index)
+            if fatal:
+                raise outcome
+            yield record, outcome
+    finally:
+        stop.set()
+        for worker in workers:
+            if worker.is_alive():
+                worker.join()
 
 
 def harvest(client: CatalogClient, records: Sequence[BookRecord]) -> HarvestResult:
     """Fetch holders for each record, by OCLC number when present else ISBN.
 
-    At most `client.parallelism` lookups run at once, on that many
-    threads, and they are read back in record order. A record with
-    neither identifier gets no request.
+    `client.parallelism` threads each take the next record and look it
+    up, so the batch runs at the server's pace with at most that many
+    lookups in flight; outcomes are folded into the result in record
+    order, so it is the same whatever the parallelism. A record with
+    neither identifier gets no request. Each institution's library is
+    built from the first location that names it.
     Transport failures are collected per record and the rest of the
     batch proceeds. Once the budget is spent, the quota refuses each
     later lookup before its request, so those records are skipped as
     "quota exhausted" and the result carries what was gathered. A batch
-    that runs across UTC midnight goes on with the new day's budget.
+    that runs across UTC midnight goes on with the new day's budget, so
+    the quota then reports only the new day's charges.
     """
     skipped: list[tuple[str, str]] = []
     errors: list[tuple[str, str]] = []
@@ -475,27 +562,23 @@ def harvest(client: CatalogClient, records: Sequence[BookRecord]) -> HarvestResu
     libraries: dict[str, LibraryOrg] = {}
     holdings: list[Holding] = []
     quota_exhausted = False
-    with ThreadPoolExecutor(max_workers=client.parallelism) as pool:
-        for record, future in _lookups(pool, client, records):
-            if future is None:
+    with contextlib.closing(_lookups(client, records)) as outcomes:
+        for record, outcome in outcomes:
+            if outcome is None:
                 skipped.append((record.record_id, "no OCLC number or ISBN"))
-                continue
-            try:
-                response = future.result()
-            except QuotaExceededError:
+            elif isinstance(outcome, QuotaExceededError):
                 quota_exhausted = True
                 skipped.append((record.record_id, "quota exhausted"))
-                continue
-            except TransportError as exc:
-                errors.append((record.record_id, str(exc)))
-                continue
-            completed.append(record)
-            for loc in response.locations:
-                libraries.setdefault(
-                    loc.institution_id,
-                    LibraryOrg(loc.institution_id, loc.name, loc.country),
-                )
-                holdings.append(Holding(record.record_id, loc.institution_id))
+            elif isinstance(outcome, TransportError):
+                errors.append((record.record_id, str(outcome)))
+            else:
+                completed.append(record)
+                for loc in outcome.locations:
+                    if loc.institution_id not in libraries:
+                        libraries[loc.institution_id] = LibraryOrg(
+                            loc.institution_id, loc.name, loc.country
+                        )
+                    holdings.append(Holding(record.record_id, loc.institution_id))
     return HarvestResult(
         queried=tuple(record.record_id for record in completed),
         skipped=tuple(skipped),

@@ -502,12 +502,9 @@ def _write_atomic(path: str, data: "str | bytes", durable: bool = False) -> None
 
     When `durable`, the temp file is synced before the rename and its
     directory after it, so a crash leaves the old or the new file whole,
-    never an empty one. The dataset is written so. The quota state file
-    is not: it is rewritten on every charged request, 1,104 times in one
-    benchmark harvest, and the two syncs took each write from about 0.15
-    to 0.55 ms on ext4. A crash can lose its last charges, or leave it
-    empty, which the quota store then reports as unreadable. Nor is the
-    snapshot sidecar, which a load can always rebuild.
+    never an empty one. The dataset is written so. The snapshot sidecar,
+    which a load can always rebuild, is not; nor is the quota state file,
+    which this creates and `client.QuotaStore` then writes in place.
     """
     if isinstance(data, str):
         data = data.encode("utf-8", "backslashreplace")

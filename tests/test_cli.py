@@ -1415,3 +1415,68 @@ class TestStdout:
         )
         assert code == 0
         assert out == b"record,title,libcitations,cnls,rank,class_size\r\nr\x80,A,1,1.0000,1,1\n"
+
+
+class FailingStdout(io.TextIOBase):
+    """A stdout whose every write raises `error`."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+
+class TestUnwritableStdout:
+    """A table or summary line that cannot be written ends the command
+    with exit 1: quietly for a reader that closed the pipe, otherwise with
+    one `error: cannot write output: …` line. Never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["indicators", "--all-books", "--output", "csv"],
+            ["correlate"],
+            ["report"],
+        ],
+        ids=["table", "single-line", "two-tables"],
+    )
+    @pytest.mark.parametrize(
+        "error, message",
+        [
+            (BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)), ""),
+            (
+                OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+                "error: cannot write output: [Errno 28] No space left on device\n",
+            ),
+        ],
+        ids=["broken-pipe", "disk-full"],
+    )
+    def test_a_failed_write_exits_one(
+        self, capsys, monkeypatch, analysis_dataset, argv, error, message
+    ):
+        monkeypatch.setattr(sys, "stdout", FailingStdout(error))
+        code = run([*argv, "--dataset", analysis_dataset])
+        assert code == 1
+        assert capsys.readouterr().err == message
+
+    def test_a_reader_that_closes_early_gets_no_traceback(self, tmp_path, subprocess_env):
+        # Well past a 64 KiB pipe buffer, so the writer is still writing
+        # when the reader goes.
+        records = [BookRecord(f"r{i:05d}", f"A title long enough to fill rows {i}")
+                   for i in range(4000)]
+        path = tmp_path / "big.jsonl"
+        save_dataset(CatalogSnapshot(records, [LibraryOrg("l1", "L", "US")],
+                                     [Holding(r.record_id, "l1") for r in records]), path)
+        with subprocess.Popen(
+            [sys.executable, "-m", "libcat.cli", "indicators", "--all-books",
+             "--dataset", str(path), "--output", "csv"],
+            env=subprocess_env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        ) as child:
+            try:
+                assert child.stdout.readline().startswith(b"record,title,")
+                child.stdout.close()
+                assert child.wait(timeout=60) == 1
+                assert child.stderr.read() == b""
+            finally:
+                child.kill()

@@ -4,11 +4,13 @@ import contextlib
 import copy
 import datetime as dt
 import json
+import os
 import random
 import re
 import subprocess
 import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 import xml.etree.ElementTree as ET
@@ -19,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import datasets
+import libcat.client
 import oracles
 from libcat.client import (
     EMPTY_RESPONSE,
@@ -212,6 +215,117 @@ class TestQuotaStore:
             codes = [p.wait(timeout=60) for p in procs]
             assert codes == [0, 0], [p.stderr.read() for p in procs]
         assert json.loads(path.read_text())["used"] == 1000
+
+    def test_charges_after_the_first_write_the_file_in_place(self, tmp_path, monkeypatch):
+        path = tmp_path / "quota.json"
+        store = QuotaStore(limit=100, state_path=path)
+        store.consume()  # no file yet: created whole, by write-then-rename
+        renames = []
+        monkeypatch.setattr(libcat.client, "_write_atomic", lambda *a: renames.append(a))
+        monkeypatch.setattr(os, "replace", lambda *a: renames.append(a))
+        for _ in range(5):
+            store.consume()
+        assert renames == []
+        monkeypatch.undo()
+        assert QuotaStore(limit=100, state_path=path).state().used == 6
+
+    def test_a_charge_pads_the_file_and_never_shrinks_it(self, tmp_path):
+        path = tmp_path / "quota.json"
+        path.write_text('{"day": "2026-08-16", "used": 1234}')  # as earlier versions write it
+        days = [dt.date(2026, 8, 16)]
+        store = QuotaStore(limit=10_000, state_path=path, today=lambda: days[0])
+        store.consume()
+        assert path.read_bytes() == b'{"day": "2026-08-16", "used": 1235}'
+        days[0] = dt.date(2026, 8, 17)
+        store.consume()
+        data = path.read_bytes()
+        assert data == b'{"day": "2026-08-17", "used": 1}'.ljust(35)
+        assert json.loads(data) == {"day": "2026-08-17", "used": 1}
+
+    def test_a_killed_charger_leaves_a_whole_file_that_lost_no_reported_charge(
+        self, tmp_path, subprocess_env
+    ):
+        path = tmp_path / "quota.json"
+        day = dt.date(2026, 8, 17)
+        QuotaStore(limit=10**9, state_path=path, today=lambda: day).consume()
+        child = (
+            "import datetime as dt, sys\n"
+            "from libcat.client import QuotaStore\n"
+            "store = QuotaStore(10**9, sys.argv[1], lambda: dt.date(2026, 8, 17))\n"
+            "print('ready', flush=True)\n"
+            "for n in range(1, 10**9):\n"
+            "    store.consume()\n"
+            "    print(n, flush=True)\n"
+        )
+        rng = random.Random(24)
+        used = 1
+        for delay in sorted(rng.uniform(0.005, 0.06) for _ in range(4)):
+            with subprocess.Popen(
+                [sys.executable, "-c", child, str(path)], env=subprocess_env, text=True,
+                stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            ) as proc:
+                try:
+                    assert proc.stdout.readline() == "ready\n"
+                    reported = []
+                    reader = threading.Thread(
+                        target=lambda: reported.extend(map(int, proc.stdout))
+                    )
+                    reader.start()
+                    time.sleep(delay)
+                finally:
+                    proc.kill()
+                reader.join(timeout=30)
+                assert not reader.is_alive()
+            state = json.loads(path.read_bytes())
+            assert state["day"] == day.isoformat()
+            charged = reported[-1] if reported else 0
+            assert state["used"] >= used + charged
+            used = state["used"]
+        assert used > 1
+
+    def test_old_and_new_chargers_sharing_a_file_lose_no_charge(
+        self, tmp_path, subprocess_env
+    ):
+        path = tmp_path / "quota.json"
+        day = dt.date(2026, 8, 17)
+        QuotaStore(limit=10**6, state_path=path, today=lambda: day).consume()
+        new = (
+            "import datetime as dt, sys\n"
+            "from libcat.client import QuotaStore\n"
+            "store = QuotaStore(10**6, sys.argv[1], lambda: dt.date(2026, 8, 17))\n"
+            "print('ready', flush=True)\n"
+            "sys.stdin.read()\n"
+            "for _ in range(300):\n"
+            "    store.consume()\n"
+        )
+        old = (  # each charge locks, reads, then replaces the file by rename
+            "import json, sys\n"
+            "from libcat.ingest import _lock_sidecar, _write_atomic\n"
+            "print('ready', flush=True)\n"
+            "sys.stdin.read()\n"
+            "for _ in range(300):\n"
+            "    with _lock_sidecar(sys.argv[1]):\n"
+            "        with open(sys.argv[1], encoding='utf-8') as fh:\n"
+            "            state = json.load(fh)\n"
+            "        state['used'] += 1\n"
+            "        _write_atomic(sys.argv[1], json.dumps(state))\n"
+        )
+        with contextlib.ExitStack() as stack:
+            procs = [
+                stack.enter_context(subprocess.Popen(
+                    [sys.executable, "-c", code, str(path)], env=subprocess_env, text=True,
+                    stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                ))
+                for code in (new, old)
+            ]
+            for p in procs:  # runs before each Popen exit, which waits unbounded
+                stack.callback(p.kill)
+            assert [p.stdout.readline() for p in procs] == ["ready\n", "ready\n"]
+            for p in procs:  # both start charging at once
+                p.stdin.close()
+            codes = [p.wait(timeout=60) for p in procs]
+            assert codes == [0, 0], [p.stderr.read() for p in procs]
+        assert json.loads(path.read_bytes()) == {"day": day.isoformat(), "used": 601}
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 60), st.integers(0, 40))
@@ -885,6 +999,62 @@ class TestHarvest:
             harvest(client, records)
         assert 1 <= len(send.calls) <= parallelism
         assert client.quota.state().used == len(send.calls)
+
+    def test_a_harvest_across_utc_midnight_reports_only_the_new_day(self, tmp_path):
+        day, next_day = dt.date(2026, 8, 16), dt.date(2026, 8, 17)
+        path = tmp_path / "quota.json"
+        path.write_text(json.dumps({"day": day.isoformat(), "used": 97}))
+        send = ScriptedSend(lambda url, n: reply(404))
+        # charge k precedes request k, so charges 4 to 6 fall on the new day
+        quota = QuotaStore(
+            1000, path, today=lambda: next_day if len(send.calls) >= 3 else day
+        )
+        client = CatalogClient("http://unit.test", quota=quota, send=send)
+        result = harvest(client, [BookRecord(f"r{i}", "T", oclc=i) for i in range(1, 7)])
+        assert len(result.queried) == len(send.calls) == 6
+        state = quota.state()
+        assert (state.day, state.used) == (next_day, 3)
+        # padded to the length it reached at "used": 100
+        assert path.read_bytes() == b'{"day": "2026-08-17", "used": 3}'.ljust(34)
+
+    def test_workers_look_each_record_up_once_and_fold_in_record_order(self):
+        def script(url, n):
+            number = int(url.rsplit("/", 1)[1])
+            if number % 10 == 1:
+                time.sleep(0.005)  # later records' answers arrive first
+            return reply(200, json.dumps({"locations": [
+                {"name": "L", "country": "US", "institution_id": f"i{number % 7}"},
+            ]}).encode())
+
+        records = [
+            BookRecord(f"r{i}", "T", oclc=i) if i % 5 else BookRecord(f"r{i}", "T")
+            for i in range(1, 301)
+        ]
+        results = {}
+
+        def run(parallelism):
+            send = ScriptedSend(script)
+            client = CatalogClient(
+                "http://unit.test", quota=QuotaStore(10_000), send=send,
+                parallelism=parallelism,
+            )
+            results[parallelism] = send, harvest(client, records), client.quota.state().used
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for parallelism in (1, 8):
+                runner = threading.Thread(target=run, args=(parallelism,))
+                runner.start()
+                runner.join(timeout=60)
+                assert not runner.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        send, result, used = results[8]
+        assert sorted(send.calls) == sorted(results[1][0].calls)
+        assert len(set(send.calls)) == len(send.calls) == used == 240
+        assert result == results[1][1]
+        assert result.queried == tuple(r.record_id for r in records if r.oclc is not None)
 
     def test_parallel_matches_sequential(self, corpus, server):
         sequential = harvest(make_client(server, parallelism=1), corpus.records)
