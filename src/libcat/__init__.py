@@ -82,11 +82,15 @@ from .model import (
     LibraryOrg,
     apply_filter,
 )
-from .stats import CorrelationMatrix, correlation_matrix, spearman
 
-# The network layer (http.client, http.server, thread pools) loads on first
-# use, so commands that only read a dataset never import it.
+# Names that load their module on first use, so a command imports only
+# the layers it runs: the network layer (http.client, http.server, thread
+# pools) for `fetch` alone, the rank statistics for `correlate` alone.
+# They are listed in __all__ and dir() all the same.
 _LAZY = {
+    "CorrelationMatrix": "stats",
+    "correlation_matrix": "stats",
+    "spearman": "stats",
     "CatalogClient": "client",
     "HarvestResult": "client",
     "Location": "client",
@@ -106,6 +110,8 @@ __all__ = sorted(
 
 
 def __getattr__(name: str):
+    if name in _LAZY.values():  # a deferred module itself, `libcat.stats` say
+        return _import_module(f".{name}", __name__)
     module = _LAZY.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -113,4 +119,4 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_LAZY))
+    return sorted(set(globals()) | set(_LAZY) | set(_LAZY.values()))

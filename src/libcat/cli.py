@@ -29,6 +29,7 @@ exhausted mid-fetch after a partial merge; 4 unresolved unit or author;
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, TypeVar
@@ -72,7 +73,6 @@ from .model import (
     LibraryFilter,
 )
 from .render import FORMATS, format_percent, format_rate, render_table
-from .stats import correlation_matrix
 
 if TYPE_CHECKING:  # the network layer loads only when `fetch` runs
     from .client import CatalogClient
@@ -444,6 +444,8 @@ def cmd_indicators(args) -> int:
 # --- correlate ------------------------------------------------------------------
 
 def cmd_correlate(args) -> int:
+    from .stats import correlation_matrix
+
     names = [n.strip() for n in args.metrics.split(",") if n.strip()]
     unknown = [n for n in names if n not in METRICS]
     if unknown:
@@ -591,7 +593,19 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    """The `lca` command: run on sys.argv, then exit with the code `run` returned.
+
+    At exit the interpreter runs one full cyclic collection over every
+    tracked object, and a finished analysis leaves its whole snapshot
+    behind as cyclic garbage. `gc.freeze()` first moves everything into
+    the permanent generation, which that collection skips; the process
+    is ending, so nothing it would free is needed. Exit handlers and the
+    flush of stdout and stderr still run. Only here, never in `run`: a
+    caller that runs commands in process keeps a heap it can collect.
+    """
+    code = run()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

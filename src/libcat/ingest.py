@@ -44,12 +44,11 @@ import os
 import re
 import stat
 import sys
-import xml.etree.ElementTree as ET
 from array import array
 from collections import deque
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
-from typing import BinaryIO, Callable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, Optional, Sequence
 
 from . import model
 from .errors import DatasetError, IsbnError, ParseError
@@ -64,6 +63,9 @@ from .model import (
     _check_holding,
 )
 from .render import _JSON_LINE
+
+if TYPE_CHECKING:  # the XML parser loads only when an XML input is parsed
+    import xml.etree.ElementTree as ET
 
 _YEAR = re.compile(r"\d{4}")
 _ISBD_TRAIL = " /:;,.="
@@ -170,6 +172,8 @@ def _parse_records(
     tree. Untitled records are rejected, and then each record whose id
     an earlier record already took, both in number order.
     """
+    import xml.etree.ElementTree as ET
+
     report = ParseReport()
     records: list[BookRecord] = []
     duplicates: list[tuple[str, str]] = []

@@ -12,7 +12,6 @@ output.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import re
@@ -46,6 +45,8 @@ def format_rate(value: float) -> str:
 
 
 def _render_csv(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    import csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(headers)

@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import errno
+import gc
 import io
 import json
 import os
@@ -16,7 +17,7 @@ import pytest
 
 import oracles
 import libcat.client
-from libcat import indicators
+from libcat import cli, indicators
 from libcat.cli import run
 from libcat.fixture import FixtureServer
 from libcat.ingest import load_dataset, merge_snapshots, save_dataset
@@ -1460,19 +1461,27 @@ class TestUnwritableStdout:
         assert code == 1
         assert capsys.readouterr().err == message
 
-    def test_a_reader_that_closes_early_gets_no_traceback(self, tmp_path, subprocess_env):
-        # Well past a 64 KiB pipe buffer, so the writer is still writing
-        # when the reader goes.
+    @pytest.fixture()
+    def big_dataset(self, tmp_path):
+        """4,000 held records: an --all-books table well past a 64 KiB pipe
+        buffer, so the writer is still writing when an early reader goes."""
         records = [BookRecord(f"r{i:05d}", f"A title long enough to fill rows {i}")
                    for i in range(4000)]
         path = tmp_path / "big.jsonl"
         save_dataset(CatalogSnapshot(records, [LibraryOrg("l1", "L", "US")],
                                      [Holding(r.record_id, "l1") for r in records]), path)
-        with subprocess.Popen(
+        return str(path)
+
+    @staticmethod
+    def all_books(dataset, env):
+        return subprocess.Popen(
             [sys.executable, "-m", "libcat.cli", "indicators", "--all-books",
-             "--dataset", str(path), "--output", "csv"],
-            env=subprocess_env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        ) as child:
+             "--dataset", dataset, "--output", "csv"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+
+    def test_a_reader_that_closes_early_gets_no_traceback(self, big_dataset, subprocess_env):
+        with self.all_books(big_dataset, subprocess_env) as child:
             try:
                 assert child.stdout.readline().startswith(b"record,title,")
                 child.stdout.close()
@@ -1480,3 +1489,53 @@ class TestUnwritableStdout:
                 assert child.stderr.read() == b""
             finally:
                 child.kill()
+
+    def test_a_reader_that_reads_to_the_end_gets_every_row(self, big_dataset, subprocess_env):
+        with self.all_books(big_dataset, subprocess_env) as child:
+            try:
+                out, err = child.communicate(timeout=60)
+            finally:
+                child.kill()
+        assert (child.returncode, err) == (0, b"")
+        header, *rows = out.decode().splitlines()
+        assert header == "record,title,libcitations,cnls,rank,class_size"
+        assert sorted(row.partition(",")[0] for row in rows) == [
+            f"r{i:05d}" for i in range(4000)
+        ]
+
+
+class TestMain:
+    """`main`, the `lca` entry point, exits with the code `run` returned and
+    freezes the collector once, only after `run` has returned."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["report", "--dataset", "{analysis}"], 0),
+            (["report", "--dataset", "{empty}"], 2),
+            (["report", "--output", "nope"], 64),
+        ],
+        ids=["ok", "empty", "usage"],
+    )
+    def test_main_freezes_after_run_and_exits_with_its_code(
+        self, monkeypatch, capsys, analysis_dataset, tmp_path, argv, code
+    ):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        paths = {"analysis": analysis_dataset, "empty": str(empty)}
+        events = []
+
+        def spy_run(argv=None):
+            events.append("run")
+            returned = run(argv)
+            events.append(("returned", returned))
+            return returned
+
+        monkeypatch.setattr(cli, "run", spy_run)
+        # A recorder only: freezing this process would keep the test's heap forever.
+        monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+        monkeypatch.setattr(sys, "argv", ["lca", *(arg.format(**paths) for arg in argv)])
+        with pytest.raises(SystemExit) as exited:
+            cli.main()
+        assert exited.value.code == code
+        assert events == ["run", ("returned", code), "freeze"]

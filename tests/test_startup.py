@@ -1,4 +1,7 @@
-"""What `lca` loads at start-up: read commands never import the network layer."""
+"""What `lca` loads at start-up: each command imports only the layers it
+runs. Read commands never import the network layer; the rank statistics,
+the XML parser and the csv writer load only for the commands that use
+them."""
 
 import json
 import subprocess
@@ -11,25 +14,40 @@ from libcat.ingest import save_dataset
 from libcat.model import BookRecord, CatalogSnapshot, Holding, LibraryOrg
 
 NETWORK_MODULES = ("requests", "urllib3", "http.client", "http.server", "concurrent.futures")
+# Loaded only by the commands that use them: correlate, an XML ingest, --output csv.
+DEFERRED_MODULES = ("libcat.stats", "xml.etree.ElementTree", "csv")
 
-# Runs in a fresh interpreter: imports the CLI, then runs each read
-# command, and reports which network modules each step newly loaded.
+# Runs in a fresh interpreter: imports the CLI, then runs each command in
+# turn, and reports for each step its exit code and which of the watched
+# modules it newly loaded.
 CHILD = """
 import io, json, sys
 from contextlib import redirect_stdout
-NETWORK = {network!r}
-before = set(sys.modules)
+WATCHED = {watched!r}
 def loaded():
-    return sorted(m for m in NETWORK if m in sys.modules and m not in before)
-steps = {{}}
+    return sorted(m for m in WATCHED if m in sys.modules)
+steps = []
+seen = loaded()
 from libcat.cli import run
-steps["import libcat.cli"] = [0, loaded()]
+steps.append(["import libcat.cli", 0, sorted(set(loaded()) - set(seen))])
 for argv in {commands!r}:
+    seen = loaded()
     with redirect_stdout(io.StringIO()):
         code = run(argv)
-    steps[" ".join(argv[:2])] = [code, loaded()]
+    steps.append([" ".join(argv), code, sorted(set(loaded()) - set(seen))])
 print(json.dumps(steps))
 """
+
+
+def run_child(watched, commands, env):
+    """[step, exit code, watched modules it newly loaded] for `import
+    libcat.cli` and then each of `commands`, run in one fresh interpreter."""
+    child = CHILD.format(watched=watched, commands=commands)
+    proc = subprocess.run(
+        [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 @pytest.fixture()
@@ -54,18 +72,61 @@ def test_read_commands_never_load_the_network_layer(small_dataset, subprocess_en
         ["correlate", *base],
         ["report", *base],
     ]
-    child = CHILD.format(network=NETWORK_MODULES, commands=commands)
+    steps = run_child(NETWORK_MODULES, commands, subprocess_env)
+    assert steps == [
+        ["import libcat.cli", 0, []], *([" ".join(argv), 0, []] for argv in commands)
+    ]
+
+
+def test_each_deferred_layer_loads_only_for_the_command_that_uses_it(
+    small_dataset, subprocess_env, tmp_path
+):
+    marc = tmp_path / "marc.xml"
+    marc.write_text(
+        '<collection><record><datafield tag="245"><subfield code="a">Fourth</subfield>'
+        "</datafield></record></collection>"
+    )
+    jsonl = ["--dataset", small_dataset, "--output", "jsonl"]
+    commands = [
+        ["indicators", "--all-books", *jsonl],
+        ["indicators", "--authors", *jsonl],
+        ["report", *jsonl],
+        ["correlate", *jsonl],
+        ["indicators", "--all-books", "--dataset", small_dataset, "--output", "csv"],
+        ["ingest", "--format", "marcxml", "--input", str(marc),
+         "--dataset", str(tmp_path / "new.jsonl")],
+    ]
+    steps = run_child(DEFERRED_MODULES, commands, subprocess_env)
+    assert steps == [
+        ["import libcat.cli", 0, []],
+        [" ".join(commands[0]), 0, []],
+        [" ".join(commands[1]), 0, []],
+        [" ".join(commands[2]), 0, []],
+        [" ".join(commands[3]), 0, ["libcat.stats"]],
+        [" ".join(commands[4]), 0, ["csv"]],
+        [" ".join(commands[5]), 0, ["xml.etree.ElementTree"]],
+    ]
+
+
+def test_the_stats_names_resolve_from_a_package_that_has_not_loaded_them(subprocess_env):
+    child = (
+        "import json, sys\n"
+        "import libcat\n"
+        "before = 'libcat.stats' in sys.modules\n"
+        "names = ('CorrelationMatrix', 'correlation_matrix', 'spearman', 'stats')\n"
+        "listed = [n in libcat.__all__ and n in dir(libcat) for n in names]\n"
+        "stats = libcat.stats\n"
+        "star = {}\n"
+        "exec('from libcat import *', star)\n"
+        "same = [getattr(libcat, n) is star[n] is getattr(stats, n) for n in names[:3]]\n"
+        "print(json.dumps([before, listed, libcat.spearman is stats.spearman, same]))\n"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", child], env=subprocess_env, capture_output=True, text=True,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    steps = json.loads(proc.stdout)
-    assert list(steps) == [
-        "import libcat.cli", "indicators --all-books", "indicators --authors",
-        "correlate --dataset", "report --dataset",
-    ]
-    assert steps == {step: [0, []] for step in steps}
+    assert json.loads(proc.stdout) == [False, [True] * 4, True, [True] * 3]
 
 
 def test_libcat_loads_nothing_outside_the_standard_library(subprocess_env):
