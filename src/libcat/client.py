@@ -19,11 +19,11 @@ by the server's Content-Type:
 
 Both variants decode to the JSON shape and then pass one rule: every
 location needs a non-blank name, country and institution id (JSON may
-send the id as an integer), each stripped of surrounding spaces, and
-the first location per institution id wins; the record's title must be
-a string and its OCLC number an integer or text that reads as one. A
-body that breaks the rule is a TransportError, which `harvest` reports
-per record.
+send the id as an integer), each stripped of surrounding spaces and,
+as a library's are, free of lone surrogates; the first location per
+institution id wins; the record's title must be a string and its OCLC
+number an integer or text that reads as one. A body that breaks the
+rule is a TransportError, which `harvest` reports per record.
 
 Every physical HTTP request, retries and 404s included, costs one unit
 of a daily budget (default 50 000 per UTC day). The budget is checked
@@ -56,7 +56,7 @@ from .errors import LibcatError, QuotaExceededError, QuotaStateError, TransportE
 from .identifiers import normalize_isbn
 from .ingest import _lock_sidecar, _write_atomic
 from .model import BookRecord, CatalogSnapshot, Holding, LibraryOrg
-from .model import _check_strings, _check_types
+from .model import _check_strings, _check_text, _check_types
 
 DEFAULT_QUOTA_LIMIT = 50_000
 DEFAULT_RETRIES = 3
@@ -79,6 +79,7 @@ class Location:
             if not value:
                 raise ValueError(f"location {attr} must be non-blank")
             object.__setattr__(self, attr, value)
+        _check_text(self, "name", "country", "institution_id")
 
 
 @dataclass(frozen=True, slots=True)

@@ -8,12 +8,14 @@ The server answers the two lookup paths the client uses,
 resolving identifiers against a fixed CatalogSnapshot. Well-formed but
 unknown identifiers get 404, malformed ones 400 and any other path 404.
 Every handled request, errors included, increments a counter so quota
-tests can assert exactly how many requests crossed the wire.
+tests can assert exactly how many requests crossed the wire. A client
+that hangs up before its answer is written is dropped quietly.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -30,6 +32,13 @@ def _record_fragment(record: BookRecord) -> dict:
     if record.isbns:
         fragment["isbns"] = [i.digits for i in record.isbns]
     return fragment
+
+
+class _Server(ThreadingHTTPServer):
+    def handle_error(self, request, client_address) -> None:
+        """Drop a connection the client closed or reset; report the rest."""
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
 
 
 class FixtureServer:
@@ -50,7 +59,7 @@ class FixtureServer:
             self._holders.setdefault(snapshot.records[ri].record_id, []).append(li)
         self._count_lock = threading.Lock()
         self._request_count = 0
-        self._server = ThreadingHTTPServer(("127.0.0.1", 0), self._handler_class())
+        self._server = _Server(("127.0.0.1", 0), self._handler_class())
         # a short poll keeps close() from waiting out the default half second
         self._thread = threading.Thread(
             target=self._server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True

@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Optional
 
 from .errors import (
@@ -120,23 +121,6 @@ def fold_text(text: str) -> str:
     return _NON_ALNUM.sub(" ", text.casefold()).strip()
 
 
-def _snapshot_fold(snapshot: CatalogSnapshot) -> Callable[[str], str]:
-    """`fold_text` that folds each distinct string once per snapshot.
-
-    The folds live in `snapshot.memo`, so the work keys and an author
-    view's headings, which fold the same titles and names, share them.
-    """
-    folded: dict[str, str] = snapshot.memo.setdefault("folded_text", {})
-
-    def fold(text: str) -> str:
-        result = folded.get(text)
-        if result is None:
-            result = folded[text] = fold_text(text)
-        return result
-
-    return fold
-
-
 @dataclass(frozen=True, slots=True)
 class WorkKey:
     """Normalized (title, primary contributor) pair identifying a work."""
@@ -224,7 +208,7 @@ def cluster_works(snapshot: CatalogSnapshot) -> list[WorkCluster]:
     by_isbn: dict[str, str] = {}
     by_key: dict[WorkKey, str] = {}
     keys: dict[str, WorkKey] = {}
-    fold = _snapshot_fold(snapshot)
+    fold = cache(fold_text)  # each distinct string folds once per build
     for record in snapshot.records:
         rid = record.record_id
         if record.oclc is not None:

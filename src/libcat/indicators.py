@@ -18,19 +18,19 @@ clusters touching the author's records, publications counts all member
 editions of those clusters, holdings sums the clusters' libcitations.
 
 Every indicator reads from one compiled view per (snapshot, filter)
-pair, memoized on the snapshot: the filtered snapshot (filtered once),
+pair, memoized on the snapshot: the filtered columns (filtered once),
 and a holder count per record from one pass over the record-index
-column. Distinct holders of a record set come from one method: holdings
-are sorted by record, so a record's holders are one slice of the
-library-index column. Building a view costs O(records + holdings). Its
+column. No view holds a snapshot, so the memo makes no cycle and a
+dropped snapshot is freed at once. Distinct holders of a record set
+come from one method: holdings are sorted by record, so a record's
+holders are one slice of the library-index column. Building a view costs O(records + holdings). Its
 tables are each built on their first read, so a command that reads none
 pays for none. `classes()` sorts each class's counts once; from them
 `books()` maps record id to BookIndicators, so rank is a binary search
 and CNLS a division, and the CNLS column reads them without building
 that table. `authors()` maps a folded heading to its AuthorProfile over
-the work clusters, which fold each distinct name once per snapshot with
-the headings. After that, every indicator is a row, a lookup, or a sum
-over its own members.
+the work clusters, folding each distinct name once per build. After
+that, every indicator is a row, a lookup, or a sum over its own members.
 Every function here is pure: it reads, counts, and returns. Rendering
 and rounding live elsewhere.
 
@@ -48,6 +48,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import (
@@ -56,7 +57,7 @@ from .errors import (
     UndefinedRateError,
     UnknownTargetError,
 )
-from .identifiers import WorkCluster, _snapshot_fold, cluster_works, fold_text
+from .identifiers import WorkCluster, cluster_works, fold_text
 from .model import (
     AggregateUnit,
     BookRecord,
@@ -96,22 +97,26 @@ def _cnls(count: int, ordered: list[int], total: int) -> Optional[float]:
 class _View:
     """One (snapshot, filter) pair, compiled once for every indicator.
 
-    `filtered` is the filtered snapshot and `counts` its libcitations per
-    record. `holders` counts distinct holders of a record set, from the
-    start offset of each record's run of holdings, built on the first set
-    or author query. `classes()` is the per-class step, and `books()` and
-    `authors()` the per-book and per-author tables, each built on its
-    first read; work clusters always come from the unfiltered snapshot,
-    since filtering keeps every record.
+    `records`, `libraries` and `holding_libraries` are the filtered
+    snapshot's columns, and `counts` its libcitations per record.
+    `holders` counts distinct holders of a record set, from the start
+    offset of each record's run of holdings, built on the first set or
+    author query. `classes()` is the per-class
+    step, and `books()` and `authors()` the per-book and per-author
+    tables, each built on its first read; work clusters always come from
+    the unfiltered snapshot, since filtering keeps every record.
     """
 
-    __slots__ = ("source", "filtered", "counts", "_starts", "_classes", "_books", "_authors")
+    __slots__ = ("records", "libraries", "holding_libraries", "counts", "_starts",
+                 "_classes", "_books", "_authors")
 
     def __init__(
         self, snapshot: CatalogSnapshot, library_filter: Optional[LibraryFilter]
     ) -> None:
-        self.source = snapshot
-        self.filtered = filtered = apply_filter(snapshot, library_filter)
+        filtered = apply_filter(snapshot, library_filter)
+        self.records = filtered.records
+        self.libraries = filtered.libraries
+        self.holding_libraries = filtered.holding_libraries
         # holdings are unique per (record, library), so counting them counts holders
         held = Counter(filtered.holding_records)
         self.counts = {
@@ -140,7 +145,7 @@ class _View:
         """Class -> (its records' libcitations sorted, their sum)."""
         if self._classes is None:
             by_class: dict[str, list[int]] = {}
-            for record, count in zip(self.filtered.records, self.counts.values()):
+            for record, count in zip(self.records, self.counts.values()):
                 if record.lc_class is not None:
                     by_class.setdefault(record.lc_class, []).append(count)
             self._classes = {lc_class: (sorted(v), sum(v)) for lc_class, v in by_class.items()}
@@ -152,7 +157,7 @@ class _View:
         classes = self.classes()
         return [
             None if record.lc_class is None else _cnls(count, *classes[record.lc_class])
-            for record, count in zip(self.filtered.records, self.counts.values())
+            for record, count in zip(self.records, self.counts.values())
         ]
 
     def books(self) -> dict[str, BookIndicators]:
@@ -161,7 +166,7 @@ class _View:
         if self._books is None:
             classes = self.classes()
             self._books = books = {}
-            for record, count in zip(self.filtered.records, self.counts.values()):
+            for record, count in zip(self.records, self.counts.values()):
                 cnls_value = rank = None
                 if record.lc_class is not None:
                     ordered, total = classes[record.lc_class]
@@ -193,15 +198,16 @@ class _View:
                 starts[record_id] = start
                 start += count
             self._starts = starts
-        starts, column = self._starts, self.filtered.holding_libraries
+        starts, column = self._starts, self.holding_libraries
         return len(
             set().union(*(column[starts[r]:starts[r] + counts[r]] for r in record_ids))
         )
 
-    def authors(self) -> dict[str, AuthorProfile]:
-        """Folded heading -> AuthorProfile, under its smallest display variant."""
+    def authors(self, snapshot: CatalogSnapshot) -> dict[str, AuthorProfile]:
+        """Folded heading -> AuthorProfile, under its smallest display
+        variant; `snapshot` is the one this view was built on."""
         if self._authors is None:
-            clusters = cluster_works(self.source)
+            clusters = cluster_works(snapshot)
             cluster_of = {
                 record_id: index
                 for index, cluster in enumerate(clusters)
@@ -210,8 +216,8 @@ class _View:
             holders = [self.holders(cluster.member_record_ids) for cluster in clusters]
             # folded heading -> (smallest display variant, clusters it touches)
             headings: dict[str, tuple[str, set[int]]] = {}
-            fold = _snapshot_fold(self.source)
-            for record in self.filtered.records:
+            fold = cache(fold_text)
+            for record in self.records:
                 for contributor in record.contributors:
                     folded = fold(contributor.name)
                     if not folded:
@@ -275,7 +281,7 @@ class _Inclusions:
 def _inclusions(unit: AggregateUnit, view: _View) -> _Inclusions:
     titles = view.members(unit)
     ci = sum(view.counts[record_id] for record_id in titles)
-    return _Inclusions(titles, ci, view.filtered.n_libraries)
+    return _Inclusions(titles, ci, len(view.libraries))
 
 
 def _benchmark_cir(benchmark: AggregateUnit, view: _View) -> float:
@@ -339,7 +345,7 @@ def cnls(
     view = _view(snapshot, library_filter)
     book = view.classified(record)
     if book.cnls is None:
-        lc_class = view.filtered.get_record(book.record_id).lc_class
+        lc_class = snapshot.get_record(book.record_id).lc_class
         raise UndefinedRateError(f"class {lc_class} has zero mean libcitations")
     return book.cnls
 
@@ -422,7 +428,7 @@ def author_profile(
     folded = fold_text(heading)
     if not folded:
         raise AuthorNotFoundError(f"heading folds to nothing: {heading!r}")
-    profile = _view(snapshot, library_filter).authors().get(folded)
+    profile = _view(snapshot, library_filter).authors(snapshot).get(folded)
     if profile is None:
         raise AuthorNotFoundError(f"no record names contributor {heading!r}")
     return replace(profile, heading=heading)
@@ -438,7 +444,7 @@ def author_profiles(
     the lexicographically smallest variant seen. Order is descending
     holdings, then heading, so equal inputs render identically.
     """
-    profiles = list(_view(snapshot, library_filter).authors().values())
+    profiles = list(_view(snapshot, library_filter).authors(snapshot).values())
     profiles.sort(key=lambda p: (-p.library_holdings, p.heading))
     return profiles
 
@@ -472,7 +478,7 @@ def composition_report(
     country); the totals row is labelled "total"."""
     by_country: dict[str, list[int]] = {}
     totals = [0] * len(LIBRARY_KINDS)
-    for library in _view(snapshot, library_filter).filtered.libraries:
+    for library in _view(snapshot, library_filter).libraries:
         column = LIBRARY_KINDS.index(library.kind)
         by_country.setdefault(library.country, [0] * len(LIBRARY_KINDS))[column] += 1
         totals[column] += 1
@@ -484,12 +490,12 @@ def composition_report(
 
 # --- per-record metrics --------------------------------------------------------
 
-# Every named per-record metric, as its column over `view.filtered.records`
+# Every named per-record metric, as its column over `view.records`
 # in record-id order, None where a record has no value; `correlate` and
 # `coverage_report` read it.
 METRICS: dict[str, Callable[[_View], list[Optional[float]]]] = {
     "libcitations": lambda view: list(view.counts.values()),
-    "citations": lambda view: [record.citations for record in view.filtered.records],
+    "citations": lambda view: [record.citations for record in view.records],
     "cnls": lambda view: view.cnls_column(),
 }
 # The metrics a coverage report lists.
@@ -528,7 +534,7 @@ def coverage_report(
     denominator is always the full record count.
     """
     view = _view(snapshot, library_filter)
-    total = len(view.filtered.records)
+    total = len(view.records)
     if not total:
         raise UndefinedRateError("coverage is undefined over zero records")
     return tuple(

@@ -60,6 +60,7 @@ from .model import (
     Contributor,
     Isbn,
     LibraryOrg,
+    _SURROGATE,
     _check_holding,
 )
 from .render import _JSON_LINE
@@ -100,8 +101,6 @@ class _LocalNames(dict):
 
 
 _local_name = _LocalNames().__getitem__
-
-_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def _stream(document: "str | bytes | BinaryIO") -> "BinaryIO | io.StringIO":
@@ -500,9 +499,9 @@ def _write_atomic(path: str, data: "str | bytes", durable: bool = False) -> None
     a per-process counter, created exclusively), so concurrent writers of
     one path never rename or remove each other's temp file: readers see
     one whole version. It is created 0666 less the umask, as open() would.
-    Bytes are written as they are and text as UTF-8. The text callers
-    write JSON, so a lone surrogate, which UTF-8 cannot encode, is written
-    as its JSON escape (`\\ud800`) and reads back equal.
+    Bytes are written as they are and text as strict UTF-8: no entity
+    holds a lone surrogate, so text that does is a bug, and it raises
+    UnicodeEncodeError before any file is made.
 
     When `durable`, the temp file is synced before the rename and its
     directory after it, so a crash leaves the old or the new file whole,
@@ -511,7 +510,7 @@ def _write_atomic(path: str, data: "str | bytes", durable: bool = False) -> None
     which this creates and `client.QuotaStore` then writes in place.
     """
     if isinstance(data, str):
-        data = data.encode("utf-8", "backslashreplace")
+        data = data.encode("utf-8")
     directory, name = os.path.split(path)
     while True:
         tmp = os.path.join(directory, f".{name}.{os.getpid()}-{next(_temp_ids)}")

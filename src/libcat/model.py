@@ -16,13 +16,17 @@ Every entity checks its fields when it is built; `_check_holding` is
 the one holding rule. The common case costs one direct
 `type(value) is T` test per field; only a value that fails it goes
 through `_check_types`, which builds the error message, so the messages
-are the same whichever path finds the fault. Entities are frozen and
-hashable, so equal ones may be shared: the dataset loader
-builds one Contributor per distinct (name, role) pair in a file.
+are the same whichever path finds the fault. No entity text may hold a
+lone surrogate, so every entity saves as UTF-8 and loads back equal;
+`_check_text` searches only text that is not all ASCII.
+Entities are frozen and hashable, so equal ones may be shared: the
+dataset loader builds one Contributor per distinct (name, role) pair in
+a file.
 """
 
 from __future__ import annotations
 
+import re
 from array import array
 from dataclasses import dataclass
 from itertools import compress
@@ -41,6 +45,7 @@ _CHANNEL_CODES = {channel: code for code, channel in enumerate(CHANNELS)}
 # The field types a BookRecord checks directly before any message is built.
 _STR_OR_NONE = frozenset({str, type(None)})
 _INT_OR_NONE = frozenset({int, type(None)})
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def _check_types(entity: object, kind: type, *names: str) -> None:
@@ -56,6 +61,19 @@ def _check_types(entity: object, kind: type, *names: str) -> None:
             raise TypeError(
                 f"{type(entity).__name__} {name} must be {kind.__name__}, not {value!r}"
             )
+
+
+def _check_text(entity: object, *names: str) -> None:
+    """Raise ValueError if a named field's text, a str or each str of a
+    collection, holds a lone surrogate: UTF-8 cannot encode one, and the
+    JSON escapes of a high and a low one read back as one character."""
+    for name in names:
+        value = getattr(entity, name)
+        for text in (value,) if type(value) is str else value or ():
+            if not text.isascii() and _SURROGATE.search(text):
+                raise ValueError(
+                    f"{type(entity).__name__} {name} holds a lone surrogate: {text!r}"
+                )
 
 
 def _check_strings(entity: object, name: str, kind: type) -> None:
@@ -115,6 +133,8 @@ class Contributor:
             _check_types(self, str, "name", "role")
         if not self.name.strip():
             raise ValueError("contributor name must be non-empty")
+        if not self.name.isascii():
+            _check_text(self, "name")
         if self.role not in ROLES:
             raise ValueError(f"unknown contributor role: {self.role!r}")
 
@@ -147,9 +167,14 @@ class BookRecord:
             and type(self.oclc) in _INT_OR_NONE
             and type(self.year) in _INT_OR_NONE
             and type(self.citations) in _INT_OR_NONE
+            and self.record_id.isascii()
+            and self.title.isascii()
+            and (self.language or "").isascii()
+            and (self.lc_class or "").isascii()
         ):
             _check_types(self, str, "record_id", "title", "language", "lc_class")
             _check_types(self, int, "oclc", "year", "citations")
+            _check_text(self, "record_id", "title", "language", "lc_class")
         if not self.record_id:
             raise ValueError("record_id must be non-empty")
         if not self.title or not self.title.strip():
@@ -205,6 +230,7 @@ class LibraryOrg:
         if self.kind not in LIBRARY_KINDS:
             raise ValueError(f"library {self.library_id}: unknown kind {self.kind!r}")
         _check_strings(self, "memberships", frozenset)
+        _check_text(self, "library_id", "name", "country", "memberships")
 
 
 def _check_holding(record_id: object, library_id: object, channel: object) -> None:

@@ -24,6 +24,7 @@ from libcat.ingest import load_dataset, merge_snapshots, save_dataset
 from libcat.model import (
     BookRecord,
     CatalogSnapshot,
+    Contributor,
     Holding,
     Isbn,
     LibraryOrg,
@@ -591,6 +592,29 @@ class TestFetch:
         assert [headers.get("wskey") for headers in seen] == ["k-123", "k-123"]
         assert not any("X-API-Key" in headers for headers in seen)
 
+    def test_a_quota_read_that_fails_after_the_harvest_keeps_the_holdings(
+        self, capsys, fetch_world, monkeypatch
+    ):
+        dataset, server = fetch_world
+        state = libcat.client.QuotaStore.state
+
+        def state_after_the_harvest_fails(store):
+            if server.request_count:
+                raise libcat.client.QuotaStateError("unreadable quota state file q: boom")
+            return state(store)
+
+        monkeypatch.setattr(libcat.client.QuotaStore, "state", state_after_the_harvest_fails)
+        code, out, err = run_cli(
+            capsys, "fetch", "--all", "--dataset", dataset, "--base-url", server.base_url,
+        )
+        assert (code, out) == (1, "")
+        assert server.request_count == 2
+        assert load_dataset(dataset).n_holdings == 3
+        assert err == (
+            "skipped f3: no OCLC number or ISBN\n"
+            "error: unreadable quota state file q: boom\n"
+        )
+
     def test_quota_state_spans_invocations(self, capsys, fetch_world, tmp_path):
         dataset, server = fetch_world
         state = tmp_path / "quota-state.json"
@@ -889,9 +913,9 @@ class TestIndicatorsCommand:
     ):
         seen = set()
         for name in ("classes", "books", "authors"):
-            def spy(view, name=name, table=getattr(indicators._View, name)):
+            def spy(view, *args, name=name, table=getattr(indicators._View, name)):
                 seen.add(name)
-                return table(view)
+                return table(view, *args)
 
             monkeypatch.setattr(indicators._View, name, spy)
         rows = []
@@ -1359,26 +1383,36 @@ class TestNamedFiles:
             assert err == f"error: {what} {path}: {reason}\n"
         assert pathlib.Path(analysis_dataset).read_bytes() == good
 
+    def test_a_lone_surrogate_in_a_dataset_exits_one_naming_its_line(self, capsys, tmp_path):
+        path = tmp_path / "surrogate.jsonl"
+        path.write_text('{"t":"R","id":"r1","title":"T"}\n{"t":"R","id":"r2","title":"X\\ud800"}\n')
+        code, out, err = run_cli(capsys, "report", "--dataset", str(path))
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: dataset {path}: line 2: BookRecord title holds a lone surrogate: 'X\\ud800'\n"
+        )
+
 
 class TestStdout:
-    """A character stdout cannot encode, such as a lone surrogate that a
-    dataset line may carry as a JSON escape, is printed as its backslash
-    escape; everything else prints as it is."""
+    """A character stdout cannot encode, as ASCII cannot encode "Ω", is
+    printed as its backslash escape; everything else prints as it is."""
 
     @pytest.fixture()
-    def surrogate_dataset(self, tmp_path):
-        path = tmp_path / "surrogate.jsonl"
-        path.write_text(
-            '{"t":"R","id":"r\\udc80","title":"A","contributors":[["X\\ud800y","author"]],'
-            '"lc":"QA"}\n'
-            '{"t":"L","id":"l1","name":"Lib","country":"US"}\n'
-            '{"t":"H","record":"r\\udc80","library":"l1"}\n'
+    def omega_dataset(self, tmp_path):
+        path = tmp_path / "omega.jsonl"
+        save_dataset(
+            CatalogSnapshot(
+                [BookRecord("r1", "A", contributors=(Contributor("\u03a9lga"),), lc_class="QA")],
+                [LibraryOrg("l1", "Lib", "US")],
+                [Holding("r1", "l1")],
+            ),
+            path,
         )
         return str(path)
 
     @staticmethod
-    def run_to_bytes(monkeypatch, errors, *argv):
-        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors=errors)
+    def run_to_bytes(monkeypatch, encoding, *argv):
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding=encoding, errors="strict")
         monkeypatch.setattr(sys, "stdout", stdout)
         code = run(list(argv))
         stdout.flush()
@@ -1387,35 +1421,36 @@ class TestStdout:
     @pytest.mark.parametrize(
         "fmt, table",
         [
-            ("csv", b"author,works,publications,holdings\r\nX\\ud800y,1,1,1\n"),
+            ("csv", b"author,works,publications,holdings\r\n\\u03a9lga,1,1,1\n"),
             (
                 "md",
                 b"| author | works | publications | holdings |\n| --- | --- | --- | --- |\n"
-                b"| X\\ud800y | 1 | 1 | 1 |\n",
+                b"| \\u03a9lga | 1 | 1 | 1 |\n",
             ),
             (
                 "jsonl",
-                b'{"author":"X\\ud800y","works":"1","publications":"1","holdings":"1"}\n',
+                b'{"author":"\\u03a9lga","works":"1","publications":"1","holdings":"1"}\n',
             ),
         ],
+        ids=["csv", "md", "jsonl"],
     )
-    def test_a_lone_surrogate_prints_escaped(self, monkeypatch, surrogate_dataset, fmt, table):
+    def test_what_stdout_cannot_encode_prints_escaped(self, monkeypatch, omega_dataset, fmt, table):
         code, out = self.run_to_bytes(
-            monkeypatch, "strict", "indicators", "--authors", "--output", fmt,
-            "--dataset", surrogate_dataset,
+            monkeypatch, "ascii", "indicators", "--authors", "--output", fmt,
+            "--dataset", omega_dataset,
         )
         assert code == 0
         assert out == table
         if fmt == "jsonl":
-            assert json.loads(out)["author"] == "X\ud800y"
+            assert json.loads(out)["author"] == "\u03a9lga"
 
-    def test_what_stdout_can_encode_prints_as_it_is(self, monkeypatch, surrogate_dataset):
+    def test_what_stdout_can_encode_prints_as_it_is(self, monkeypatch, omega_dataset):
         code, out = self.run_to_bytes(
-            monkeypatch, "surrogateescape", "indicators", "--all-books", "--output", "csv",
-            "--dataset", surrogate_dataset,
+            monkeypatch, "utf-8", "indicators", "--authors", "--output", "csv",
+            "--dataset", omega_dataset,
         )
         assert code == 0
-        assert out == b"record,title,libcitations,cnls,rank,class_size\r\nr\x80,A,1,1.0000,1,1\n"
+        assert out == "author,works,publications,holdings\r\n\u03a9lga,1,1,1\n".encode()
 
 
 class FailingStdout(io.TextIOBase):
@@ -1460,6 +1495,28 @@ class TestUnwritableStdout:
         code = run([*argv, "--dataset", analysis_dataset])
         assert code == 1
         assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize("command", ["report", "ingest"])
+    def test_a_stdout_closed_before_start_up_exits_one(
+        self, analysis_dataset, subprocess_env, tmp_path, command
+    ):
+        """`lca … >&-`: the interpreter starts with no stdout at all, and an
+        ingest then merges nothing."""
+        dataset = tmp_path / "dataset.jsonl"
+        dataset.write_bytes(pathlib.Path(analysis_dataset).read_bytes())
+        argv = ["report", "--dataset", str(dataset)]
+        if command == "ingest":
+            extra = tmp_path / "extra.jsonl"
+            save_dataset(CatalogSnapshot([BookRecord("n1", "New")], (), ()), extra)
+            argv = ["ingest", "--format", "jsonl", "--input", str(extra), "--dataset", str(dataset)]
+        before = dataset.read_bytes()
+        child = subprocess.run(
+            [sys.executable, "-m", "libcat.cli", *argv], env=subprocess_env,
+            stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1), timeout=60,
+        )
+        assert child.returncode == 1
+        assert child.stderr == b"error: cannot write output: stdout is closed\n"
+        assert dataset.read_bytes() == before
 
     @pytest.fixture()
     def big_dataset(self, tmp_path):

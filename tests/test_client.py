@@ -7,11 +7,14 @@ import json
 import os
 import random
 import re
+import socket
+import struct
 import subprocess
 import sys
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 import xml.etree.ElementTree as ET
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -682,6 +685,21 @@ class TestClientLookups:
         assert server.request_count == before
 
 
+class TestFixtureServer:
+    def test_a_client_that_resets_before_its_answer_is_dropped_quietly(self, corpus, capsys):
+        with FixtureServer(corpus) as fixture:
+            address = urllib.parse.urlsplit(fixture.base_url)
+            for _ in range(3):
+                with socket.create_connection((address.hostname, address.port)) as sock:
+                    sock.sendall(b"GET /content/libraries/1001 HTTP/1.1\r\nHost: x\r\n\r\n")
+                    # linger 0: close sends a reset, not a FIN
+                    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            response = make_client(fixture).get_by_oclc_number(1001)
+        # closing the server joined every handler thread, so all they wrote is here
+        assert capsys.readouterr().err == ""
+        assert len(response.locations) == 3
+
+
 class TestRetries:
     def test_connection_errors_are_retried_with_backoff(self):
         good = reply(
@@ -983,6 +1001,23 @@ class TestHarvest:
         assert [rid for rid, _ in result.errors] == ["r2"]
         assert result.skipped == (("r3", "no OCLC number or ISBN"),)
         assert client.quota.state().used == 3
+
+    @pytest.mark.parametrize("field", ["name", "country", "institution_id"])
+    def test_a_lone_surrogate_in_a_location_fails_that_record_alone(self, field):
+        """A JSON escape may send a lone surrogate, which no library may
+        hold: that answer is malformed, and the batch goes on."""
+        location = {"name": "A", "country": "US", "institution_id": "aaa"}
+        good = json.dumps({"locations": [location]}).encode()
+        bad = json.dumps({"locations": [{**location, field: "B\ud800"}]}).encode()
+        send = ScriptedSend(lambda url, n: reply(200, bad if url.endswith("/2") else good))
+        client = CatalogClient("http://unit.test", quota=QuotaStore(100), send=send)
+        records = [BookRecord(f"r{i}", "T", oclc=i) for i in (1, 2, 3)]
+        result = harvest(client, records)
+        assert result.queried == ("r1", "r3")
+        ((record_id, message),) = result.errors
+        assert record_id == "r2"
+        assert message.startswith(f"malformed JSON location response: Location {field} holds")
+        assert result.delta.n_holdings == 2
 
     @pytest.mark.parametrize("parallelism", [1, 3])
     def test_an_unexpected_error_leaves_no_queued_lookups(self, parallelism):

@@ -1,5 +1,6 @@
 """The indicator family: point values, aggregates, profiles, reports."""
 
+import gc
 import math
 import random
 
@@ -530,7 +531,10 @@ class TestCompiledView:
             indicators.apply_filter = original
         assert passes == [library_filter]
 
-    def test_each_distinct_string_folds_once_per_snapshot(self, monkeypatch):
+    def test_each_distinct_string_folds_once_per_build(self, monkeypatch):
+        """Work clustering and each view's author table fold through a cache
+        of their own build: each distinct string once, and a table read
+        again folds nothing."""
         snap = variant_author_snapshot(random.Random(3), 40)
         folded = []
         original = identifiers.fold_text
@@ -540,11 +544,17 @@ class TestCompiledView:
             return original(text)
 
         monkeypatch.setattr(identifiers, "fold_text", counting_fold)
+        monkeypatch.setattr(indicators, "fold_text", counting_fold)
+        names = sorted({c.name for record in snap.records for c in record.contributors})
+        titles = {record.title for record in snap.records}
         cluster_works(snap)
-        author_profiles(snap)
-        author_profiles(snap, LibraryFilter(countries=frozenset({"US"})))
-        names = {c.name for record in snap.records for c in record.contributors}
-        assert sorted(folded) == sorted(names | {record.title for record in snap.records})
+        assert len(folded) == len(set(folded))
+        assert titles <= set(folded) <= titles | set(names)
+        for library_filter in (None, LibraryFilter(countries=frozenset({"US"}))):
+            folded.clear()
+            author_profiles(snap, library_filter)
+            author_profiles(snap, library_filter)
+            assert sorted(folded) == names
 
 
 class TestUnitReport:
@@ -688,3 +698,39 @@ class TestMetricColumns:
     def test_unknown_name_raises_key_error(self):
         with pytest.raises(KeyError):
             metric_columns(["libcitations", "nope"], counts_snapshot([1, 2]))
+
+
+class TestMemo:
+    def test_a_dropped_snapshot_leaves_no_cycle(self):
+        """Every table, unfiltered and filtered, plus the work clusters, is
+        memoized on the snapshot, yet reference counting alone frees it:
+        with the collector off, nothing of it is left for a collection."""
+        snap = datasets.random_snapshot(random.Random(11), max_records=60, max_libraries=15)
+        unit = whole_unit(snap)
+        heading = next(c.name for r in snap.records for c in r.contributors)
+        gc.collect()
+        enabled, flags = gc.isenabled(), gc.get_debug()
+        gc.disable()
+        try:
+            for library_filter in (None, LibraryFilter(countries=frozenset({"US", "GB"}))):
+                book_indicators(snap, library_filter)
+                author_profiles(snap, library_filter)
+                author_profile(heading, snap, library_filter)
+                unit_report(unit, snap, library_filter, benchmark=unit)
+                metric_columns(list(indicators.METRICS), snap, library_filter)
+                coverage_report(snap, library_filter)
+                composition_report(snap, library_filter)
+            cluster_works(snap)
+            assert set(snap.memo) == {
+                "work_clusters", ("indicator_view", None), ("indicator_view", library_filter)
+            }
+            del snap
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            left = [o for o in gc.garbage if isinstance(o, (CatalogSnapshot, indicators._View))]
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+            if enabled:
+                gc.enable()
+        assert left == []

@@ -493,6 +493,44 @@ class TestPersistence:
         assert "Öl und Wasser" in path.read_text(encoding="utf-8")
         assert load_dataset(path).records[0].title == "Öl und Wasser"
 
+    @pytest.mark.parametrize(
+        ("line", "message"),
+        [
+            ('{"t":"R","id":"r1","title":"\\ud800"}',
+             "BookRecord title holds a lone surrogate: '\\ud800'"),
+            ('{"t":"R","id":"r1","title":"\\udc80\\ud800"}',
+             "BookRecord title holds a lone surrogate: '\\udc80\\ud800'"),
+            ('{"t":"R","id":"r1","title":"T","contributors":[["A\\udfff","author"]]}',
+             "Contributor name holds a lone surrogate: 'A\\udfff'"),
+            ('{"t":"L","id":"l1","name":"Lib","country":"US","memberships":["\\ud83d"]}',
+             "LibraryOrg memberships holds a lone surrogate: '\\ud83d'"),
+        ],
+        ids=["title", "low-then-high", "contributor", "membership"],
+    )
+    def test_a_lone_surrogate_escape_names_its_line(self, tmp_path, line, message):
+        path = tmp_path / "data.jsonl"
+        path.write_text(RECORD_LINE + "\n" + line + "\n")
+        with pytest.raises(DatasetError) as caught:
+            load_dataset(path)
+        assert str(caught.value) == "line 2: " + message
+
+    def test_a_surrogate_pair_escape_loads_as_one_character(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"t":"R","id":"r1","title":"\\ud83d\\ude00"}\n')
+        snapshot = load_dataset(path)
+        assert snapshot.records[0].title == "\U0001f600"
+        save_dataset(snapshot, path)
+        assert path.read_text(encoding="utf-8") == (
+            '{"t":"R","id":"r1","title":"\U0001f600","format":"unknown"}\n'
+        )
+        assert load_dataset(path) == snapshot
+
+    def test_text_with_a_lone_surrogate_is_never_written(self, tmp_path):
+        path = tmp_path / "out.json"
+        with pytest.raises(UnicodeEncodeError):
+            ingest._write_atomic(str(path), '{"a":"\ud800"}')
+        assert list(tmp_path.iterdir()) == []
+
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "data.jsonl"
         path.write_text('{"t":"R","id":"r1","title":"T","format":"print"}\n\n\n')
@@ -962,7 +1000,7 @@ class TestSnapshotSidecar:
     def test_a_hit_equals_the_json_load_on_any_text(self, tmp_path_factory, snapshot):
         path = tmp_path_factory.mktemp("ds") / "data.jsonl"
         save_dataset(snapshot, path)
-        assert_hit_equals_json_load(path)
+        assert assert_hit_equals_json_load(path) == snapshot
 
     @staticmethod
     def broken(path, how):

@@ -145,6 +145,33 @@ class TestValues:
         with pytest.raises(ValueError):
             LibraryOrg("l1", "Lib", "US", kind="museum")
 
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda text: BookRecord(text, "T"), "BookRecord record_id"),
+            (lambda text: BookRecord("r1", text), "BookRecord title"),
+            (lambda text: BookRecord("r1", "T", language=text), "BookRecord language"),
+            (lambda text: BookRecord("r1", "T", lc_class=text), "BookRecord lc_class"),
+            (lambda text: Contributor(text), "Contributor name"),
+            (lambda text: LibraryOrg(text, "Lib", "US"), "LibraryOrg library_id"),
+            (lambda text: LibraryOrg("l1", text, "US"), "LibraryOrg name"),
+            (lambda text: LibraryOrg("l1", "Lib", text), "LibraryOrg country"),
+            (lambda text: LibraryOrg("l1", "Lib", "US", memberships={"ARL", text}),
+             "LibraryOrg memberships"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else "",
+    )
+    @pytest.mark.parametrize("text", ["\ud800", "X\udfffy", "\u00e9\udc80", "\ud83d\ude00"])
+    def test_text_with_a_lone_surrogate_is_refused(self, build, field, text):
+        with pytest.raises(ValueError, match=f"^{field} holds a lone surrogate: "):
+            build(text)
+
+    def test_text_of_any_other_code_point_is_kept(self):
+        text = "\U0001f600 \u00e9\uffff\x00"
+        record = BookRecord(text, text, contributors=(Contributor(text),), language=text)
+        assert (record.record_id, record.title, record.contributors[0].name) == (text,) * 3
+        assert LibraryOrg(text, text, text, memberships={text}).memberships == {text}
+
     def test_holding_channel_vocabulary(self):
         rec, lib = BookRecord("r1", "T"), LibraryOrg("l1", "Lib", "US")
         with pytest.raises(ValueError):

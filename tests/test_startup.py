@@ -1,16 +1,18 @@
 """What `lca` loads at start-up: each command imports only the layers it
 runs. Read commands never import the network layer; the rank statistics,
 the XML parser and the csv writer load only for the commands that use
-them."""
+them (the XML parser for an XML ingest and for `fetch`, whose client
+decodes XML answers)."""
 
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
 import libcat
-from libcat.ingest import save_dataset
+from libcat.ingest import load_dataset, save_dataset
 from libcat.model import BookRecord, CatalogSnapshot, Holding, LibraryOrg
 
 NETWORK_MODULES = ("requests", "urllib3", "http.client", "http.server", "concurrent.futures")
@@ -19,7 +21,8 @@ DEFERRED_MODULES = ("libcat.stats", "xml.etree.ElementTree", "csv")
 
 # Runs in a fresh interpreter: imports the CLI, then runs each command in
 # turn, and reports for each step its exit code and which of the watched
-# modules it newly loaded.
+# modules it newly loaded. Given a dataset to serve, it first starts a
+# FixtureServer on it, whose URL replaces BASE_URL in the commands.
 CHILD = """
 import io, json, sys
 from contextlib import redirect_stdout
@@ -30,19 +33,25 @@ steps = []
 seen = loaded()
 from libcat.cli import run
 steps.append(["import libcat.cli", 0, sorted(set(loaded()) - set(seen))])
+base_url = None
+if {served!r} is not None:
+    from libcat.fixture import FixtureServer
+    from libcat.ingest import load_dataset
+    base_url = FixtureServer(load_dataset({served!r})).base_url
 for argv in {commands!r}:
     seen = loaded()
     with redirect_stdout(io.StringIO()):
-        code = run(argv)
+        code = run([base_url if arg == "BASE_URL" else arg for arg in argv])
     steps.append([" ".join(argv), code, sorted(set(loaded()) - set(seen))])
 print(json.dumps(steps))
 """
 
 
-def run_child(watched, commands, env):
+def run_child(watched, commands, env, served=None):
     """[step, exit code, watched modules it newly loaded] for `import
-    libcat.cli` and then each of `commands`, run in one fresh interpreter."""
-    child = CHILD.format(watched=watched, commands=commands)
+    libcat.cli` and then each of `commands`, run in one fresh interpreter;
+    with `served`, against a FixtureServer on that dataset."""
+    child = CHILD.format(watched=watched, commands=commands, served=served)
     proc = subprocess.run(
         [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=60,
     )
@@ -53,8 +62,8 @@ def run_child(watched, commands, env):
 @pytest.fixture()
 def small_dataset(tmp_path):
     records = [
-        BookRecord("b1", "First", lc_class="QA76", citations=3),
-        BookRecord("b2", "Second", lc_class="QA76", citations=1),
+        BookRecord("b1", "First", oclc=101, lc_class="QA76", citations=3),
+        BookRecord("b2", "Second", oclc=102, lc_class="QA76", citations=1),
         BookRecord("b3", "Third", citations=2),
     ]
     libraries = [LibraryOrg("l1", "One", "US", "academic"), LibraryOrg("l2", "Two", "GB")]
@@ -106,6 +115,14 @@ def test_each_deferred_layer_loads_only_for_the_command_that_uses_it(
         [" ".join(commands[4]), 0, ["csv"]],
         [" ".join(commands[5]), 0, ["xml.etree.ElementTree"]],
     ]
+    fetched = tmp_path / "fetched.jsonl"
+    fetched.write_bytes(pathlib.Path(small_dataset).read_bytes())
+    fetch = ["fetch", "--all", "--dataset", str(fetched), "--base-url", "BASE_URL"]
+    steps = run_child(DEFERRED_MODULES, [fetch], subprocess_env, served=small_dataset)
+    assert steps == [
+        ["import libcat.cli", 0, []], [" ".join(fetch), 0, ["xml.etree.ElementTree"]]
+    ]
+    assert load_dataset(fetched).n_holdings == 3
 
 
 def test_the_stats_names_resolve_from_a_package_that_has_not_loaded_them(subprocess_env):
