@@ -29,6 +29,7 @@ exhausted mid-fetch after a partial merge; 4 unresolved unit or author;
 from __future__ import annotations
 
 import argparse
+import codecs
 import gc
 import os
 import sys
@@ -186,17 +187,28 @@ def _merge_into_dataset(path: str, delta: CatalogSnapshot) -> None:
         raise _Failure(EXIT_UNREADABLE, f"cannot lock dataset {path}: {exc}") from exc
 
 
+def _escape_unencodable(error: UnicodeEncodeError) -> tuple[str, int]:
+    """The codec error handler `_print` registers. It writes each character
+    the encoding cannot take as JSON's escape `\\uXXXX` in lower-case hex,
+    one per UTF-16 code unit, so a character above U+FFFF is a surrogate
+    pair."""
+    units = error.object[error.start:error.end].encode("utf-16-be", "surrogatepass")
+    escaped = "".join(f"\\u{units[i]:02x}{units[i + 1]:02x}" for i in range(0, len(units), 2))
+    return escaped, error.end
+
+
 def _print(text: str) -> None:
     """Print `text` and a newline on stdout and flush it; every table and
     summary line goes out here.
 
     A character stdout cannot encode, as ASCII cannot encode "é", is
-    printed as its backslash escape. A reader that closed the pipe ends
-    the command with exit 1 and no message; any other write failure, a
-    stdout closed before start-up (`>&-`) included, exits 1 with
-    `error: cannot write output: …`. After a failed write the process's
-    own stdout is pointed at the null device, so the interpreter's flush
-    at exit has nothing left to fail on.
+    printed as its JSON escape (`\\u00e9`; above U+FFFF a surrogate pair),
+    so a jsonl line still parses back to the text. A reader that closed
+    the pipe ends the command with exit 1 and no message; any other write
+    failure, a stdout closed before start-up (`>&-`) included, exits 1
+    with `error: cannot write output: …`. After a failed write the
+    process's own stdout is pointed at the null device, so the
+    interpreter's flush at exit has nothing left to fail on.
     """
     if sys.stdout is None:  # the interpreter found no file descriptor 1
         raise _Failure(EXIT_UNREADABLE, "cannot write output: stdout is closed")
@@ -204,7 +216,9 @@ def _print(text: str) -> None:
         try:
             print(text)
         except UnicodeEncodeError:
-            print(text.encode(sys.stdout.encoding, "backslashreplace").decode(sys.stdout.encoding))
+            codecs.register_error("libcat.escape", _escape_unencodable)
+            encoding = sys.stdout.encoding
+            print(text.encode(encoding, "libcat.escape").decode(encoding))
         sys.stdout.flush()
     except OSError as exc:
         if sys.stdout is sys.__stdout__:

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import (
     IsbnChecksumError,
@@ -121,30 +120,36 @@ def fold_text(text: str) -> str:
     return _NON_ALNUM.sub(" ", text.casefold()).strip()
 
 
-@dataclass(frozen=True, slots=True)
-class WorkKey:
+class WorkKey(NamedTuple):
     """Normalized (title, primary contributor) pair identifying a work."""
 
     normalized_title: str
     primary_contributor: str
 
 
-@dataclass(frozen=True, slots=True)
-class WorkCluster:
+class _WorkCluster(NamedTuple):
+    work_key: WorkKey
+    member_record_ids: frozenset[str]
+
+
+class WorkCluster(_WorkCluster):
     """One work: the editions that the evidence closure pulled together.
 
     Members linked through shared identifiers may carry differing keys;
     the cluster is labeled by the key of its smallest member id so the
-    label is deterministic.
+    label is deterministic. Building one, `_replace` included, checks
+    that it has a member and stores the members as a frozenset.
     """
 
-    work_key: WorkKey
-    member_record_ids: frozenset[str]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.member_record_ids:
+    def __new__(cls, work_key: WorkKey, member_record_ids: frozenset[str]) -> "WorkCluster":
+        if not member_record_ids:
             raise ValueError("cluster must have at least one member")
-        object.__setattr__(self, "member_record_ids", frozenset(self.member_record_ids))
+        return super().__new__(cls, work_key, frozenset(member_record_ids))
+
+    def _replace(self, **changes: object) -> "WorkCluster":
+        return WorkCluster(*super()._replace(**changes))
 
 
 def work_key(record: BookRecord, fold: Callable[[str], str] = fold_text) -> WorkKey:

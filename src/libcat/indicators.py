@@ -47,9 +47,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, replace
 from functools import cache
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     AuthorNotFoundError,
@@ -70,16 +69,14 @@ from .model import (
 Target = Union[str, BookRecord, WorkCluster, AggregateUnit, Iterable[str]]
 
 
-@dataclass(frozen=True, slots=True)
-class BookIndicators:
+class BookIndicators(NamedTuple):
     record_id: str
     libcitations: int
     cnls: Optional[float]
     rank_in_class: Optional[tuple[int, int]]
 
 
-@dataclass(frozen=True, slots=True)
-class AuthorProfile:
+class AuthorProfile(NamedTuple):
     heading: str
     works: int
     publications: int
@@ -261,8 +258,7 @@ def libcitations(
     return view.holders(view.members(target))
 
 
-@dataclass(frozen=True, slots=True)
-class _Inclusions:
+class _Inclusions(NamedTuple):
     """A unit's titles, summed per-title inclusions, and catalog count."""
 
     titles: frozenset[str]
@@ -361,8 +357,7 @@ def rank_in_class(
 
 # --- aggregate reports -------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class IndicatorReport:
+class IndicatorReport(NamedTuple):
     unit_id: str
     label: str
     n_titles: int
@@ -431,7 +426,7 @@ def author_profile(
     profile = _view(snapshot, library_filter).authors(snapshot).get(folded)
     if profile is None:
         raise AuthorNotFoundError(f"no record names contributor {heading!r}")
-    return replace(profile, heading=heading)
+    return profile._replace(heading=heading)
 
 
 def author_profiles(
@@ -449,8 +444,7 @@ def author_profiles(
     return profiles
 
 
-@dataclass(frozen=True, slots=True)
-class CompositionRow:
+class CompositionRow(NamedTuple):
     """Libraries of one country (or of all, in the totals row), counted per
     kind in LIBRARY_KINDS order."""
 
@@ -462,8 +456,7 @@ class CompositionRow:
         return sum(self.counts)
 
 
-@dataclass(frozen=True, slots=True)
-class CompositionReport:
+class CompositionReport(NamedTuple):
     """Libraries per country broken down by kind, with column totals."""
 
     rows: tuple[CompositionRow, ...]
@@ -517,8 +510,7 @@ def metric_columns(
     return [(name, [row[i] for row in rows]) for i, name in enumerate(names)]
 
 
-@dataclass(frozen=True, slots=True)
-class CoverageRow:
+class CoverageRow(NamedTuple):
     metric: str
     covered: int
     total: int

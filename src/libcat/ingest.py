@@ -46,7 +46,6 @@ import stat
 import sys
 from array import array
 from collections import deque
-from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, Optional, Sequence
 
@@ -72,12 +71,24 @@ _YEAR = re.compile(r"\d{4}")
 _ISBD_TRAIL = " /:;,.="
 
 
-@dataclass
 class ParseReport:
     """Per-document tally of what was kept and what was dropped, and why."""
 
-    accepted: int = 0
-    rejections: list[tuple[str, str]] = field(default_factory=list)
+    __slots__ = ("accepted", "rejections")
+
+    def __init__(
+        self, accepted: int = 0, rejections: Optional[list[tuple[str, str]]] = None
+    ) -> None:
+        self.accepted = accepted
+        self.rejections = [] if rejections is None else rejections
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not ParseReport:
+            return NotImplemented
+        return (self.accepted, self.rejections) == (other.accepted, other.rejections)
+
+    def __repr__(self) -> str:
+        return f"ParseReport(accepted={self.accepted!r}, rejections={self.rejections!r})"
 
     @property
     def rejected(self) -> int:
@@ -748,7 +759,7 @@ def _layout_key() -> bytes:
     under any other key is stale."""
     sha = hashlib.sha256()
     layout = (
-        [[f.name for f in fields(kind)] for kind in (BookRecord, Isbn, Contributor, LibraryOrg)],
+        [list(kind._fields) for kind in (BookRecord, Isbn, Contributor, LibraryOrg)],
         marshal.version,
         sys.byteorder,
         array("I").itemsize,
@@ -783,14 +794,14 @@ def _snapshot_columns(snapshot: CatalogSnapshot) -> tuple:
 
     library_columns = tuple(
         tuple(
-            tuple(sorted(library.memberships)) if f.name == "memberships"
-            else getattr(library, f.name)
+            tuple(sorted(library.memberships)) if name == "memberships"
+            else getattr(library, name)
             for library in snapshot.libraries
         )
-        for f in fields(LibraryOrg)
+        for name in LibraryOrg._fields
     )
     return (
-        tuple(column(f.name) for f in fields(BookRecord)),
+        tuple(map(column, BookRecord._fields)),
         library_columns,
         snapshot.holding_records.tobytes(),
         snapshot.holding_libraries.tobytes(),
@@ -811,10 +822,10 @@ _SHARED: dict[str, tuple[Callable, Callable[[tuple], list]]] = {
 
 
 def _entities(kind: type, columns: Sequence[Sequence]) -> list:
-    """Entities of the frozen dataclass `kind` whose fields hold `columns`
-    (one per field, in field order), built without `__post_init__`: only
-    for values taken from entities that passed it."""
-    names = [f.name for f in fields(kind)]
+    """Entities of the `model` entity class `kind` whose fields hold
+    `columns` (one per field, in field order), built without `__init__`:
+    only for values taken from entities that passed its checks."""
+    names = kind._fields
     if len(columns) != len(names) or len(set(map(len, columns))) != 1:
         raise ValueError("columns do not fit the fields")
     entities = list(map(object.__new__, itertools.repeat(kind, len(columns[0]))))
@@ -829,14 +840,14 @@ def _rebuild(columns: tuple) -> CatalogSnapshot:
     columns are read back from their bytes, and the memo starts empty."""
     record_columns, library_columns, *holdings = columns
     record_columns = list(record_columns)
-    for i, f in enumerate(fields(BookRecord)):
-        if f.name in _SHARED:
+    for i, name in enumerate(BookRecord._fields):
+        if name in _SHARED:
             values, indexes = record_columns[i]
-            entities = _SHARED[f.name][1](values)
+            entities = _SHARED[name][1](values)
             record_columns[i] = [tuple(map(entities.__getitem__, each)) for each in indexes]
     library_columns = [
-        [frozenset(tags) for tags in column] if f.name == "memberships" else column
-        for f, column in zip(fields(LibraryOrg), library_columns)
+        [frozenset(tags) for tags in column] if name == "memberships" else column
+        for name, column in zip(LibraryOrg._fields, library_columns)
     ]
     holding_records, holding_libraries, holding_channels = array("I"), array("I"), array("B")
     for column, data in zip((holding_records, holding_libraries, holding_channels), holdings):

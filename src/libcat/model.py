@@ -19,16 +19,18 @@ through `_check_types`, which builds the error message, so the messages
 are the same whichever path finds the fault. No entity text may hold a
 lone surrogate, so every entity saves as UTF-8 and loads back equal;
 `_check_text` searches only text that is not all ASCII.
-Entities are frozen and hashable, so equal ones may be shared: the
-dataset loader builds one Contributor per distinct (name, role) pair in
-a file.
+Entities share one small base, `_Entity`: immutable, slotted and
+hashable, so equal ones may be shared (the dataset loader builds one
+Contributor per distinct (name, role) pair in a file). None is a
+dataclass, so loading the model loads neither `dataclasses` nor
+`inspect`.
 """
 
 from __future__ import annotations
 
 import re
 from array import array
-from dataclasses import dataclass
+from functools import total_ordering
 from itertools import compress
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -46,16 +48,28 @@ _CHANNEL_CODES = {channel: code for code, channel in enumerate(CHANNELS)}
 _STR_OR_NONE = frozenset({str, type(None)})
 _INT_OR_NONE = frozenset({int, type(None)})
 _SURROGATE = re.compile("[\ud800-\udfff]")
+# Stores a field of an entity, which refuses plain attribute assignment.
+_set = object.__setattr__
+
+
+def _default_is_none(kind: type, name: str) -> bool:
+    """Whether `kind`'s constructor gives the field `name` the default None;
+    read from `__init__`, so it serves entities and dataclasses alike."""
+    init = kind.__init__
+    names = init.__code__.co_varnames[1:init.__code__.co_argcount]
+    defaults = init.__defaults__ or ()
+    optional = names[len(names) - len(defaults):]
+    return name in optional and defaults[optional.index(name)] is None
 
 
 def _check_types(entity: object, kind: type, *names: str) -> None:
-    """Raise TypeError unless each named dataclass field holds a `kind`,
-    or None where None is its default (a bool does not count as an int)."""
+    """Raise TypeError unless each named field holds a `kind`, or None
+    where None is its default (a bool does not count as an int)."""
     for name in names:
         value = getattr(entity, name)
         if type(value) is kind:
             continue
-        if value is None and entity.__dataclass_fields__[name].default is None:
+        if value is None and _default_is_none(type(entity), name):
             continue
         if type(value) is bool or not isinstance(value, kind):
             raise TypeError(
@@ -87,7 +101,7 @@ def _check_strings(entity: object, name: str, kind: type) -> None:
             f"{type(entity).__name__} {name} must be a collection of str, not {value!r}"
         )
     if type(value) is not kind:
-        object.__setattr__(entity, name, kind(value))
+        _set(entity, name, kind(value))
 
 
 def isbn13_check_digit(first12: str) -> str:
@@ -104,14 +118,60 @@ def isbn13_check_digit(first12: str) -> str:
     return str((1152 - sum(codes[0::2]) - 3 * sum(codes[1::2])) % 10)
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class Isbn:
+class _Entity:
+    """The base of the checked entities.
+
+    A subclass lists its fields, in constructor order, as `__slots__`,
+    which is also its field table `_fields`. Its `__init__` stores every
+    field with `_set` and then checks them. From the field table the base
+    gives equality with an entity of the same class, a hash over the
+    field values and a repr naming every field. Assigning or deleting an
+    attribute raises AttributeError. `_replace` and pickling rebuild
+    through the checked constructor.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+    def _replace(self, **changes: object) -> "_Entity":
+        """A new entity with `changes` applied to this one's fields, built
+        and so checked by the constructor; an unknown name is a TypeError."""
+        values = {name: changes.pop(name, getattr(self, name)) for name in self._fields}
+        return type(self)(**values, **changes)
+
+
+@total_ordering
+class Isbn(_Entity):
     """A canonical 13-digit ISBN; equality and ordering use its digits."""
 
-    digits: str
+    __slots__ = _fields = ("digits",)
 
-    def __post_init__(self) -> None:
-        digits = self.digits
+    def __init__(self, digits: str) -> None:
+        _set(self, "digits", digits)
         if type(digits) is not str:
             _check_types(self, str, "digits")
         if len(digits) != 13 or not digits.isascii() or not digits.isdigit():
@@ -119,112 +179,145 @@ class Isbn:
         if digits[-1] != isbn13_check_digit(digits[:12]):
             raise ValueError(f"invalid ISBN-13 check digit: {digits!r}")
 
+    def __lt__(self, other: object) -> bool:
+        if type(other) is not Isbn:
+            return NotImplemented
+        return self.digits < other.digits
+
     def __str__(self) -> str:
         return self.digits
 
 
-@dataclass(frozen=True, slots=True)
-class Contributor:
-    name: str
-    role: str = "author"
+class Contributor(_Entity):
+    __slots__ = _fields = ("name", "role")
 
-    def __post_init__(self) -> None:
-        if type(self.name) is not str or type(self.role) is not str:
+    def __init__(self, name: str, role: str = "author") -> None:
+        _set(self, "name", name)
+        _set(self, "role", role)
+        if type(name) is not str or type(role) is not str:
             _check_types(self, str, "name", "role")
-        if not self.name.strip():
+        if not name.strip():
             raise ValueError("contributor name must be non-empty")
-        if not self.name.isascii():
+        if not name.isascii():
             _check_text(self, "name")
-        if self.role not in ROLES:
-            raise ValueError(f"unknown contributor role: {self.role!r}")
+        if role not in ROLES:
+            raise ValueError(f"unknown contributor role: {role!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class BookRecord:
+class BookRecord(_Entity):
     """One cataloged edition.
 
     `citations` is an externally supplied citation count; it is carried
     through so holdings can be correlated against it, never computed here.
     """
 
-    record_id: str
-    title: str
-    oclc: Optional[int] = None
-    isbns: tuple[Isbn, ...] = ()
-    contributors: tuple[Contributor, ...] = ()
-    year: Optional[int] = None
-    language: Optional[str] = None
-    lc_class: Optional[str] = None
-    format: str = "unknown"
-    citations: Optional[int] = None
+    __slots__ = _fields = (
+        "record_id",
+        "title",
+        "oclc",
+        "isbns",
+        "contributors",
+        "year",
+        "language",
+        "lc_class",
+        "format",
+        "citations",
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        record_id: str,
+        title: str,
+        oclc: Optional[int] = None,
+        isbns: tuple[Isbn, ...] = (),
+        contributors: tuple[Contributor, ...] = (),
+        year: Optional[int] = None,
+        language: Optional[str] = None,
+        lc_class: Optional[str] = None,
+        format: str = "unknown",
+        citations: Optional[int] = None,
+    ) -> None:
+        _set(self, "record_id", record_id)
+        _set(self, "title", title)
+        _set(self, "oclc", oclc)
+        _set(self, "isbns", isbns)
+        _set(self, "contributors", contributors)
+        _set(self, "year", year)
+        _set(self, "language", language)
+        _set(self, "lc_class", lc_class)
+        _set(self, "format", format)
+        _set(self, "citations", citations)
         if not (
-            type(self.record_id) is str
-            and type(self.title) is str
-            and type(self.language) in _STR_OR_NONE
-            and type(self.lc_class) in _STR_OR_NONE
-            and type(self.oclc) in _INT_OR_NONE
-            and type(self.year) in _INT_OR_NONE
-            and type(self.citations) in _INT_OR_NONE
-            and self.record_id.isascii()
-            and self.title.isascii()
-            and (self.language or "").isascii()
-            and (self.lc_class or "").isascii()
+            type(record_id) is str
+            and type(title) is str
+            and type(language) in _STR_OR_NONE
+            and type(lc_class) in _STR_OR_NONE
+            and type(oclc) in _INT_OR_NONE
+            and type(year) in _INT_OR_NONE
+            and type(citations) in _INT_OR_NONE
+            and record_id.isascii()
+            and title.isascii()
+            and (language or "").isascii()
+            and (lc_class or "").isascii()
         ):
             _check_types(self, str, "record_id", "title", "language", "lc_class")
             _check_types(self, int, "oclc", "year", "citations")
             _check_text(self, "record_id", "title", "language", "lc_class")
-        if not self.record_id:
+        if not record_id:
             raise ValueError("record_id must be non-empty")
-        if not self.title or not self.title.strip():
-            raise ValueError(f"record {self.record_id}: title must be non-empty")
-        if self.oclc is not None and self.oclc <= 0:
-            raise ValueError(f"record {self.record_id}: oclc must be a positive integer")
-        isbns = self.isbns
+        if not title or not title.strip():
+            raise ValueError(f"record {record_id}: title must be non-empty")
+        if oclc is not None and oclc <= 0:
+            raise ValueError(f"record {record_id}: oclc must be a positive integer")
         if not isinstance(isbns, tuple) or any(not isinstance(i, Isbn) for i in isbns):
             isbns = tuple(i if isinstance(i, Isbn) else Isbn(str(i)) for i in isbns)
-            object.__setattr__(self, "isbns", isbns)
+            _set(self, "isbns", isbns)
         if len(isbns) > 1:
             # dedupe by canonical digits, keep a stable sorted order
             seen: dict[str, Isbn] = {}
             for i in isbns:
                 seen.setdefault(i.digits, i)
-            object.__setattr__(self, "isbns", tuple(seen[d] for d in sorted(seen)))
-        contribs = self.contributors
-        if not isinstance(contribs, tuple) or any(
-            not isinstance(c, Contributor) for c in contribs
+            _set(self, "isbns", tuple(seen[d] for d in sorted(seen)))
+        if not isinstance(contributors, tuple) or any(
+            not isinstance(c, Contributor) for c in contributors
         ):
-            contribs = tuple(
-                c if isinstance(c, Contributor) else Contributor(*c) for c in contribs
+            contributors = tuple(
+                c if isinstance(c, Contributor) else Contributor(*c) for c in contributors
             )
-            object.__setattr__(self, "contributors", contribs)
-        if self.lc_class is not None:
-            trimmed = self.lc_class.strip()
+            _set(self, "contributors", contributors)
+        if lc_class is not None:
+            trimmed = lc_class.strip()
             if not trimmed:
-                raise ValueError(f"record {self.record_id}: lc_class must be non-empty")
-            object.__setattr__(self, "lc_class", trimmed)
-        if self.format not in FORMATS:
-            raise ValueError(f"record {self.record_id}: unknown format {self.format!r}")
-        if self.citations is not None and self.citations < 0:
-            raise ValueError(f"record {self.record_id}: citations must be >= 0")
+                raise ValueError(f"record {record_id}: lc_class must be non-empty")
+            _set(self, "lc_class", trimmed)
+        if format not in FORMATS:
+            raise ValueError(f"record {record_id}: unknown format {format!r}")
+        if citations is not None and citations < 0:
+            raise ValueError(f"record {record_id}: citations must be >= 0")
 
 
-@dataclass(frozen=True, slots=True)
-class LibraryOrg:
+class LibraryOrg(_Entity):
     """A holding institution."""
 
-    library_id: str
-    name: str
-    country: str
-    kind: str = DEFAULT_KIND
-    memberships: frozenset[str] = frozenset()
+    __slots__ = _fields = ("library_id", "name", "country", "kind", "memberships")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        library_id: str,
+        name: str,
+        country: str,
+        kind: str = DEFAULT_KIND,
+        memberships: frozenset[str] = frozenset(),
+    ) -> None:
+        _set(self, "library_id", library_id)
+        _set(self, "name", name)
+        _set(self, "country", country)
+        _set(self, "kind", kind)
+        _set(self, "memberships", memberships)
         _check_types(self, str, "library_id", "name", "country", "kind")
         if not self.library_id:
             raise ValueError("library_id must be non-empty")
-        object.__setattr__(self, "country", self.country.strip().upper())
+        _set(self, "country", self.country.strip().upper())
         if not self.country:
             raise ValueError(f"library {self.library_id}: country must be non-empty")
         if self.kind not in LIBRARY_KINDS:
@@ -263,8 +356,7 @@ class Holding(NamedTuple):
     channel: str = "unspecified"
 
 
-@dataclass(frozen=True, slots=True)
-class LibraryFilter:
+class LibraryFilter(_Entity):
     """Restricts the library population; all clauses compose conjunctively.
 
     An absent (None) field means no restriction on that axis. Channel
@@ -275,31 +367,36 @@ class LibraryFilter:
     exactly as stored.
     """
 
-    countries: Optional[frozenset[str]] = None
-    kinds: Optional[frozenset[str]] = None
-    required_memberships: Optional[frozenset[str]] = None
-    excluded_channels: Optional[frozenset[str]] = None
+    __slots__ = _fields = ("countries", "kinds", "required_memberships", "excluded_channels")
 
-    def __post_init__(self) -> None:
-        for name in self.__dataclass_fields__:
+    def __init__(
+        self,
+        countries: Optional[frozenset[str]] = None,
+        kinds: Optional[frozenset[str]] = None,
+        required_memberships: Optional[frozenset[str]] = None,
+        excluded_channels: Optional[frozenset[str]] = None,
+    ) -> None:
+        _set(self, "countries", countries)
+        _set(self, "kinds", kinds)
+        _set(self, "required_memberships", required_memberships)
+        _set(self, "excluded_channels", excluded_channels)
+        for name in self._fields:
             if getattr(self, name) is not None:
                 _check_strings(self, name, frozenset)
         if self.countries is not None:
-            object.__setattr__(
-                self, "countries", frozenset(c.strip().upper() for c in self.countries)
-            )
+            _set(self, "countries", frozenset(c.strip().upper() for c in self.countries))
         if self.kinds is not None:
             kinds = frozenset(k.lower() for k in self.kinds)
             bad = kinds.difference(LIBRARY_KINDS)
             if bad:
                 raise ValueError(f"unknown library kinds: {sorted(bad)}")
-            object.__setattr__(self, "kinds", kinds)
+            _set(self, "kinds", kinds)
         if self.excluded_channels is not None:
             channels = frozenset(c.lower() for c in self.excluded_channels)
             bad = channels.difference(CHANNELS)
             if bad:
                 raise ValueError(f"unknown acquisition channels: {sorted(bad)}")
-            object.__setattr__(self, "excluded_channels", channels)
+            _set(self, "excluded_channels", channels)
 
     @property
     def is_empty(self) -> bool:
@@ -323,21 +420,21 @@ class LibraryFilter:
         return self.excluded_channels is None or channel not in self.excluded_channels
 
 
-@dataclass(frozen=True, slots=True)
-class AggregateUnit:
+class AggregateUnit(_Entity):
     """A named set of records assessed together (an oeuvre, a press, a field)."""
 
-    unit_id: str
-    label: str
-    member_record_ids: frozenset[str]
+    __slots__ = _fields = ("unit_id", "label", "member_record_ids")
 
-    def __post_init__(self) -> None:
-        if not self.unit_id:
+    def __init__(self, unit_id: str, label: str, member_record_ids: frozenset[str]) -> None:
+        _set(self, "unit_id", unit_id)
+        _set(self, "label", label)
+        _set(self, "member_record_ids", member_record_ids)
+        if not unit_id:
             raise ValueError("unit_id must be non-empty")
-        members = frozenset(self.member_record_ids)
+        members = frozenset(member_record_ids)
         if not members:
-            raise ValueError(f"unit {self.unit_id}: member set must be non-empty")
-        object.__setattr__(self, "member_record_ids", members)
+            raise ValueError(f"unit {unit_id}: member set must be non-empty")
+        _set(self, "member_record_ids", members)
 
 
 class CatalogSnapshot:

@@ -17,8 +17,7 @@ or NaN.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ConstantInputError, SampleSizeError
 
@@ -52,8 +51,7 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
     return correlation_matrix([("x", xs), ("y", ys)]).values[0][1]
 
 
-@dataclass(frozen=True, slots=True)
-class CorrelationMatrix:
+class CorrelationMatrix(NamedTuple):
     """Pairwise Spearman coefficients between named metric columns; the
     diagonal is exactly 1 and the matrix is symmetric."""
 

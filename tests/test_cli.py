@@ -1,7 +1,6 @@
 """End-to-end command-line behavior, driven in process through run()."""
 
 import contextlib
-import dataclasses
 import errno
 import gc
 import io
@@ -876,7 +875,7 @@ class TestIndicatorsCommand:
     def test_heading_that_folds_to_nothing_is_no_author(self, capsys, analysis_dataset, tmp_path):
         snapshot = load_dataset(analysis_dataset)
         records = [
-            dataclasses.replace(r, contributors=(*r.contributors, ("!!!", "other")))
+            r._replace(contributors=(*r.contributors, ("!!!", "other")))
             if r.record_id == "b3" else r
             for r in snapshot.records
         ]
@@ -1395,20 +1394,26 @@ class TestNamedFiles:
 
 class TestStdout:
     """A character stdout cannot encode, as ASCII cannot encode "Ω", is
-    printed as its backslash escape; everything else prints as it is."""
+    printed as its JSON escape, a surrogate pair above U+FFFF; everything
+    else prints as it is."""
 
-    @pytest.fixture()
-    def omega_dataset(self, tmp_path):
-        path = tmp_path / "omega.jsonl"
+    @staticmethod
+    def author_dataset(directory, author):
+        """A one-record dataset whose one author is `author`."""
+        path = directory / "author.jsonl"
         save_dataset(
             CatalogSnapshot(
-                [BookRecord("r1", "A", contributors=(Contributor("\u03a9lga"),), lc_class="QA")],
+                [BookRecord("r1", "A", contributors=(Contributor(author),), lc_class="QA")],
                 [LibraryOrg("l1", "Lib", "US")],
                 [Holding("r1", "l1")],
             ),
             path,
         )
         return str(path)
+
+    @pytest.fixture()
+    def omega_dataset(self, tmp_path):
+        return self.author_dataset(tmp_path, "\u03a9lga")
 
     @staticmethod
     def run_to_bytes(monkeypatch, encoding, *argv):
@@ -1443,6 +1448,36 @@ class TestStdout:
         assert out == table
         if fmt == "jsonl":
             assert json.loads(out)["author"] == "\u03a9lga"
+
+    @pytest.mark.parametrize(
+        "author, escaped",
+        [("Zo\u00eb", "Zo\\u00eb"), ("A\U0001f600", "A\\ud83d\\ude00")],
+        ids=["below-U+0100", "above-U+FFFF"],
+    )
+    @pytest.mark.parametrize(
+        "fmt, table",
+        [
+            ("csv", "author,works,publications,holdings\r\n{},1,1,1\n"),
+            (
+                "md",
+                "| author | works | publications | holdings |\n| --- | --- | --- | --- |\n"
+                "| {} | 1 | 1 | 1 |\n",
+            ),
+            ("jsonl", '{{"author":"{}","works":"1","publications":"1","holdings":"1"}}\n'),
+        ],
+        ids=["csv", "md", "jsonl"],
+    )
+    def test_every_character_stdout_cannot_encode_prints_as_a_json_escape(
+        self, monkeypatch, tmp_path, author, escaped, fmt, table
+    ):
+        dataset = self.author_dataset(tmp_path, author)
+        code, out = self.run_to_bytes(
+            monkeypatch, "ascii", "indicators", "--authors", "--output", fmt, "--dataset", dataset,
+        )
+        assert code == 0
+        assert out == table.format(escaped).encode("ascii")
+        if fmt == "jsonl":
+            assert json.loads(out)["author"] == author
 
     def test_what_stdout_can_encode_prints_as_it_is(self, monkeypatch, omega_dataset):
         code, out = self.run_to_bytes(

@@ -175,3 +175,27 @@ def test_no_public_function_only_forwards(path):
     name is a second name for one job; callers should use the real one."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert sorted(_forwarders(tree)) == []
+
+
+def _imports_module(tree: ast.AST, module: str) -> bool:
+    """Whether the tree imports `module` or a submodule of it, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(alias.name.split(".")[0] == module for alias in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            if node.module.split(".")[0] == module:
+                return True
+    return False
+
+
+def test_only_the_client_imports_dataclasses():
+    """`dataclasses` (and the `inspect` it pulls in) costs every process
+    that loads it; the analysis path has none. Only `fetch` loads the
+    client, whose types may stay dataclasses."""
+    importers = [
+        path.name
+        for path in PACKAGE
+        if _imports_module(ast.parse(path.read_text(encoding="utf-8")), "dataclasses")
+    ]
+    assert importers == ["client.py"]

@@ -46,6 +46,7 @@ from libcat.model import (
     LibraryOrg,
     apply_filter,
 )
+from libcat.stats import correlation_matrix
 
 
 def counts_snapshot(counts, lc_class="QA76"):
@@ -734,3 +735,29 @@ class TestMemo:
             if enabled:
                 gc.enable()
         assert left == []
+
+
+def test_result_rows_are_tuples_that_unpack():
+    """Every result row is a NamedTuple: it unpacks by position and equals
+    the plain tuple of its fields; its methods and properties stay."""
+    snapshot = counts_snapshot([3, 1])
+    book = book_indicators(snapshot)[0]
+    record_id, count, cnls_value, rank = book
+    assert book == ("r0", 3, 1.5, (1, 2)) == (record_id, count, cnls_value, rank)
+    unit = whole_unit(snapshot)
+    report = unit_report(unit, snapshot, benchmark=unit)
+    assert tuple(report) == ("u", "u", 2, 4, 2.0, 1.0, 2 / 3)
+    inclusions = indicators._inclusions(unit, indicators._view(snapshot, None))
+    assert (inclusions.cir(), inclusions.dr()) == (2.0, 2 / 3)
+    row = composition_report(snapshot).totals
+    assert row == ("total", (3, 0, 0)) and row.total == 3
+    assert coverage_report(snapshot)[0] == ("libcitations", 2, 2)
+    (cluster, *_) = cluster_works(snapshot)
+    assert cluster == (cluster.work_key, frozenset({"r0"}))
+    with pytest.raises(ValueError, match="at least one member"):
+        identifiers.WorkCluster(cluster.work_key, frozenset())
+    with pytest.raises(ValueError, match="at least one member"):
+        cluster._replace(member_record_ids=())
+    assert cluster._replace(member_record_ids=["r1"]).member_record_ids == frozenset({"r1"})
+    labels, values = correlation_matrix([("a", [1, 2, 3]), ("b", [3, 2, 1])])
+    assert (labels, values) == (("a", "b"), ((1.0, -1.0), (-1.0, 1.0)))

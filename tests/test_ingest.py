@@ -95,6 +95,14 @@ MARC_DOC = """<?xml version="1.0"?>
 
 
 class TestDublinCore:
+    def test_the_parse_report_is_a_mutable_value(self):
+        _, report = parse_dublin_core(DC_DOC)
+        assert report == ingest.ParseReport(2, [("record 3", "missing title")])
+        assert report != ingest.ParseReport(2) and ingest.ParseReport().rejected == 0
+        assert repr(report) == "ParseReport(accepted=2, rejections=[('record 3', 'missing title')])"
+        report.accepted += 1
+        assert report.accepted == 3
+
     def test_field_mapping(self):
         records, report = parse_dublin_core(DC_DOC)
         assert report.accepted == 2
@@ -994,6 +1002,31 @@ class TestSnapshotSidecar:
         path = tmp_path / "data.jsonl"
         save_dataset(build(), path)
         assert assert_hit_equals_json_load(path) == build()
+
+    def test_a_hit_rebuilds_entities_that_keep_their_contract(self, tmp_path):
+        """Entities rebuilt from the sidecar without their constructor are
+        equal, hash equal and print alike to the JSON load's, and refuse
+        assignment as those do."""
+        path = tmp_path / "data.jsonl"
+        save_dataset(datasets.five_author_ranking(), path)
+        miss = assert_hit_equals_json_load(path)
+        hit = load_dataset(path)
+        pairs = [
+            *zip(hit.records, miss.records),
+            *zip(hit.libraries, miss.libraries),
+            *((c, d) for r, s in zip(hit.records, miss.records)
+              for c, d in zip(r.contributors + r.isbns, s.contributors + s.isbns)),
+        ]
+        assert len(pairs) > len(hit.records) + len(hit.libraries)
+        for rebuilt, decoded in pairs:
+            assert type(rebuilt) is type(decoded)
+            assert rebuilt == decoded and hash(rebuilt) == hash(decoded)
+            assert repr(rebuilt) == repr(decoded)
+            with pytest.raises(AttributeError):
+                setattr(rebuilt, type(rebuilt)._fields[0], None)
+        record = hit.records[0]
+        with pytest.raises(ValueError, match="title must be non-empty"):
+            record._replace(title="")
 
     @settings(max_examples=60, deadline=None)
     @given(snapshot=datasets.text_catalogs())

@@ -1,5 +1,8 @@
-"""Domain model: value validation, snapshot integrity, population filters."""
+"""Domain model: value validation, the entity contract, snapshot
+integrity, population filters."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -182,6 +185,118 @@ class TestValues:
             AggregateUnit("u1", "U", frozenset())
         unit = AggregateUnit("u1", "U", ["r1", "r1", "r2"])
         assert unit.member_record_ids == frozenset({"r1", "r2"})
+
+
+# One of each checked entity, as the arguments its constructor takes.
+ENTITY_ARGS = {
+    Isbn: ("9780306406157",),
+    Contributor: ("Cole, Ada", "editor"),
+    BookRecord: ("r1", "Title", 101, ("9780306406157",), (("Cole, Ada", "author"),), 2001,
+                 "en", "QA76", "print", 3),
+    LibraryOrg: ("l1", "Lib", "US", "academic", frozenset({"ARL"})),
+    LibraryFilter: (frozenset({"US"}), frozenset({"academic"}), frozenset({"ARL"}),
+                    frozenset({"donation"})),
+    AggregateUnit: ("u1", "Unit", frozenset({"r1", "r2"})),
+}
+KINDS = list(ENTITY_ARGS)
+
+
+def entity(kind):
+    return kind(*ENTITY_ARGS[kind])
+
+
+def field_values(value):
+    return tuple(getattr(value, name) for name in type(value)._fields)
+
+
+class TestEntityContract:
+    """The checked entities share one base: equal fields make equal,
+    equally hashed entities; no attribute can be assigned; the repr names
+    every field; `_replace` and copies rebuild through the checks."""
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.__name__)
+    def test_equal_entities_are_equal_and_hash_equal(self, kind):
+        first, second = entity(kind), entity(kind)
+        assert first is not second
+        assert first == second and not first != second
+        assert hash(first) == hash(second)
+        assert len({first, second}) == 1
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.__name__)
+    def test_an_entity_equals_only_its_own_kind_with_its_fields(self, kind):
+        value = entity(kind)
+        assert value != field_values(value)
+        assert value != object()
+        name = kind._fields[-1]
+        changed = {
+            "digits": "9780131103627", "role": "author", "citations": 4,
+            "memberships": frozenset(), "excluded_channels": None,
+            "member_record_ids": frozenset({"r3"}),
+        }[name]
+        assert value._replace(**{name: changed}) != value
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.__name__)
+    def test_no_attribute_can_be_assigned_or_deleted(self, kind):
+        value = entity(kind)
+        before = field_values(value)
+        for name in kind._fields:
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(value, name, getattr(value, name))
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        assert field_values(value) == before
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.__name__)
+    def test_repr_names_every_field(self, kind):
+        value = entity(kind)
+        fields = ", ".join(f"{name}={getattr(value, name)!r}" for name in kind._fields)
+        assert repr(value) == f"{kind.__name__}({fields})"
+
+    def test_repr_reads_as_the_constructor_call(self):
+        assert repr(Contributor("Ada")) == "Contributor(name='Ada', role='author')"
+        assert repr(BookRecord("r1", "A", isbns=["9780306406157"])) == (
+            "BookRecord(record_id='r1', title='A', oclc=None,"
+            " isbns=(Isbn(digits='9780306406157'),), contributors=(), year=None,"
+            " language=None, lc_class=None, format='unknown', citations=None)"
+        )
+
+    def test_isbn_sorts_by_its_digits(self):
+        low, mid, high = Isbn("9780131103627"), Isbn("9780306406157"), Isbn("9791234567896")
+        assert sorted([high, low, mid]) == [low, mid, high]
+        assert low < mid <= mid < high and high > mid >= mid > low
+        assert not mid < mid and not mid > mid
+        with pytest.raises(TypeError):
+            low < "9780306406157"  # noqa: B015
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.__name__)
+    def test_replace_with_no_change_is_an_equal_entity(self, kind):
+        value = entity(kind)
+        assert value._replace() == value and value._replace() is not value
+
+    def test_replace_runs_the_checks(self):
+        record = entity(BookRecord)
+        with pytest.raises(ValueError, match="record r1: title must be non-empty"):
+            record._replace(title="")
+        with pytest.raises(TypeError, match="BookRecord year must be int"):
+            record._replace(year="soon")
+        with pytest.raises(ValueError, match="unknown library kinds"):
+            entity(LibraryFilter)._replace(kinds=["museum"])
+        retitled = record._replace(title="Other", lc_class=" QA ")
+        assert (retitled.title, retitled.lc_class) == ("Other", "QA")
+        assert field_values(retitled)[2:7] == field_values(record)[2:7]
+        assert entity(LibraryOrg)._replace(country=" gb ").country == "GB"
+
+    def test_replace_refuses_an_unknown_field(self):
+        with pytest.raises(TypeError):
+            entity(BookRecord)._replace(subtitle="B")
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.__name__)
+    def test_copies_and_pickles_are_equal(self, kind):
+        value = entity(kind)
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert twin == value and type(twin) is kind
 
 
 class TestSnapshot:

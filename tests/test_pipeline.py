@@ -10,7 +10,6 @@ import json
 import random
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -211,8 +210,8 @@ def relabelled(snapshot) -> CatalogSnapshot:
     """The snapshot with RELABEL before every record and library id, a
     renaming that keeps the ids' order."""
     return CatalogSnapshot(
-        [replace(record, record_id=RELABEL + record.record_id) for record in snapshot.records],
-        [replace(lib, library_id=RELABEL + lib.library_id) for lib in snapshot.libraries],
+        [record._replace(record_id=RELABEL + record.record_id) for record in snapshot.records],
+        [lib._replace(library_id=RELABEL + lib.library_id) for lib in snapshot.libraries],
         [
             (RELABEL + record_id, RELABEL + library_id, channel)
             for record_id, library_id, channel in snapshot.holdings()

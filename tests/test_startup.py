@@ -2,7 +2,8 @@
 runs. Read commands never import the network layer; the rank statistics,
 the XML parser and the csv writer load only for the commands that use
 them (the XML parser for an XML ingest and for `fetch`, whose client
-decodes XML answers)."""
+decodes XML answers). No command but `fetch` loads `dataclasses` or
+`inspect`."""
 
 import json
 import pathlib
@@ -19,13 +20,21 @@ NETWORK_MODULES = ("requests", "urllib3", "http.client", "http.server", "concurr
 # Loaded only by the commands that use them: correlate, an XML ingest, --output csv.
 DEFERRED_MODULES = ("libcat.stats", "xml.etree.ElementTree", "csv")
 
+# Loaded by no analysis command: libcat's own types are NamedTuples and
+# slotted classes. Only `fetch`'s client types are dataclasses.
+INTROSPECTION_MODULES = ("dataclasses", "inspect")
+
+# What the child below imports before it first looks at sys.modules.
+PREAMBLE = """
+import io, json, sys
+from contextlib import redirect_stdout
+"""
+
 # Runs in a fresh interpreter: imports the CLI, then runs each command in
 # turn, and reports for each step its exit code and which of the watched
 # modules it newly loaded. Given a dataset to serve, it first starts a
 # FixtureServer on it, whose URL replaces BASE_URL in the commands.
-CHILD = """
-import io, json, sys
-from contextlib import redirect_stdout
+CHILD = PREAMBLE + """
 WATCHED = {watched!r}
 def loaded():
     return sorted(m for m in WATCHED if m in sys.modules)
@@ -123,6 +132,33 @@ def test_each_deferred_layer_loads_only_for_the_command_that_uses_it(
         ["import libcat.cli", 0, []], [" ".join(fetch), 0, ["xml.etree.ElementTree"]]
     ]
     assert load_dataset(fetched).n_holdings == 3
+
+
+def test_no_analysis_command_loads_dataclasses_or_inspect(small_dataset, subprocess_env, tmp_path):
+    # Each step reports only what it newly loads, so first make sure that
+    # the child has not loaded them before libcat is imported.
+    bare = subprocess.run(
+        [sys.executable, "-c",
+         PREAMBLE + f"print(json.dumps([m for m in {INTROSPECTION_MODULES!r} if m in sys.modules]))"],
+        env=subprocess_env, capture_output=True, text=True, timeout=60,
+    )
+    assert bare.returncode == 0, bare.stderr
+    assert json.loads(bare.stdout) == []
+    base = ["--dataset", small_dataset, "--output", "jsonl"]
+    commands = [
+        ["indicators", "--all-books", *base],
+        ["indicators", "--authors", *base],
+        ["indicators", "--unit", "@all", *base],
+        ["correlate", *base],
+        ["correlate", "--matrix", "--metrics", "libcitations,citations,cnls", *base],
+        ["report", *base],
+        ["ingest", "--format", "jsonl", "--input", small_dataset,
+         "--dataset", str(tmp_path / "merged.jsonl")],
+    ]
+    steps = run_child(INTROSPECTION_MODULES, commands, subprocess_env)
+    assert steps == [
+        ["import libcat.cli", 0, []], *([" ".join(argv), 0, []] for argv in commands)
+    ]
 
 
 def test_the_stats_names_resolve_from_a_package_that_has_not_loaded_them(subprocess_env):
