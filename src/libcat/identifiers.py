@@ -31,7 +31,7 @@ from .model import BookRecord, CatalogSnapshot, Isbn, isbn13_check_digit
 
 _SEPARATORS = re.compile(r"[-\s‐-―]+")
 _OCLC_PREFIX = re.compile(r"^\(OCoLC\)\D*(\d+)$", re.ASCII)
-_NON_ALNUM = re.compile(r"[^0-9a-z]+")
+_ALNUM = re.compile(r"[0-9a-z]+")
 
 
 def isbn10_check_char(first9: str) -> str:
@@ -117,7 +117,7 @@ def fold_text(text: str) -> str:
     if not text.isascii():
         decomposed = unicodedata.normalize("NFKD", text)
         text = "".join(c for c in decomposed if not unicodedata.combining(c))
-    return _NON_ALNUM.sub(" ", text.casefold()).strip()
+    return " ".join(_ALNUM.findall(text.casefold()))
 
 
 class WorkKey(NamedTuple):
@@ -152,19 +152,12 @@ class WorkCluster(_WorkCluster):
         return WorkCluster(*super()._replace(**changes))
 
 
-def work_key(record: BookRecord, fold: Callable[[str], str] = fold_text) -> WorkKey:
-    """Deterministic edition-insensitive key for a record.
-
-    Case, punctuation, diacritics, and surrounding whitespace are folded
-    away; publication year and format never enter the key, because those
-    vary between editions of one work. `fold` is `fold_text` or a
-    memoized equivalent of it.
-    """
+def _key_parts(record: BookRecord, fold: Callable[[str], str]) -> Optional[tuple[str, str]]:
+    """The record's folded (title, primary contributor), or None when the
+    title folds to nothing."""
     title = fold(record.title)
     if not title:
-        raise WorkKeyError(
-            f"record {record.record_id}: title has no letters or digits to key on"
-        )
+        return None
     primary = ""
     for contributor in record.contributors:
         if contributor.role == "author":
@@ -173,26 +166,23 @@ def work_key(record: BookRecord, fold: Callable[[str], str] = fold_text) -> Work
     else:
         if record.contributors:
             primary = fold(record.contributors[0].name)
-    return WorkKey(title, primary)
+    return title, primary
 
 
-class _UnionFind:
-    """Path-halving union-find over record ids."""
+def work_key(record: BookRecord, fold: Callable[[str], str] = fold_text) -> WorkKey:
+    """Deterministic edition-insensitive key for a record.
 
-    def __init__(self, items) -> None:
-        self.parent = {item: item for item in items}
-
-    def find(self, item: str) -> str:
-        parent = self.parent
-        while parent[item] != item:
-            parent[item] = parent[parent[item]]
-            item = parent[item]
-        return item
-
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+    Case, punctuation, diacritics, and surrounding whitespace are folded
+    away; publication year and format never enter the key, because those
+    vary between editions of one work. `fold` is `fold_text` or a
+    memoized equivalent of it.
+    """
+    parts = _key_parts(record, fold)
+    if parts is None:
+        raise WorkKeyError(
+            f"record {record.record_id}: title has no letters or digits to key on"
+        )
+    return WorkKey._make(parts)
 
 
 def cluster_works(snapshot: CatalogSnapshot) -> list[WorkCluster]:
@@ -201,46 +191,63 @@ def cluster_works(snapshot: CatalogSnapshot) -> list[WorkCluster]:
     Two records land in one cluster iff they are connected through any
     chain of: shared OCLC number, shared canonical ISBN, equal work key.
     Records whose titles fold to nothing carry no key evidence but still
-    link through identifiers. The result is order-independent and cached
-    on the snapshot.
+    link through identifiers. Clusters come in ascending order of their
+    smallest member id, each labelled by that member's key. The result
+    is order-independent and cached on the snapshot.
+
+    Union-find runs over record indexes. The records are sorted by id,
+    so each group's first index is its smallest member, and collecting
+    the groups in index order gives the cluster order without a sort.
     """
     cached = snapshot.memo.get("work_clusters")
     if cached is not None:
         return cached
 
-    uf = _UnionFind(r.record_id for r in snapshot.records)
-    by_oclc: dict[int, str] = {}
-    by_isbn: dict[str, str] = {}
-    by_key: dict[WorkKey, str] = {}
-    keys: dict[str, WorkKey] = {}
-    fold = cache(fold_text)  # each distinct string folds once per build
-    for record in snapshot.records:
-        rid = record.record_id
-        if record.oclc is not None:
-            anchor = by_oclc.setdefault(record.oclc, rid)
-            uf.union(anchor, rid)
-        for isbn in record.isbns:
-            anchor = by_isbn.setdefault(isbn.digits, rid)
-            uf.union(anchor, rid)
-        try:
-            key = work_key(record, fold)
-        except WorkKeyError:
-            continue
-        keys[rid] = key
-        anchor = by_key.setdefault(key, rid)
-        uf.union(anchor, rid)
+    records = snapshot.records
+    parent = list(range(len(records)))
 
-    groups: dict[str, set[str]] = {}
-    for record in snapshot.records:
-        groups.setdefault(uf.find(record.record_id), set()).add(record.record_id)
+    def find(index: int) -> int:  # with path halving
+        while parent[index] != index:
+            parent[index] = index = parent[parent[index]]
+        return index
+
+    def union(anchor: int, index: int) -> None:
+        root, other = find(anchor), find(index)
+        if root != other:
+            parent[other] = root
+
+    by_oclc: dict[int, int] = {}
+    by_isbn: dict[str, int] = {}
+    by_key: dict[tuple[str, str], int] = {}
+    keys: list[Optional[tuple[str, str]]] = []
+    fold = cache(fold_text)  # each distinct string folds once per build
+    # An anchor that `setdefault` has just stored is the record itself.
+    for index, record in enumerate(records):
+        if record.oclc is not None:
+            anchor = by_oclc.setdefault(record.oclc, index)
+            if anchor != index:
+                union(anchor, index)
+        for isbn in record.isbns:
+            anchor = by_isbn.setdefault(isbn.digits, index)
+            if anchor != index:
+                union(anchor, index)
+        key = _key_parts(record, fold)
+        keys.append(key)
+        if key is not None:
+            anchor = by_key.setdefault(key, index)
+            if anchor != index:
+                union(anchor, index)
+
+    groups: dict[int, list[int]] = {}
+    for index in range(len(records)):
+        groups.setdefault(find(index), []).append(index)
 
     clusters = []
     for members in groups.values():
-        label_source = min(members)
-        key = keys.get(label_source)
-        if key is None:
-            key = WorkKey("", "")
-        clusters.append(WorkCluster(key, frozenset(members)))
-    clusters.sort(key=lambda c: min(c.member_record_ids))
+        key = keys[members[0]]
+        clusters.append(WorkCluster(
+            WorkKey("", "") if key is None else WorkKey._make(key),
+            frozenset([records[index].record_id for index in members]),
+        ))
     snapshot.memo["work_clusters"] = clusters
     return clusters

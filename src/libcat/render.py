@@ -7,7 +7,9 @@ the integer counts, so the printed value never inherits binary float
 noise. Tables render to CSV (RFC 4180 quoting), Markdown pipe tables
 (a line break in a cell written as <br>), or JSON lines; cells arrive
 pre-formatted as strings and identical inputs produce byte-identical
-output.
+output. A JSON line escapes each header once per table and each cell
+once, and is the compact UTF-8 dump of the row as a dict; a cell that is
+not a `str` raises TypeError.
 """
 
 from __future__ import annotations
@@ -16,14 +18,16 @@ import io
 import json
 import re
 from decimal import ROUND_HALF_UP, Decimal
+from json.encoder import encode_basestring
 from typing import Sequence
 
 FORMATS = ("csv", "md", "jsonl")
 
 # A line break inside a cell; a Markdown row must stay on one line.
 _LINE_BREAK = re.compile("\r\n|\r|\n")
-# Compact UTF-8 JSON, one encoder for every JSON line libcat writes: the
-# jsonl tables here and the dataset lines of `ingest.save_dataset`.
+# Compact UTF-8 JSON for the dataset lines of `ingest.save_dataset`. The
+# jsonl tables here write the same text through its string escape,
+# `encode_basestring`.
 _JSON_LINE = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
 
 
@@ -69,7 +73,14 @@ def _render_md(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 
 
 def _render_jsonl(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    return "\n".join(_JSON_LINE.encode(dict(zip(headers, row))) for row in rows)
+    # A repeated header keeps what `dict(zip(headers, row))` keeps: its
+    # first position and its last value.
+    last = {header: index for index, header in enumerate(headers)}
+    cells = [(encode_basestring(header) + ":", index) for header, index in last.items()]
+    return "\n".join(
+        "{" + ",".join([key + encode_basestring(row[index]) for key, index in cells]) + "}"
+        for row in rows
+    )
 
 
 def render_table(

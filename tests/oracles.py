@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
+import unicodedata
 import xml.etree.ElementTree as ET
 from collections import Counter
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -312,6 +314,53 @@ def kept_holdings(libraries: Iterable, holdings: Iterable, library_filter) -> li
     }
     excluded = f.excluded_channels or ()
     return [h for h in holdings if h.library_id in kept and h.channel not in excluded]
+
+
+def fold_heading(name: str) -> str:
+    """A contributor heading folded the long way for every text: decompose,
+    drop combining marks, casefold, and turn each run of anything but an
+    ASCII letter or digit into one space."""
+    decomposed = unicodedata.normalize("NFKD", name)
+    stripped = "".join(c for c in decomposed if not unicodedata.combining(c))
+    return re.sub("[^0-9a-z]+", " ", stripped.casefold()).strip()
+
+
+def author_profiles_bruteforce(
+    records: Iterable, libraries: Iterable, holdings: Iterable, library_filter
+) -> list[tuple[str, int, int, int]]:
+    """(heading, works, publications, holdings) for every contributor, by
+    descending holdings, then heading.
+
+    Headings that fold alike are one author, shown as the smallest
+    variant. The author's works are the pairwise-evidence clusters with a
+    member that names any such heading; publications counts their member
+    records, and holdings the distinct libraries that hold any record of
+    each work, summed over the works, after the filter.
+    """
+    recs = list(records)
+    clusters = cluster_records_bruteforce(recs)
+    holders: dict[str, set] = {r.record_id: set() for r in recs}
+    for h in kept_holdings(libraries, holdings, library_filter):
+        holders[h.record_id].add(h.library_id)
+    variants: dict[str, set[str]] = {}
+    for record in recs:
+        for contributor in record.contributors:
+            folded = fold_heading(contributor.name)
+            if folded:
+                variants.setdefault(folded, set()).add(contributor.name)
+    profiles = []
+    for names in variants.values():
+        works = [
+            cluster for cluster in clusters
+            if any(c.name in names for r in recs if r.record_id in cluster for c in r.contributors)
+        ]
+        profiles.append((
+            min(names),
+            len(works),
+            sum(len(cluster) for cluster in works),
+            sum(len(set().union(*(holders[r] for r in cluster))) for cluster in works),
+        ))
+    return sorted(profiles, key=lambda p: (-p[3], p[0]))
 
 
 def metric_values_bruteforce(records: Iterable, holdings: Iterable, name: str) -> list:

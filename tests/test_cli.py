@@ -7,6 +7,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import threading
@@ -1597,8 +1598,16 @@ class TestUnwritableStdout:
 
 
 class TestMain:
-    """`main`, the `lca` entry point, exits with the code `run` returned and
-    freezes the collector once, only after `run` has returned."""
+    """`main`, the `lca` entry point, runs the command with the collector
+    off, exits with the code `run` returned and freezes the collector
+    once, only after `run` has returned."""
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        """`main` turns this process's collector off; turn it back on."""
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
 
     @pytest.mark.parametrize(
         "argv, code",
@@ -1631,3 +1640,124 @@ class TestMain:
             cli.main()
         assert exited.value.code == code
         assert events == ["run", ("returned", code), "freeze"]
+
+    def test_main_runs_the_command_with_the_collector_off(self, monkeypatch):
+        states = []
+
+        def spy_run(argv=None):
+            states.append(gc.isenabled())
+            return 0
+
+        monkeypatch.setattr(cli, "run", spy_run)
+        monkeypatch.setattr(gc, "freeze", lambda: None)
+        monkeypatch.setattr(sys, "argv", ["lca", "report"])
+        gc.enable()
+        with pytest.raises(SystemExit):
+            cli.main()
+        assert states == [False]
+
+
+def collector_inputs(directory: pathlib.Path, n: int) -> dict:
+    """Inputs for every command at `n` records: a MARC-XML and a Dublin
+    Core export (every tenth record without a title, so rejected), an
+    analysis dataset, a dataset without holdings to fetch them into, and
+    the catalog a FixtureServer serves."""
+    directory.mkdir()
+    records, marc, dc = [], [], []
+    for i in range(n):
+        isbn = oracles.make_isbn13(random.Random(i))
+        author = f"Author {i % 7}"
+        title = f"Work {i // 2}" if i % 10 else ""
+        marc.append(
+            f'<record><controlfield tag="001">(OCoLC){1000 + i}</controlfield>'
+            f'<datafield tag="020"><subfield code="a">{isbn}</subfield></datafield>'
+            f'<datafield tag="100"><subfield code="a">{author}</subfield></datafield>'
+            f'<datafield tag="245"><subfield code="a">{title}</subfield></datafield></record>'
+        )
+        dc.append(f"<item><title>{title}</title><creator>{author}</creator>"
+                  f"<identifier>ISBN {isbn}</identifier></item>")
+        records.append(BookRecord(
+            f"r{i:05d}", f"Work {i // 2}", oclc=1000 + i, isbns=(Isbn(isbn),),
+            contributors=((author,),), lc_class=f"Q{i % 3}", citations=i % 11,
+        ))
+    libraries = [LibraryOrg(f"l{j}", f"Library {j}", ("US", "GB")[j % 2]) for j in range(6)]
+    holdings = [Holding(r.record_id, f"l{j}") for i, r in enumerate(records) for j in range(i % 6)]
+    paths = {name: directory / name for name in ("marc.xml", "dc.xml", "analysis.jsonl",
+                                                  "fetch.jsonl", "ingested.jsonl")}
+    paths["marc.xml"].write_text(f"<collection>{''.join(marc)}</collection>")
+    paths["dc.xml"].write_text(f"<collection>{''.join(dc)}</collection>")
+    save_dataset(CatalogSnapshot(records, libraries, holdings), paths["analysis.jsonl"])
+    save_dataset(CatalogSnapshot(records, (), ()), paths["fetch.jsonl"])
+    return {name: str(path) for name, path in paths.items()}
+
+
+def collector_commands(paths: dict, base_url: str) -> list[list[str]]:
+    analysis = ["--dataset", paths["analysis.jsonl"], "--output", "jsonl"]
+    ingested = ["--dataset", paths["ingested.jsonl"]]
+    return [
+        ["ingest", "--format", "marcxml", "--input", paths["marc.xml"], *ingested],
+        ["ingest", "--format", "dublincore", "--input", paths["dc.xml"], *ingested],
+        ["ingest", "--format", "jsonl", "--input", paths["analysis.jsonl"], *ingested],
+        ["indicators", "--all-books", *analysis],
+        ["indicators", "--authors", *analysis],
+        ["correlate", *analysis],
+        ["report", *analysis],
+        ["fetch", "--all", "--base-url", base_url, "--dataset", paths["fetch.jsonl"],
+         "--quota-state", paths["fetch.jsonl"] + ".quota"],
+    ]
+
+
+class TestCollector:
+    """`run` leaves the caller's collector as it found it, and with the
+    collector off a command leaves cyclic garbage that does not grow with
+    its input, which is what lets `main` run every command without it."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+    def test_run_leaves_the_collector_as_the_caller_set_it(
+        self, capsys, tmp_path, analysis_dataset, enabled
+    ):
+        marc = tmp_path / "marc.xml"
+        marc.write_text('<collection><record><datafield tag="245"><subfield code="a">T'
+                        "</subfield></datafield></record></collection>")
+        commands = [
+            ["indicators", "--authors", "--dataset", analysis_dataset],
+            ["report", "--dataset", str(tmp_path / "missing.jsonl")],
+            ["ingest", "--format", "marcxml", "--input", str(marc),
+             "--dataset", str(tmp_path / "new.jsonl")],
+            ["report", "--output", "nope"],
+        ]
+        caller = gc.isenabled()
+        states = []
+        try:
+            (gc.enable if enabled else gc.disable)()
+            for argv in commands:
+                run(argv)
+                states.append(gc.isenabled())
+        finally:
+            (gc.enable if caller else gc.disable)()
+        capsys.readouterr()
+        assert states == [enabled] * len(commands)
+
+    def test_garbage_a_command_leaves_does_not_grow_with_its_input(self, capsys, tmp_path):
+        sizes = {"warm-up": 40, "n": 40, "4n": 160}
+        left: dict[str, list[int]] = {}
+        caller = gc.isenabled()
+        try:
+            for label, n in sizes.items():
+                paths = collector_inputs(tmp_path / label, n)
+                with FixtureServer(load_dataset(paths["analysis.jsonl"])) as server:
+                    commands = collector_commands(paths, server.base_url)
+                    counts = []
+                    for argv in commands:
+                        gc.collect()
+                        gc.disable()
+                        code = run(argv)
+                        counts.append((code, gc.collect()))
+                        gc.enable()
+                left[label] = counts
+                capsys.readouterr()
+        finally:
+            (gc.enable if caller else gc.disable)()
+        assert [code for code, _ in left["4n"]] == [0] * len(commands)
+        for argv, (_, small), (_, large) in zip(commands, left["n"], left["4n"]):
+            assert large <= small, argv[:2]

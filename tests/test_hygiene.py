@@ -1,7 +1,8 @@
 """Source hygiene that needs no linter: every module parses as the oldest
 Python the package supports, no module imports a name it never uses, no
 private name, at module level or in a class, goes unused by the package,
-and no public function only forwards to another name."""
+no public function only forwards to another name, and only the entry
+point and the load's pause switch the cyclic collector."""
 
 import ast
 import functools
@@ -199,3 +200,41 @@ def test_only_the_client_imports_dataclasses():
         if _imports_module(ast.parse(path.read_text(encoding="utf-8")), "dataclasses")
     ]
     assert importers == ["client.py"]
+
+
+COLLECTOR_SWITCHES = {"disable", "enable", "freeze"}
+
+
+def _collector_switches(node: ast.AST, where: str = "") -> set[str]:
+    """Where the tree names `gc.disable`, `gc.enable` or `gc.freeze`, or
+    imports a name from `gc`: the dotted name of the enclosing function or
+    class, or "" at module level."""
+    found = set()
+    for child in ast.iter_child_nodes(node):
+        inner = where
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{where}.{child.name}" if where else child.name
+        elif isinstance(child, ast.ImportFrom) and child.module == "gc":
+            found.add(where)
+        elif (
+            isinstance(child, ast.Attribute)
+            and isinstance(child.value, ast.Name)
+            and child.value.id == "gc"
+            and child.attr in COLLECTOR_SWITCHES
+        ):
+            found.add(where)
+        found |= _collector_switches(child, inner)
+    return found
+
+
+def test_only_the_entry_point_and_the_load_pause_switch_the_collector():
+    """The collector is process-wide state. Only the `lca` entry point may
+    turn it off for good and freeze it, and only the load's pause may turn
+    it off for a with-block and back on; library code never leaves it
+    changed."""
+    switches = sorted(
+        f"{path.stem}.{where}"
+        for path in PACKAGE
+        for where in _collector_switches(ast.parse(path.read_text(encoding="utf-8")))
+    )
+    assert switches == ["cli.main", "ingest._collector_paused"]

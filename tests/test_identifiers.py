@@ -309,6 +309,29 @@ class TestClustering:
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**9))
+    def test_clusters_ascend_by_smallest_member_labelled_by_its_key(self, seed):
+        """Whatever order the records arrive in, the clusters come in
+        ascending order of their smallest member id, and each carries that
+        member's work key (the empty key when its title folds away)."""
+        rng = random.Random(seed)
+        records = list(datasets.random_snapshot(rng, max_records=50, max_libraries=2).records)
+        for record in rng.sample(records, len(records) // 5):
+            records.append(BookRecord(f"{record.record_id}x", "?!", oclc=record.oclc))
+        rng.shuffle(records)
+        clusters = cluster_works(CatalogSnapshot(records, [], []))
+        smallest = [min(c.member_record_ids) for c in clusters]
+        expected = oracles.cluster_records_bruteforce(records)
+        assert smallest == sorted(min(group) for group in expected)
+        by_id = {record.record_id: record for record in records}
+        for cluster, record_id in zip(clusters, smallest):
+            try:
+                label = work_key(by_id[record_id])
+            except WorkKeyError:
+                label = WorkKey("", "")
+            assert cluster.work_key == label
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**9))
     def test_agrees_with_pairwise_oracle(self, seed):
         rng = random.Random(seed)
         snap = datasets.random_snapshot(rng, max_records=50, max_libraries=4)

@@ -507,6 +507,24 @@ class TestCompiledView:
         assert profiles == [author_profile(h, fresh, library_filter) for h in headings]
         assert profiles == sorted(profiles, key=lambda p: (-p.library_holdings, p.heading))
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_profiles_match_the_bruteforce_oracle(self, seed, filtered):
+        """Every profile, and the profile of every spelling variant, equals
+        the oracle's, which clusters pairwise and folds each heading the
+        long way."""
+        rng = random.Random(seed)
+        snap = variant_author_snapshot(rng, rng.randint(1, 30))
+        library_filter = datasets.random_filter(rng) if filtered else None
+        expected = oracles.author_profiles_bruteforce(
+            snap.records, snap.libraries, snap.holdings(), library_filter
+        )
+        assert author_profiles(snap, library_filter) == expected
+        by_fold = {oracles.fold_heading(heading): counts for heading, *counts in expected}
+        for name in {c.name for record in snap.records for c in record.contributors}:
+            counts = by_fold[oracles.fold_heading(name)]
+            assert author_profile(name, snap, library_filter) == (name, *counts)
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_filtered_profiles_filter_the_snapshot_once(self, seed):

@@ -107,3 +107,44 @@ class TestRenderTable:
             assert render_table(["a", "b", "c"], rows, fmt) == render_table(
                 ["a", "b", "c"], rows, fmt
             )
+
+
+# Text that JSON must escape or may pass through: quotes, backslashes,
+# control characters, U+2028, U+FFFF, a lone surrogate, astral characters
+# and the empty string.
+JSON_TEXT = st.text(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\u2028", "\uffff", "\ud800",
+                     "\U0001f600"])
+    | st.characters(),
+    max_size=12,
+)
+
+
+def dumped(headers, row):
+    return json.dumps(dict(zip(headers, row)), ensure_ascii=False, separators=(",", ":"))
+
+
+class TestRenderJsonl:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(JSON_TEXT, min_size=1, max_size=5).flatmap(
+        lambda headers: st.tuples(
+            st.just(headers),
+            st.lists(st.lists(JSON_TEXT, min_size=len(headers), max_size=len(headers)),
+                     max_size=4),
+        )
+    ))
+    def test_each_line_is_the_row_dumped_as_a_dict(self, table):
+        headers, rows = table
+        got = render_table(headers, rows, "jsonl")
+        assert got == "\n".join(dumped(headers, row) for row in rows)
+
+    def test_a_repeated_header_keeps_its_first_position_and_last_value(self):
+        headers, row = ["a", "b", "a"], ["1", "2", "3"]
+        assert render_table(headers, [row], "jsonl") == dumped(headers, row) == '{"a":"3","b":"2"}'
+
+    def test_no_rows_render_nothing(self):
+        assert render_table(["a", "b"], [], "jsonl") == ""
+
+    def test_a_cell_that_is_not_text_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            render_table(["a", "b"], [["1", 2]], "jsonl")
