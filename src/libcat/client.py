@@ -133,11 +133,19 @@ class QuotaStore:
     reached it raises without side effects. The counter resets when the
     UTC day changes. Accounting is serialized under one lock, so
     concurrent lookups never overshoot the limit. With a state file,
-    construction, consume() and state() also hold an exclusive flock on
+    construction, each charge and state() also hold an exclusive flock on
     the sidecar `<path>.lock` while they read the file and roll the day;
-    consume() then charges and writes it before letting go, so processes
-    that share the file lose no charge. The file is read only under the
-    flock, as a charge writes it in place.
+    a charge then writes it before letting go, so processes that share
+    the file lose no charge. The file is read only under the flock, as a
+    charge writes it in place.
+
+    A harvest charges ahead: `_reserve()` charges a unit exactly as
+    consume() would and banks it for its UTC day, while earlier requests
+    are in flight. consume() then spends a banked unit of the current day
+    without touching the file, and charges only when it finds none. A
+    unit banked on an earlier day is never spent: it stays charged to its
+    own day. `_release()` gives back the units no request spent. Another
+    process sharing the file counts every banked unit as used.
 
     The first charge creates the file whole, by write-then-rename. Each
     later charge writes the new JSON over the old with one pwrite at
@@ -163,6 +171,9 @@ class QuotaStore:
         self._today = today if today is not None else _utc_today
         self._lock = threading.Lock()
         self._day, self._used = dt.date.min, 0
+        # units _reserve() charged on _bank_day and no consume() spent yet
+        self._bank = threading.Condition(threading.Lock())
+        self._bank_day, self._banked = dt.date.min, 0
         if self.state_path is not None:
             self.state()  # a corrupt file fails here, before any charge
 
@@ -180,9 +191,11 @@ class QuotaStore:
             ) from exc
         return day, used
 
-    def _account(self, charge: bool) -> QuotaState:
+    def _account(self, change: int = 0, day: Optional[dt.date] = None) -> QuotaState:
         """Under the lock (and the sidecar flock, reading the state file):
-        roll the day, then, if `charge`, charge one request and persist."""
+        roll the day, then apply `change` and persist it. +1 charges one
+        request; -n gives back n units charged on `day` while that is still
+        the current day, never taking `used` below 0; 0 only reads."""
         with self._lock, contextlib.ExitStack() as stack:
             fd = None
             if self.state_path is not None:
@@ -192,7 +205,7 @@ class QuotaStore:
                     raise QuotaStateError(
                         f"cannot lock quota state file {self.state_path}: {exc}"
                     ) from exc
-                fd, data = self._read(os.O_RDWR if charge else os.O_RDONLY)
+                fd, data = self._read(os.O_RDWR if change else os.O_RDONLY)
                 if fd is None:
                     self._day, self._used = dt.date.min, 0
                 else:
@@ -201,15 +214,19 @@ class QuotaStore:
             today = self._today()
             if today != self._day:
                 self._day, self._used = today, 0
-            if charge:
+            if change > 0:
                 if self._used >= self.limit:
                     raise QuotaExceededError(
                         f"daily limit of {self.limit} consultations is exhausted "
                         f"({self._used} used)"
                     )
                 self._used += 1
-                if self.state_path is not None:
-                    self._write(fd, len(data))
+            elif change < 0 and day == self._day and self._used:
+                self._used = max(0, self._used + change)
+            else:
+                return QuotaState(self._day, self._used, self.limit)
+            if self.state_path is not None:
+                self._write(fd, len(data))
             return QuotaState(self._day, self._used, self.limit)
 
     def _read(self, flags: int) -> tuple[Optional[int], bytes]:
@@ -251,13 +268,45 @@ class QuotaStore:
     def consume(self) -> int:
         """Charge one request; returns the remaining budget.
 
-        Raises QuotaExceededError, charging nothing, when the budget is
-        spent.
+        A unit `_reserve()` banked today is spent without touching the
+        state file. Otherwise this charges, and raises QuotaExceededError,
+        charging nothing, when the budget is spent.
         """
-        return self._account(charge=True).remaining
+        with self._bank:
+            if self._banked:
+                if self._bank_day == self._today():
+                    self._banked -= 1
+                    self._bank.notify()
+                    return max(0, self.limit - self._used)
+                self._banked = 0  # charged to a day that is over: never spent
+                self._bank.notify()
+        return self._account(1).remaining
 
     def state(self) -> QuotaState:
-        return self._account(charge=False)
+        return self._account()
+
+    def _reserve(self, ahead: int, stop: threading.Event) -> bool:
+        """Charge one unit as consume() does and bank it for its day, once
+        fewer than `ahead` units are banked; False, charging nothing, if
+        `stop` is set first. Raises what the charge raises."""
+        with self._bank:
+            self._bank.wait_for(lambda: self._banked < ahead or stop.is_set())
+        if stop.is_set():
+            return False
+        day = self._account(1).day
+        with self._bank:
+            if day != self._bank_day:  # units banked on an earlier day stay charged to it
+                self._bank_day, self._banked = day, 0
+            self._banked += 1
+        return True
+
+    def _release(self) -> None:
+        """Give back every banked unit while its day is still the current
+        day of the count (the file's, with a state file)."""
+        with self._bank:
+            day, count, self._banked = self._bank_day, self._banked, 0
+        if count:
+            self._account(-count, day)
 
 
 def _text(element: Optional[ET.Element]) -> Optional[str]:
@@ -484,24 +533,49 @@ def _lookups(
     response, or the QuotaExceededError or TransportError the lookup
     raised; None for a record with no identifier, which gets no lookup.
 
-    `client.parallelism` worker threads each take the next identified
-    record from one shared iterator and look it up, so no lookup waits
-    for the reader. Outcomes that arrive before their turn wait in a dict
-    until the reader gets to them. Any other exception is raised here in
-    its record's turn. It, or a reader that stops early, stops every
-    worker before its next lookup: at most `client.parallelism` lookups
-    are in flight after it, and none is left queued to send requests and
-    charge quota.
+    One dispatcher thread takes the identified records in record order
+    and reserves each one's quota unit (`QuotaStore._reserve`), at most
+    `client.parallelism` of them ahead of the lookups that spend them, so
+    the quota file is written while earlier requests are in flight. A
+    record the quota refuses gets that QuotaExceededError as its outcome
+    and no lookup. Up to `client.parallelism` lookup threads, no more
+    than there are identified records, take the reserved records in turn
+    and look them up; each lookup's first charge spends a reserved unit.
+    Outcomes that arrive before their turn wait in a dict until the
+    reader gets to them. Any other exception is raised here in its
+    record's turn. It, or a reader that stops early, stops every thread
+    before its next lookup: at most `client.parallelism` lookups are in
+    flight after it, none is left queued to send requests, and the units
+    reserved for records that got no lookup are given back.
     """
-    todo = ((i, r) for i, r in enumerate(records) if r.oclc is not None or r.isbns)
-    take = threading.Lock()
+    quota = client.quota
+    todo = [(i, r) for i, r in enumerate(records) if r.oclc is not None or r.isbns]
     stop = threading.Event()
+    reserved: queue.SimpleQueue = queue.SimpleQueue()
     arrived: queue.SimpleQueue = queue.SimpleQueue()
+    lookups = min(client.parallelism, len(todo))
 
-    def work() -> None:
-        while True:
-            with take:
-                item = None if stop.is_set() else next(todo, None)
+    def dispatch() -> None:
+        try:
+            for index, record in todo:
+                try:
+                    # a unit charged while the stop came is given back by finish()
+                    if not quota._reserve(client.parallelism, stop) or stop.is_set():
+                        return
+                except QuotaExceededError as exc:
+                    arrived.put((index, exc, False))
+                    continue
+                except BaseException as exc:  # the reader raises it in its turn
+                    arrived.put((index, exc, True))
+                    return
+                reserved.put((index, record))
+        finally:
+            for _ in range(lookups):
+                reserved.put(None)
+
+    def look_up() -> None:
+        while not stop.is_set():
+            item = reserved.get()
             if item is None:
                 return
             index, record = item
@@ -518,10 +592,22 @@ def _lookups(
                 return
             arrived.put((index, outcome, False))
 
-    workers = [threading.Thread(target=work) for _ in range(client.parallelism)]
+    threads = [threading.Thread(target=look_up) for _ in range(lookups)]
+    threads.append(threading.Thread(target=dispatch))
+
+    def finish() -> None:
+        """Stop and join every thread, then give back the unspent units."""
+        stop.set()
+        with quota._bank:  # wake the dispatcher if it waits for a spend
+            quota._bank.notify_all()
+        for thread in threads:
+            if thread.is_alive():
+                thread.join()
+        quota._release()
+
     try:
-        for worker in workers:
-            worker.start()
+        for thread in threads:
+            thread.start()
         early: dict[int, tuple[object, bool]] = {}
         for index, record in enumerate(records):
             if record.oclc is None and not record.isbns:
@@ -534,28 +620,34 @@ def _lookups(
             if fatal:
                 raise outcome
             yield record, outcome
-    finally:
-        stop.set()
-        for worker in workers:
-            if worker.is_alive():
-                worker.join()
+    except BaseException:
+        with contextlib.suppress(QuotaStateError):  # keep the error already raised
+            finish()
+        raise
+    finish()
 
 
 def harvest(client: CatalogClient, records: Sequence[BookRecord]) -> HarvestResult:
     """Fetch holders for each record, by OCLC number when present else ISBN.
 
-    `client.parallelism` threads each take the next record and look it
-    up, so the batch runs at the server's pace with at most that many
-    lookups in flight; outcomes are folded into the result in record
-    order, so it is the same whatever the parallelism. A record with
-    neither identifier gets no request. Each institution's library is
-    built from the first location that names it.
+    One dispatcher thread charges each record's quota unit, in record
+    order and up to `client.parallelism` records ahead, while earlier
+    requests are in flight; up to that many lookup threads, no more than
+    there are records to look up, then send the requests. So the batch
+    runs at the server's pace with at most `client.parallelism` lookups
+    in flight, and the quota file is written off that path. Outcomes are
+    folded into the result in record order, so it is the same whatever
+    the parallelism. A record with neither identifier gets no request.
+    Each institution's library is built from the first location that
+    names it.
     Transport failures are collected per record and the rest of the
     batch proceeds. Once the budget is spent, the quota refuses each
-    later lookup before its request, so those records are skipped as
-    "quota exhausted" and the result carries what was gathered. A batch
-    that runs across UTC midnight goes on with the new day's budget, so
-    the quota then reports only the new day's charges.
+    later record before its request, so those records are skipped as
+    "quota exhausted" and the result carries what was gathered. If the
+    harvest fails or is interrupted, the units charged ahead for records
+    that were never looked up are given back. A batch that runs across
+    UTC midnight goes on with the new day's budget, so the quota then
+    reports only the new day's charges.
     """
     skipped: list[tuple[str, str]] = []
     errors: list[tuple[str, str]] = []

@@ -346,6 +346,55 @@ class TestQuotaStore:
             previous = used
         assert previous == min(charges, limit)
 
+    def test_a_unit_reserved_before_midnight_is_charged_again_when_spent_after(self, tmp_path):
+        day, next_day = dt.date(2026, 8, 16), dt.date(2026, 8, 17)
+        days = [day]
+        path = tmp_path / "quota.json"
+        store = QuotaStore(10, path, today=lambda: days[0])
+        assert store._reserve(1, threading.Event())
+        assert json.loads(path.read_bytes()) == {"day": day.isoformat(), "used": 1}
+        days[0] = next_day
+        assert store.consume() == 9
+        assert json.loads(path.read_bytes()) == {"day": next_day.isoformat(), "used": 1}
+        store._release()  # the old day's unit stays charged to it; nothing to give back
+        assert (store.state().day, store.state().used) == (next_day, 1)
+
+    def test_a_spent_reservation_touches_no_file_and_release_returns_the_rest(self, tmp_path):
+        path = tmp_path / "quota.json"
+        store = QuotaStore(10, path)
+        for _ in range(3):
+            assert store._reserve(3, threading.Event())
+        charged = path.read_bytes()
+        assert store.consume() == 7
+        assert path.read_bytes() == charged
+        store._release()
+        assert store.state().used == 1
+        store._release()  # nothing is banked any more
+        assert store.state().used == 1
+
+    def test_release_gives_back_only_to_the_banked_day_and_never_below_zero(self, tmp_path):
+        day = dt.date(2026, 8, 16)
+        path = tmp_path / "quota.json"
+        store = QuotaStore(10, path, today=lambda: day)
+        for _ in range(3):
+            store._reserve(3, threading.Event())
+        path.write_text(json.dumps({"day": day.isoformat(), "used": 1}))  # another process's edit
+        store._release()
+        assert json.loads(path.read_bytes()) == {"day": day.isoformat(), "used": 0}
+        store._reserve(1, threading.Event())
+        next_day = {"day": "2026-08-17", "used": 4}  # another process's clock passed midnight
+        path.write_text(json.dumps(next_day))
+        store._release()
+        assert json.loads(path.read_bytes()) == next_day
+
+    def test_a_stopped_reservation_charges_nothing(self):
+        store = QuotaStore(10)
+        stop = threading.Event()
+        assert store._reserve(1, stop)
+        stop.set()
+        assert not store._reserve(1, stop)  # one unit is banked, so it would wait
+        assert store.state().used == 1
+
 
 class TestResponseParsing:
     def test_malformed_json_is_a_transport_error(self):
@@ -1117,3 +1166,112 @@ class TestHarvest:
         }
         got = {(h.record_id, h.library_id) for h in result.delta.holdings()}
         assert got == expected
+
+
+def identified_batch(n=40):
+    """Records with an OCLC number, an ISBN only, or neither, interleaved."""
+    records = []
+    for i in range(1, n + 1):
+        if i % 7 == 0:
+            records.append(BookRecord(f"r{i}", "No identifier"))
+        elif i % 3 == 0:
+            records.append(BookRecord(f"r{i}", "By ISBN", isbns=(Isbn(ISBN_B),)))
+        else:
+            records.append(BookRecord(f"r{i}", "By OCLC", oclc=i))
+    return records
+
+
+class TestReservations:
+    """A harvest charges each record's unit ahead, while earlier requests
+    are in flight, and spends it on the record's request."""
+
+    @pytest.mark.parametrize("parallelism", [1, 2, 8])
+    def test_every_request_is_charged_once(self, corpus, parallelism, tmp_path):
+        records = identified_batch()
+        with FixtureServer(corpus) as fixture:
+            quota = QuotaStore(10_000, tmp_path / "quota.json")
+            client = CatalogClient(fixture.base_url, quota=quota, parallelism=parallelism)
+            try:
+                result = harvest(client, records)
+            finally:
+                client.close()
+            identified = sum(1 for r in records if r.oclc is not None or r.isbns)
+            assert fixture.request_count == quota.state().used == identified
+        assert len(result.queried) == identified
+
+    @pytest.mark.parametrize("parallelism", [1, 2, 8])
+    def test_no_more_than_parallelism_units_are_charged_and_unsent(self, parallelism, tmp_path):
+        quota = QuotaStore(10_000, tmp_path / "quota.json")
+        unsent = []
+
+        def script(url, n):
+            unsent.append(quota.state().used - len(send.calls))
+            time.sleep(0.001)
+            return reply(404)
+
+        send = ScriptedSend(script)
+        client = CatalogClient(
+            "http://unit.test", quota=quota, send=send, parallelism=parallelism
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, to catch a lost charge
+        try:
+            harvest(client, [BookRecord(f"r{i}", "T", oclc=i) for i in range(1, 61)])
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(unsent) == quota.state().used == 60
+        assert 0 <= min(unsent) and max(unsent) <= parallelism
+
+    def test_a_fatal_error_leaves_no_unsent_charge(self, tmp_path):
+        quota = QuotaStore(10_000, tmp_path / "quota.json")
+
+        def script(url, n):
+            time.sleep(0.002)
+            return reply(404) if n <= 5 else RuntimeError("boom")
+
+        send = ScriptedSend(script)
+        client = CatalogClient("http://unit.test", quota=quota, send=send, parallelism=8)
+        with pytest.raises(RuntimeError):
+            harvest(client, [BookRecord(f"r{i}", "T", oclc=i) for i in range(1, 41)])
+        assert quota.state().used == len(send.calls)
+        assert 6 <= len(send.calls) <= 5 + 8
+
+    @pytest.mark.parametrize("parallelism", [1, 2, 8])
+    def test_the_budget_goes_to_the_first_identified_records(self, parallelism):
+        records = identified_batch()
+        send = ScriptedSend(lambda url, n: reply(404))
+        client = CatalogClient(
+            "http://unit.test", quota=QuotaStore(9), send=send, retries=1,
+            parallelism=parallelism,
+        )
+        result = harvest(client, records)
+        identified = [r for r in records if r.oclc is not None or r.isbns]
+        assert result.queried == tuple(r.record_id for r in identified[:9])
+        assert sorted(send.calls) == sorted(
+            f"http://unit.test/content/libraries/{r.oclc}" if r.oclc is not None
+            else f"http://unit.test/content/libraries/isbn/{ISBN_B}"
+            for r in identified[:9]
+        )
+        assert [rid for rid, why in result.skipped if why == "quota exhausted"] == [
+            r.record_id for r in identified[9:]
+        ]
+
+    @pytest.mark.parametrize("parallelism, identified", [(32, 1), (8, 3), (2, 20)])
+    def test_no_more_lookup_threads_than_identified_records(self, parallelism, identified):
+        before = threading.active_count()
+        counts = []
+
+        def script(url, n):
+            counts.append(threading.active_count())
+            time.sleep(0.002)
+            return reply(404)
+
+        client = CatalogClient(
+            "http://unit.test", quota=QuotaStore(100), send=ScriptedSend(script),
+            parallelism=parallelism,
+        )
+        records = [BookRecord(f"r{i}", "T", oclc=i) for i in range(1, identified + 1)]
+        harvest(client, [*records, BookRecord("r0", "No identifier")])
+        assert len(counts) == identified
+        # the caller's threads, then the dispatcher and the lookup threads
+        assert max(counts) <= before + 1 + min(parallelism, identified)

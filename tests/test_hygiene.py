@@ -1,8 +1,9 @@
 """Source hygiene that needs no linter: every module parses as the oldest
 Python the package supports, no module imports a name it never uses, no
 private name, at module level or in a class, goes unused by the package,
-no public function only forwards to another name, and only the entry
-point and the load's pause switch the cyclic collector."""
+no public function only forwards to another name, only the entry
+point and the load's pause switch the cyclic collector, and only the
+harvest's lookup loop reserves and gives back quota units."""
 
 import ast
 import functools
@@ -205,26 +206,31 @@ def test_only_the_client_imports_dataclasses():
 COLLECTOR_SWITCHES = {"disable", "enable", "freeze"}
 
 
-def _collector_switches(node: ast.AST, where: str = "") -> set[str]:
-    """Where the tree names `gc.disable`, `gc.enable` or `gc.freeze`, or
-    imports a name from `gc`: the dotted name of the enclosing function or
-    class, or "" at module level."""
-    found = set()
+def _owned_nodes(node: ast.AST, where: str = ""):
+    """Every node under `node`, with the dotted name of the function or
+    class that encloses it, or "" at module level."""
     for child in ast.iter_child_nodes(node):
+        yield where, child
         inner = where
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             inner = f"{where}.{child.name}" if where else child.name
-        elif isinstance(child, ast.ImportFrom) and child.module == "gc":
-            found.add(where)
-        elif (
-            isinstance(child, ast.Attribute)
-            and isinstance(child.value, ast.Name)
-            and child.value.id == "gc"
-            and child.attr in COLLECTOR_SWITCHES
-        ):
-            found.add(where)
-        found |= _collector_switches(child, inner)
-    return found
+        yield from _owned_nodes(child, inner)
+
+
+def _collector_switches(tree: ast.AST) -> set[str]:
+    """Where the tree names `gc.disable`, `gc.enable` or `gc.freeze`, or
+    imports a name from `gc`."""
+    return {
+        where
+        for where, node in _owned_nodes(tree)
+        if (isinstance(node, ast.ImportFrom) and node.module == "gc")
+        or (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "gc"
+            and node.attr in COLLECTOR_SWITCHES
+        )
+    }
 
 
 def test_only_the_entry_point_and_the_load_pause_switch_the_collector():
@@ -238,3 +244,17 @@ def test_only_the_entry_point_and_the_load_pause_switch_the_collector():
         for where in _collector_switches(ast.parse(path.read_text(encoding="utf-8")))
     )
     assert switches == ["cli.main", "ingest._collector_paused"]
+
+
+def test_only_the_harvest_dispatcher_reserves_and_releases_quota():
+    """A unit `QuotaStore._reserve` banks is charged but unsent until a
+    lookup spends it. Only `client._lookups` looks the records up, so only
+    its dispatcher may reserve and only its finish may give units back;
+    any other caller could bank a unit no request spends."""
+    callers = sorted(
+        f"{path.stem}.{where}"
+        for path in PACKAGE
+        for where, node in _owned_nodes(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in {"_reserve", "_release"}
+    )
+    assert callers == ["client._lookups.dispatch", "client._lookups.finish"]
