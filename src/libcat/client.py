@@ -49,14 +49,13 @@ import threading
 import time
 import urllib.parse
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import LibcatError, QuotaExceededError, QuotaStateError, TransportError
 from .identifiers import normalize_isbn
 from .ingest import _lock_sidecar, _write_atomic
 from .model import BookRecord, CatalogSnapshot, Holding, LibraryOrg
-from .model import _check_strings, _check_text, _check_types
+from .model import _Entity, _check_strings, _check_text, _check_types, _set
 
 DEFAULT_QUOTA_LIMIT = 50_000
 DEFAULT_RETRIES = 3
@@ -64,40 +63,40 @@ DEFAULT_BACKOFF_SECONDS = 0.5
 MAX_PARALLELISM = 32
 
 
-@dataclass(frozen=True, slots=True)
-class Location:
+class Location(_Entity):
     """One holding institution as reported by the locations API."""
 
-    name: str
-    country: str
-    institution_id: str
+    __slots__ = _fields = ("name", "country", "institution_id")
 
-    def __post_init__(self) -> None:
-        _check_types(self, str, "name", "country", "institution_id")
-        for attr in ("name", "country", "institution_id"):
+    def __init__(self, name: str, country: str, institution_id: str) -> None:
+        for attr, value in zip(self._fields, (name, country, institution_id)):
+            _set(self, attr, value)
+        _check_types(self, str, *self._fields)
+        for attr in self._fields:
             value = getattr(self, attr).strip()
             if not value:
                 raise ValueError(f"location {attr} must be non-blank")
-            object.__setattr__(self, attr, value)
-        _check_text(self, "name", "country", "institution_id")
+            _set(self, attr, value)
+        _check_text(self, *self._fields)
 
 
-@dataclass(frozen=True, slots=True)
-class MatchedRecord:
+class MatchedRecord(_Entity):
     """The bibliographic fragment a lookup matched, as far as the API tells."""
 
-    title: Optional[str] = None
-    oclc: Optional[int] = None
-    isbns: tuple[str, ...] = ()
+    __slots__ = _fields = ("title", "oclc", "isbns")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, title: Optional[str] = None, oclc: Optional[int] = None, isbns: tuple[str, ...] = ()
+    ) -> None:
+        _set(self, "title", title)
+        _set(self, "oclc", oclc)
+        _set(self, "isbns", isbns)
         _check_types(self, str, "title")
         _check_types(self, int, "oclc")
         _check_strings(self, "isbns", tuple)
 
 
-@dataclass(frozen=True, slots=True)
-class LocationResponse:
+class LocationResponse(NamedTuple):
     matched_record: Optional[MatchedRecord]
     locations: tuple[Location, ...]
 
@@ -109,8 +108,7 @@ class LocationResponse:
 EMPTY_RESPONSE = LocationResponse(matched_record=None, locations=())
 
 
-@dataclass(frozen=True, slots=True)
-class QuotaState:
+class QuotaState(NamedTuple):
     """Point-in-time view of the daily consultation budget."""
 
     day: dt.date
@@ -508,8 +506,7 @@ class CatalogClient:
         return self._lookup(f"/content/libraries/isbn/{digits}")
 
 
-@dataclass(frozen=True, slots=True)
-class HarvestResult:
+class HarvestResult(NamedTuple):
     """Outcome of harvesting holdings for a batch of records.
 
     `delta` bundles the completed records with the libraries and
@@ -538,9 +535,10 @@ def _lookups(
     `client.parallelism` of them ahead of the lookups that spend them, so
     the quota file is written while earlier requests are in flight. A
     record the quota refuses gets that QuotaExceededError as its outcome
-    and no lookup. Up to `client.parallelism` lookup threads, no more
-    than there are identified records, take the reserved records in turn
-    and look them up; each lookup's first charge spends a reserved unit.
+    and no lookup, as does, with no charge tried, each later one that day.
+    Up to `client.parallelism` lookup threads, no more than there are
+    identified records, take the reserved records in turn and look them
+    up; each lookup's first charge spends a reserved unit.
     Outcomes that arrive before their turn wait in a dict until the
     reader gets to them. Any other exception is raised here in its
     record's turn. It, or a reader that stops early, stops every thread
@@ -556,13 +554,20 @@ def _lookups(
     lookups = min(client.parallelism, len(todo))
 
     def dispatch() -> None:
+        refused_day, refusal = None, None
         try:
             for index, record in todo:
+                # read before the charge, so a refusal as the day ends is tried again
+                day = quota._today()
+                if day == refused_day:
+                    arrived.put((index, refusal, False))
+                    continue
                 try:
                     # a unit charged while the stop came is given back by finish()
                     if not quota._reserve(client.parallelism, stop) or stop.is_set():
                         return
                 except QuotaExceededError as exc:
+                    refused_day, refusal = day, exc
                     arrived.put((index, exc, False))
                     continue
                 except BaseException as exc:  # the reader raises it in its turn
@@ -641,9 +646,9 @@ def harvest(client: CatalogClient, records: Sequence[BookRecord]) -> HarvestResu
     Each institution's library is built from the first location that
     names it.
     Transport failures are collected per record and the rest of the
-    batch proceeds. Once the budget is spent, the quota refuses each
-    later record before its request, so those records are skipped as
-    "quota exhausted" and the result carries what was gathered. If the
+    batch proceeds. Once the quota refuses a record, it and every later
+    record of that UTC day are skipped as "quota exhausted" with no more
+    charges tried, and the result carries what was gathered. If the
     harvest fails or is interrupted, the units charged ahead for records
     that were never looked up are given back. A batch that runs across
     UTC midnight goes on with the new day's budget, so the quota then

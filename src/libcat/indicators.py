@@ -85,12 +85,6 @@ class AuthorProfile(NamedTuple):
 
 # --- the compiled view -------------------------------------------------------
 
-def _cnls(count: int, ordered: list[int], total: int) -> Optional[float]:
-    """CNLS of a record with `count` libcitations in a class whose sorted
-    counts and their sum are `ordered` and `total`; None if all are zero."""
-    return count / (total / len(ordered)) if total else None
-
-
 class _View:
     """One (snapshot, filter) pair, compiled once for every indicator.
 
@@ -149,11 +143,11 @@ class _View:
         return self._classes
 
     def cnls_column(self) -> list[Optional[float]]:
-        """Each record's CNLS, in record-id order; None without a class or
-        in an all-zero class."""
-        classes = self.classes()
+        """Each record's CNLS, its libcitations over its class's mean, in
+        record-id order; None without a class or in an all-zero class."""
+        means = {c: total / len(ordered) for c, (ordered, total) in self.classes().items() if total}
         return [
-            None if record.lc_class is None else _cnls(count, *classes[record.lc_class])
+            count / means[record.lc_class] if record.lc_class in means else None
             for record, count in zip(self.records, self.counts.values())
         ]
 
@@ -163,11 +157,11 @@ class _View:
         if self._books is None:
             classes = self.classes()
             self._books = books = {}
-            for record, count in zip(self.records, self.counts.values()):
-                cnls_value = rank = None
+            rows = zip(self.records, self.counts.values(), self.cnls_column())
+            for record, count, cnls_value in rows:
+                rank = None
                 if record.lc_class is not None:
-                    ordered, total = classes[record.lc_class]
-                    cnls_value = _cnls(count, ordered, total)
+                    ordered = classes[record.lc_class][0]
                     rank = (1 + len(ordered) - bisect_right(ordered, count), len(ordered))
                 books[record.record_id] = BookIndicators(record.record_id, count, cnls_value, rank)
         return self._books

@@ -53,8 +53,8 @@ _set = object.__setattr__
 
 
 def _default_is_none(kind: type, name: str) -> bool:
-    """Whether `kind`'s constructor gives the field `name` the default None;
-    read from `__init__`, so it serves entities and dataclasses alike."""
+    """Whether `kind`'s constructor gives the field `name` the default None,
+    as read from its `__init__`."""
     init = kind.__init__
     names = init.__code__.co_varnames[1:init.__code__.co_argcount]
     defaults = init.__defaults__ or ()

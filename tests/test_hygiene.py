@@ -191,16 +191,16 @@ def _imports_module(tree: ast.AST, module: str) -> bool:
     return False
 
 
-def test_only_the_client_imports_dataclasses():
+def test_no_module_imports_dataclasses():
     """`dataclasses` (and the `inspect` it pulls in) costs every process
-    that loads it; the analysis path has none. Only `fetch` loads the
-    client, whose types may stay dataclasses."""
+    that loads it. libcat's types are NamedTuples and `_Entity`s, so no
+    module needs it, the client's included."""
     importers = [
         path.name
         for path in PACKAGE
         if _imports_module(ast.parse(path.read_text(encoding="utf-8")), "dataclasses")
     ]
-    assert importers == ["client.py"]
+    assert importers == []
 
 
 COLLECTOR_SWITCHES = {"disable", "enable", "freeze"}

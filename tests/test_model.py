@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import datasets
 import oracles
+from libcat.client import Location, MatchedRecord
 from libcat.errors import IntegrityError
 from libcat.model import (
     AggregateUnit,
@@ -187,7 +188,8 @@ class TestValues:
         assert unit.member_record_ids == frozenset({"r1", "r2"})
 
 
-# One of each checked entity, as the arguments its constructor takes.
+# One of each checked entity, the client's included, as the arguments its
+# constructor takes.
 ENTITY_ARGS = {
     Isbn: ("9780306406157",),
     Contributor: ("Cole, Ada", "editor"),
@@ -197,6 +199,8 @@ ENTITY_ARGS = {
     LibraryFilter: (frozenset({"US"}), frozenset({"academic"}), frozenset({"ARL"}),
                     frozenset({"donation"})),
     AggregateUnit: ("u1", "Unit", frozenset({"r1", "r2"})),
+    Location: ("Alpha Library", "US", "aaa"),
+    MatchedRecord: ("Title", 101, ("9780306406157",)),
 }
 KINDS = list(ENTITY_ARGS)
 
@@ -231,7 +235,8 @@ class TestEntityContract:
         changed = {
             "digits": "9780131103627", "role": "author", "citations": 4,
             "memberships": frozenset(), "excluded_channels": None,
-            "member_record_ids": frozenset({"r3"}),
+            "member_record_ids": frozenset({"r3"}), "institution_id": "bbb",
+            "isbns": ("9780131103627",),
         }[name]
         assert value._replace(**{name: changed}) != value
 

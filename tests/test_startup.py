@@ -2,8 +2,8 @@
 runs. Read commands never import the network layer; the rank statistics,
 the XML parser and the csv writer load only for the commands that use
 them (the XML parser for an XML ingest and for `fetch`, whose client
-decodes XML answers). No command but `fetch` loads `dataclasses` or
-`inspect`."""
+decodes XML answers). No command, `fetch` included, loads `dataclasses`
+or `inspect`."""
 
 import json
 import pathlib
@@ -20,8 +20,8 @@ NETWORK_MODULES = ("requests", "urllib3", "http.client", "http.server", "concurr
 # Loaded only by the commands that use them: correlate, an XML ingest, --output csv.
 DEFERRED_MODULES = ("libcat.stats", "xml.etree.ElementTree", "csv")
 
-# Loaded by no analysis command: libcat's own types are NamedTuples and
-# slotted classes. Only `fetch`'s client types are dataclasses.
+# Loaded by no command: libcat's types, the client's included, are
+# NamedTuples and slotted classes.
 INTROSPECTION_MODULES = ("dataclasses", "inspect")
 
 # What the child below imports before it first looks at sys.modules.
@@ -134,7 +134,7 @@ def test_each_deferred_layer_loads_only_for_the_command_that_uses_it(
     assert load_dataset(fetched).n_holdings == 3
 
 
-def test_no_analysis_command_loads_dataclasses_or_inspect(small_dataset, subprocess_env, tmp_path):
+def test_no_command_loads_dataclasses_or_inspect(small_dataset, subprocess_env, tmp_path):
     # Each step reports only what it newly loads, so first make sure that
     # the child has not loaded them before libcat is imported.
     bare = subprocess.run(
@@ -154,8 +154,10 @@ def test_no_analysis_command_loads_dataclasses_or_inspect(small_dataset, subproc
         ["report", *base],
         ["ingest", "--format", "jsonl", "--input", small_dataset,
          "--dataset", str(tmp_path / "merged.jsonl")],
+        ["fetch", "--all", "--dataset", str(tmp_path / "merged.jsonl"),
+         "--base-url", "BASE_URL"],
     ]
-    steps = run_child(INTROSPECTION_MODULES, commands, subprocess_env)
+    steps = run_child(INTROSPECTION_MODULES, commands, subprocess_env, served=small_dataset)
     assert steps == [
         ["import libcat.cli", 0, []], *([" ".join(argv), 0, []] for argv in commands)
     ]
